@@ -105,6 +105,13 @@ impl Graph {
         &self.edges
     }
 
+    /// Consume the graph, keeping only its canonical edge list (the CSR
+    /// arrays are freed) — for owners that never walk adjacency, such as
+    /// the `logdiam-svc` base store.
+    pub fn into_edges(self) -> Vec<(u32, u32)> {
+        self.edges
+    }
+
     /// Neighbourhood of `v`.
     #[inline]
     pub fn neighbors(&self, v: u32) -> &[u32] {

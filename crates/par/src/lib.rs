@@ -61,11 +61,18 @@ pub(crate) fn find(p: &[AtomicU32], mut v: u32) -> u32 {
 
 /// Canonicalize: every vertex labeled by its tree root, then every label
 /// rewritten to the minimum vertex of its component (parallel, two passes).
+/// For forests whose roots need not be set minima (labelprop, sv,
+/// contract); an id-decreasing forest only needs the find pass
+/// ([`UnionFind::labels`]).
 ///
 /// Pass 1 fuses the root lookup with the min-vertex scatter: each vertex
-/// finds its root, `fetch_min`s itself into the root's slot, and emits the
-/// root. Pass 2 gathers the per-root minima. (The scatter is commutative,
-/// so the fused pass stays deterministic under any thread interleaving.)
+/// finds its root, lowers the root's slot to itself, and emits the root.
+/// Pass 2 gathers the per-root minima. (The scatter is commutative, so the
+/// fused pass stays deterministic under any thread interleaving.) The
+/// scatter loads the slot before any `fetch_min`: vertices arrive in
+/// increasing order within a chunk, so after a component's first vertex
+/// the slot is already lower and the line stays shared — a giant
+/// component does not serialize the pool on one cache line.
 pub(crate) fn finalize_labels(p: &[AtomicU32]) -> Vec<u32> {
     use rayon::prelude::*;
     let n = p.len();
@@ -74,7 +81,10 @@ pub(crate) fn finalize_labels(p: &[AtomicU32]) -> Vec<u32> {
         .into_par_iter()
         .map(|v| {
             let r = find(p, v);
-            mins[r as usize].fetch_min(v, Ordering::Relaxed);
+            let slot = &mins[r as usize];
+            if v < slot.load(Ordering::Relaxed) {
+                slot.fetch_min(v, Ordering::Relaxed);
+            }
             r
         })
         .collect();

@@ -9,7 +9,7 @@
 //! delta overlay) and the one-shot [`unionfind_cc`] entry point share one
 //! implementation.
 
-use crate::{finalize_labels, find, identity_parents};
+use crate::{find, identity_parents};
 use cc_graph::Graph;
 use rayon::prelude::*;
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -138,9 +138,14 @@ impl UnionFind {
         self.representative(u) == self.representative(v)
     }
 
-    /// Canonical min-vertex component labels for all vertices (parallel).
+    /// Canonical min-vertex component labels for all vertices: one
+    /// parallel find pass. The forest is id-decreasing, so every root is
+    /// already its set's minimum and no min-scatter is needed.
     pub fn labels(&self) -> Vec<u32> {
-        finalize_labels(&self.p)
+        (0..self.p.len() as u32)
+            .into_par_iter()
+            .map(|v| find(&self.p, v))
+            .collect()
     }
 }
 

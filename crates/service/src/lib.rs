@@ -25,17 +25,19 @@
 //!   canonical min-vertex representatives, identical for every shard and
 //!   thread count.
 //! * **Pipelined rebuilds**: when [`SvcParams::rebuild_threshold`]
-//!   distinct new edges have accumulated, the commit *folds* them into a
-//!   fresh base CSR synchronously (cheap merge, deterministic trigger),
-//!   but the full recompute on the [`RebuildBackend`] runs on a
-//!   background worker; its labeling swaps in atomically between commits.
+//!   distinct new edges have accumulated, the commit *folds* them into
+//!   the base edge list synchronously (an in-place merge, deterministic
+//!   trigger), but the full recompute on the [`RebuildBackend`] runs on a
+//!   background worker and is checked against the fold between commits.
 //!   Neither queries nor commits ever stall behind a recompute.
 //!
 //! Queries stay wait-free throughout: every commit publishes an immutable
 //! [`Snapshot`] (canonical labels plus a [`Spectrum`] of component
 //! statistics) onto a bounded history ring
 //! ([`SvcParams::snapshot_history`]); readers clone an `Arc` off the ring
-//! and never touch the writer.
+//! and never touch the writer. Publishing costs O(batch + δ), not O(n):
+//! snapshots share the labels materialized at the last fold and carry
+//! only a remap of the at most `rebuild_threshold` roots merged since.
 //!
 //! Label canonicalization makes the service deterministic: for a fixed
 //! replay (initial graph + batch sequence from one caller), every epoch's
@@ -69,6 +71,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod base;
 mod persist;
 mod service;
 mod shard;
@@ -123,7 +126,7 @@ pub struct SvcParams {
     pub backend: RebuildBackend,
     /// Distinct new (not in the base graph, not previously absorbed)
     /// edges the delta overlay may accumulate before a commit folds them
-    /// into a fresh base CSR and schedules a background recompute.
+    /// into the base edge list and schedules a background recompute.
     pub rebuild_threshold: usize,
     /// How many recent epoch snapshots stay addressable by
     /// [`ConnectivityService::query`]; older epochs are evicted

@@ -21,15 +21,15 @@ use std::sync::{mpsc, Arc, RwLock};
 /// snapshots. See the crate docs for the design and `ARCHITECTURE.md`
 /// for the architecture contract.
 ///
-/// This struct is only the **controller handle**. The state — base CSR,
-/// sharded delta overlay, delta list — is owned by a dedicated writer
+/// This struct is only the **controller handle**. The state — base edge
+/// list, sharded delta overlay, delta list — is owned by a dedicated writer
 /// thread; [`apply_batch`](ConnectivityService::apply_batch) enqueues a
 /// normalized batch on a bounded command channel and immediately returns
 /// an [`EpochTicket`]. The writer drains commands in FIFO order, so epoch
 /// assignment is totally ordered no matter how many threads enqueue.
-/// Queries ([`query`](ConnectivityService::query) and friends) clone an
-/// `Arc` off the published snapshot ring under a brief read lock — they
-/// never wait on a committing batch, a fold, or a background rebuild.
+/// Queries ([`query`](ConnectivityService::query) and friends) read the
+/// published snapshot ring under a brief read lock — they never wait on a
+/// committing batch, a fold, or a background rebuild.
 ///
 /// Dropping the handle shuts the service down: already-enqueued batches
 /// are drained, committed, and their tickets fulfilled; then the writer
@@ -144,7 +144,7 @@ impl ConnectivityService {
 
     /// The newest committed epoch.
     pub fn epoch(&self) -> Epoch {
-        self.latest().epoch()
+        self.with_latest(|snap| snap.epoch())
     }
 
     /// Enqueue one batch of edge insertions; returns an [`EpochTicket`]
@@ -154,7 +154,7 @@ impl ConnectivityService {
     /// dropped, endpoints validated — an out-of-range endpoint panics
     /// here, on the caller); the writer applies the stateful half of the
     /// normalization rule (exact dedup against earlier batches and the
-    /// base CSR, see [`Graph::dedup_new_edges`]) when it dequeues the
+    /// base edge list, see [`Graph::dedup_new_edges`]) when it dequeues the
     /// command, so edges already present never count toward the rebuild
     /// threshold. An empty batch (or one that is all duplicates/loops)
     /// still commits and publishes an epoch — callers can rely on one
@@ -274,12 +274,15 @@ impl ConnectivityService {
 
     /// The latest published snapshot.
     pub fn latest(&self) -> Arc<Snapshot> {
-        self.published
-            .read()
-            .expect("snapshot ring poisoned")
-            .back()
-            .expect("ring always holds the latest snapshot")
-            .clone()
+        self.with_latest(Arc::clone)
+    }
+
+    /// Run a point read on the latest snapshot under the ring's read lock
+    /// — no `Arc` clone and drop, whose two atomic updates would cost as
+    /// much as the read itself.
+    fn with_latest<R>(&self, read: impl FnOnce(&Arc<Snapshot>) -> R) -> R {
+        let ring = self.published.read().expect("snapshot ring poisoned");
+        read(ring.back().expect("ring always holds the latest snapshot"))
     }
 
     /// The snapshot published at `at`, if still retained.
@@ -309,12 +312,12 @@ impl ConnectivityService {
 
     /// Are `u` and `v` connected in the latest epoch?
     pub fn query_latest(&self, u: u32, v: u32) -> bool {
-        self.latest().connected(u, v)
+        self.with_latest(|snap| snap.connected(u, v))
     }
 
     /// Canonical component label of `u` in the latest epoch.
     pub fn component_of(&self, u: u32) -> u32 {
-        self.latest().component_of(u)
+        self.with_latest(|snap| snap.component_of(u))
     }
 
     /// Canonical component label of `u` at epoch `at`.
@@ -324,7 +327,7 @@ impl ConnectivityService {
 
     /// Component statistics for the latest epoch.
     pub fn spectrum(&self) -> crate::Spectrum {
-        self.latest().spectrum()
+        self.with_latest(|snap| snap.spectrum())
     }
 }
 

@@ -14,8 +14,9 @@
 //!
 //! Correctness does not depend on the partition at all: the parent array
 //! is one global id-decreasing CAS forest, so any interleaving of the
-//! shard tasks yields the same components, and
-//! [`labels`](ShardedOverlay::labels) canonicalizes to min-vertex
+//! shard tasks yields the same components, and every root is its set's
+//! minimum — [`root`](ShardedOverlay::root) and
+//! [`labels`](ShardedOverlay::labels) return canonical min-vertex
 //! representatives. Shard count is therefore a pure performance knob —
 //! per-epoch label fingerprints are identical for any
 //! [`SvcParams::shard_count`](crate::SvcParams::shard_count) at any
@@ -45,9 +46,8 @@ impl ShardedOverlay {
         Self::with_uf(UnionFind::new(n), n, shard_count)
     }
 
-    /// Resume from a component labeling (the last full recompute's), as
-    /// [`UnionFind::from_labels`] — used both at service start and at the
-    /// atomic swap that retires an overlay after a background rebuild.
+    /// Resume from a component labeling, as [`UnionFind::from_labels`] —
+    /// the service's start-up (fresh or recovered) labels.
     pub(crate) fn from_labels(labels: &[u32], shard_count: usize) -> Self {
         Self::with_uf(UnionFind::from_labels(labels), labels.len(), shard_count)
     }
@@ -76,6 +76,7 @@ impl ShardedOverlay {
     /// of cross-shard unions drained — a pure function of the batch and
     /// the shard geometry, so callers may fold it into deterministic
     /// statistics.
+    #[cfg(test)]
     pub(crate) fn absorb(&mut self, edges: &[(u32, u32)]) -> u64 {
         if edges.is_empty() {
             return 0;
@@ -142,9 +143,15 @@ impl ShardedOverlay {
         cross
     }
 
-    /// Canonical min-vertex labels of the current partition.
+    /// Canonical min-vertex labels of the current partition (one
+    /// parallel find pass; the fold's label materialization).
     pub(crate) fn labels(&self) -> Vec<u32> {
         self.uf.labels()
+    }
+
+    /// The root of `v`'s set: its canonical min-vertex label.
+    pub(crate) fn root(&self, v: u32) -> u32 {
+        self.uf.representative(v)
     }
 
     /// Shard count this overlay partitions over.

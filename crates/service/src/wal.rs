@@ -13,7 +13,7 @@
 //!
 //! The payload is the *handle-normalized* batch (endpoints validated,
 //! self-loops dropped) exactly as the writer dequeued it — the stateful
-//! half of normalization (dedup against the base CSR and earlier
+//! half of normalization (dedup against the base edge list and earlier
 //! batches) is deliberately **not** applied before logging, so replaying
 //! a record through the ordinary commit path reproduces the original
 //! commit bit-for-bit, including the dedup decisions.
@@ -21,18 +21,27 @@
 //! # Torn tails
 //!
 //! The writer appends a record *before* applying the batch, so a crash
-//! can leave a partially written final record. [`Wal::open`] scans the
+//! can leave a partially written final record. [`Wal::open`] streams the
 //! file from the header, validating each record's length bound, CRC,
-//! payload shape, and epoch density; the scan stops at the first invalid
-//! byte and the file is truncated there — a torn or corrupted tail
-//! silently rolls the log back to its last fully durable record. (A
-//! flipped byte in the *middle* of the log therefore discards everything
-//! after it: record boundaries downstream of a corruption are
+//! payload shape, endpoints, and epoch density; the scan stops at the
+//! first invalid byte and the file is truncated there — a torn or
+//! corrupted tail silently rolls the log back to its last fully durable
+//! record. (A flipped byte in the *middle* of the log therefore discards
+//! everything after it: record boundaries downstream of a corruption are
 //! untrustworthy, so recovery keeps the longest clean prefix.)
+//!
+//! # Offset index and tail decoding
+//!
+//! The scan keeps only an offset index — one [`RecordSpan`] (epoch, byte
+//! range) per valid record — never the decoded edges, and it streams the
+//! file through a fixed buffer instead of reading it whole. Recovery then
+//! decodes just the records past the snapshot it chose
+//! ([`Wal::read_tail`]); the log's history before that snapshot is
+//! checksummed once and never materialized.
 
 use crate::{Edge, Epoch, PersistError};
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::{BufReader, Read, Seek, SeekFrom, Write};
 use std::path::Path;
 
 /// File-format magic for the WAL header.
@@ -45,43 +54,121 @@ pub(crate) const WAL_HEADER_LEN: u64 = 16;
 const FRAME_LEN: usize = 8;
 /// Payload bytes before the edge pairs (epoch + count).
 const PAYLOAD_PREFIX: usize = 12;
+/// Read buffer for streaming scans.
+const SCAN_BUF: usize = 1 << 16;
 
-/// CRC-32 (IEEE 802.3, reflected) over a byte slice — the checksum used
-/// by both the WAL records and the snapshot/genesis files. Table-free
-/// bitwise form: ~0.5 GB/s, plenty for batch-sized payloads, and zero
-/// state to get wrong.
-pub(crate) fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc: u32 = !0;
-    for &b in bytes {
-        crc ^= b as u32;
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+/// Slice-by-8 lookup tables for the reflected IEEE polynomial: `T[0]` is
+/// the classic byte table, `T[k][b]` is byte `b` advanced through `k`
+/// further zero bytes, so eight input bytes fold in with eight lookups.
+static CRC_TABLES: [[u32; 256]; 8] = crc_tables();
+
+const fn crc_tables() -> [[u32; 256]; 8] {
+    let mut t = [[0u32; 256]; 8];
+    let mut i = 0;
+    while i < 256 {
+        let mut c = i as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            c = if c & 1 == 1 {
+                (c >> 1) ^ 0xEDB8_8320
+            } else {
+                c >> 1
+            };
+            bit += 1;
         }
+        t[0][i] = c;
+        i += 1;
     }
-    !crc
+    let mut i = 0;
+    while i < 256 {
+        let mut k = 1;
+        while k < 8 {
+            let prev = t[k - 1][i];
+            t[k][i] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            k += 1;
+        }
+        i += 1;
+    }
+    t
 }
 
-/// One valid record recovered from a WAL scan.
-#[derive(Debug, Clone)]
-pub(crate) struct WalRecord {
+/// Incremental CRC-32 (IEEE 802.3, reflected) — the checksum of the WAL
+/// records and of the snapshot/genesis files. Table-driven slice-by-8;
+/// feeding a byte stream in any split gives the same value as one
+/// [`crc32`] call over the whole, which is what lets durable files be
+/// checksummed while they stream to and from disk.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Crc32(u32);
+
+impl Crc32 {
+    pub(crate) fn new() -> Self {
+        Crc32(!0)
+    }
+
+    pub(crate) fn update(&mut self, bytes: &[u8]) {
+        let t = &CRC_TABLES;
+        let mut crc = self.0;
+        let mut words = bytes.chunks_exact(8);
+        for w in &mut words {
+            let lo = crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+            let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+            crc = t[7][(lo & 0xFF) as usize]
+                ^ t[6][((lo >> 8) & 0xFF) as usize]
+                ^ t[5][((lo >> 16) & 0xFF) as usize]
+                ^ t[4][(lo >> 24) as usize]
+                ^ t[3][(hi & 0xFF) as usize]
+                ^ t[2][((hi >> 8) & 0xFF) as usize]
+                ^ t[1][((hi >> 16) & 0xFF) as usize]
+                ^ t[0][(hi >> 24) as usize];
+        }
+        for &b in words.remainder() {
+            crc = (crc >> 8) ^ t[0][((crc ^ b as u32) & 0xFF) as usize];
+        }
+        self.0 = crc;
+    }
+
+    pub(crate) fn finish(self) -> u32 {
+        !self.0
+    }
+}
+
+/// CRC-32 of one byte slice (see [`Crc32`]).
+pub(crate) fn crc32(bytes: &[u8]) -> u32 {
+    let mut crc = Crc32::new();
+    crc.update(bytes);
+    crc.finish()
+}
+
+/// Where one valid record sits in the log — the scan's offset index
+/// entry. The edges are not kept; [`Wal::read_tail`] decodes them on
+/// demand.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct RecordSpan {
     /// The epoch this batch committed (or would have committed) as.
     pub(crate) epoch: Epoch,
-    /// The handle-normalized batch, exactly as enqueued.
-    pub(crate) edges: Vec<Edge>,
     /// Byte offset of this record's first byte.
     pub(crate) start: u64,
     /// Byte offset one past this record's last byte.
     pub(crate) end: u64,
 }
 
-/// The result of scanning a WAL file: the longest valid record prefix.
+/// One decoded record, ready to replay.
+#[derive(Debug, Clone)]
+pub(crate) struct WalRecord {
+    /// The epoch this batch committed (or would have committed) as.
+    pub(crate) epoch: Epoch,
+    /// The handle-normalized batch, exactly as enqueued.
+    pub(crate) edges: Vec<Edge>,
+}
+
+/// The result of scanning a WAL file: the offset index of its longest
+/// valid record prefix.
 #[derive(Debug)]
 pub(crate) struct WalScan {
     /// Valid records, epoch-dense (`records[i+1].epoch ==
     /// records[i].epoch + 1`). May start at any epoch (a reset log
     /// restarts above its snapshot's epoch).
-    pub(crate) records: Vec<WalRecord>,
+    pub(crate) records: Vec<RecordSpan>,
     /// Byte length of the valid prefix (header included); everything at
     /// and beyond this offset is torn or corrupt and will be truncated.
     pub(crate) valid_len: u64,
@@ -100,12 +187,24 @@ impl WalScan {
         let idx = epoch.checked_sub(first.epoch)?;
         self.records.get(idx as usize).map(|r| r.end)
     }
+
+    /// Edges carried by the records after `epoch` — an upper bound on
+    /// what replaying them can add to a recovered base.
+    pub(crate) fn edges_after(&self, epoch: Epoch) -> usize {
+        let tail = &self.records[self.records.partition_point(|r| r.epoch <= epoch)..];
+        let framing = (FRAME_LEN + PAYLOAD_PREFIX) as u64;
+        tail.iter()
+            .map(|r| ((r.end - r.start - framing) / 8) as usize)
+            .sum()
+    }
 }
 
 /// An open, appendable write-ahead log positioned at its valid tail.
 #[derive(Debug)]
 pub(crate) struct Wal {
     file: File,
+    /// Vertex count from the header (endpoint validation on decode).
+    n: usize,
     /// Current end of the valid log (= next append offset).
     len: u64,
     /// Appends since the last fsync (for
@@ -125,68 +224,106 @@ impl Wal {
         file.write_all(&header_bytes(n))?;
         Ok(Wal {
             file,
+            n,
             len: WAL_HEADER_LEN,
             unsynced: 0,
         })
     }
 
-    /// Open an existing WAL, scan its valid prefix, and truncate any torn
-    /// or corrupt tail so the next append lands at the valid end. A file
-    /// shorter than its own header (including zero-length: a crash before
-    /// the header hit the disk) is rebuilt as an empty log — there cannot
-    /// have been a durable record in it.
+    /// Open an existing WAL, scan its valid prefix into an offset index,
+    /// and truncate any torn or corrupt tail so the next append lands at
+    /// the valid end. A file shorter than its own header (including
+    /// zero-length: a crash before the header hit the disk) is rebuilt as
+    /// an empty log — there cannot have been a durable record in it.
     pub(crate) fn open(path: &Path, n: usize) -> Result<(Self, WalScan), PersistError> {
-        let mut file = OpenOptions::new().write(true).read(true).open(path)?;
-        let mut bytes = Vec::new();
-        file.read_to_end(&mut bytes)?;
-        if (bytes.len() as u64) < WAL_HEADER_LEN {
+        let file = OpenOptions::new().write(true).read(true).open(path)?;
+        let file_len = file.metadata()?.len();
+        let mut wal = Wal {
+            file,
+            n,
+            len: WAL_HEADER_LEN,
+            unsynced: 0,
+        };
+        if file_len < WAL_HEADER_LEN {
             // Torn header: rewrite it; the log is empty.
-            file.set_len(0)?;
-            file.seek(SeekFrom::Start(0))?;
-            file.write_all(&header_bytes(n))?;
-            return Ok((
-                Wal {
-                    file,
-                    len: WAL_HEADER_LEN,
-                    unsynced: 0,
-                },
-                WalScan {
-                    records: Vec::new(),
-                    valid_len: WAL_HEADER_LEN,
-                },
-            ));
+            wal.file.set_len(0)?;
+            wal.file.seek(SeekFrom::Start(0))?;
+            wal.file.write_all(&header_bytes(n))?;
+            let scan = WalScan {
+                records: Vec::new(),
+                valid_len: WAL_HEADER_LEN,
+            };
+            return Ok((wal, scan));
         }
-        if &bytes[..8] != WAL_MAGIC {
+        let mut header = [0u8; WAL_HEADER_LEN as usize];
+        wal.file.seek(SeekFrom::Start(0))?;
+        wal.file.read_exact(&mut header)?;
+        if &header[..8] != WAL_MAGIC {
             return Err(PersistError::Corrupt(format!(
                 "{}: bad WAL magic",
                 path.display()
             )));
         }
-        let version = u32_at(&bytes, 8);
+        let version = u32_at(&header, 8);
         if version != WAL_VERSION {
             return Err(PersistError::Corrupt(format!(
                 "{}: WAL format version {version}, expected {WAL_VERSION}",
                 path.display()
             )));
         }
-        let wal_n = u32_at(&bytes, 12) as usize;
+        let wal_n = u32_at(&header, 12) as usize;
         if wal_n != n {
             return Err(PersistError::Corrupt(format!(
                 "{}: WAL is over {wal_n} vertices, expected {n}",
                 path.display()
             )));
         }
-        let scan = scan_records(&bytes, n);
-        if scan.valid_len < bytes.len() as u64 {
-            file.set_len(scan.valid_len)?;
+        let scan = scan_records(&wal.file, file_len, n)?;
+        if scan.valid_len < file_len {
+            wal.file.set_len(scan.valid_len)?;
         }
-        file.seek(SeekFrom::Start(scan.valid_len))?;
-        let wal = Wal {
-            file,
-            len: scan.valid_len,
-            unsynced: 0,
-        };
+        wal.file.seek(SeekFrom::Start(scan.valid_len))?;
+        wal.len = scan.valid_len;
         Ok((wal, scan))
+    }
+
+    /// Decode the scanned records with epoch `> after`, in order — the
+    /// replay tail. Only their bytes are read (each record is re-checked
+    /// against its checksum); everything before them stays undecoded.
+    /// Leaves the file positioned for appending.
+    pub(crate) fn read_tail(
+        &mut self,
+        scan: &WalScan,
+        after: Epoch,
+    ) -> Result<Vec<WalRecord>, PersistError> {
+        let tail = &scan.records[scan.records.partition_point(|r| r.epoch <= after)..];
+        let mut out = Vec::with_capacity(tail.len());
+        if let Some(first) = tail.first() {
+            self.file.seek(SeekFrom::Start(first.start))?;
+            let mut r = BufReader::with_capacity(SCAN_BUF, &self.file);
+            let mut buf = Vec::new();
+            for span in tail {
+                buf.resize((span.end - span.start) as usize, 0);
+                r.read_exact(&mut buf)?;
+                let payload = &buf[FRAME_LEN..];
+                if check_record(payload, u32_at(&buf, 4), self.n) != Some(span.epoch) {
+                    return Err(PersistError::Corrupt(format!(
+                        "WAL record for epoch {} changed after the scan",
+                        span.epoch
+                    )));
+                }
+                let edges = payload[PAYLOAD_PREFIX..]
+                    .chunks_exact(8)
+                    .map(|c| (u32_at(c, 0), u32_at(c, 4)))
+                    .collect();
+                out.push(WalRecord {
+                    epoch: span.epoch,
+                    edges,
+                });
+            }
+        }
+        self.file.seek(SeekFrom::Start(self.len))?;
+        Ok(out)
     }
 
     /// Discard every record (keeping the header): used when recovery
@@ -204,17 +341,18 @@ impl Wal {
     /// Append one record. The caller syncs separately (per its fsync
     /// policy) via [`Wal::sync`].
     pub(crate) fn append(&mut self, epoch: Epoch, edges: &[Edge]) -> Result<(), PersistError> {
-        let mut payload = Vec::with_capacity(PAYLOAD_PREFIX + 8 * edges.len());
-        payload.extend_from_slice(&epoch.to_le_bytes());
-        payload.extend_from_slice(&(edges.len() as u32).to_le_bytes());
+        let mut rec = Vec::with_capacity(FRAME_LEN + PAYLOAD_PREFIX + 8 * edges.len());
+        rec.extend_from_slice(&[0; FRAME_LEN]);
+        rec.extend_from_slice(&epoch.to_le_bytes());
+        rec.extend_from_slice(&(edges.len() as u32).to_le_bytes());
         for &(u, v) in edges {
-            payload.extend_from_slice(&u.to_le_bytes());
-            payload.extend_from_slice(&v.to_le_bytes());
+            rec.extend_from_slice(&u.to_le_bytes());
+            rec.extend_from_slice(&v.to_le_bytes());
         }
-        let mut rec = Vec::with_capacity(FRAME_LEN + payload.len());
-        rec.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        rec.extend_from_slice(&crc32(&payload).to_le_bytes());
-        rec.extend_from_slice(&payload);
+        let len = (rec.len() - FRAME_LEN) as u32;
+        let crc = crc32(&rec[FRAME_LEN..]);
+        rec[..4].copy_from_slice(&len.to_le_bytes());
+        rec[4..FRAME_LEN].copy_from_slice(&crc.to_le_bytes());
         self.file.write_all(&rec)?;
         self.len += rec.len() as u64;
         self.unsynced += 1;
@@ -257,62 +395,56 @@ fn u64_at(bytes: &[u8], at: usize) -> u64 {
     u64::from_le_bytes(bytes[at..at + 8].try_into().expect("8 bytes"))
 }
 
-/// Walk records from the header to the first invalid byte. Every check
-/// that fails — short frame, length bound, CRC, malformed payload,
-/// out-of-range endpoint, non-dense epoch — ends the valid prefix there.
-fn scan_records(bytes: &[u8], n: usize) -> WalScan {
-    let mut records = Vec::new();
-    let mut at = WAL_HEADER_LEN as usize;
-    let mut expect_epoch: Option<Epoch> = None;
-    while bytes.len() - at >= FRAME_LEN {
-        let len = u32_at(bytes, at) as usize;
-        let crc = u32_at(bytes, at + 4);
-        let payload_at = at + FRAME_LEN;
-        if len < PAYLOAD_PREFIX || len > bytes.len() - payload_at {
+/// The epoch of a well-formed record payload over `n` vertices whose
+/// checksum matches `crc`; `None` if any check fails.
+fn check_record(payload: &[u8], crc: u32, n: usize) -> Option<Epoch> {
+    if payload.len() < PAYLOAD_PREFIX || crc32(payload) != crc {
+        return None;
+    }
+    let count = u32_at(payload, 8) as usize;
+    let in_range = payload[PAYLOAD_PREFIX..]
+        .chunks_exact(4)
+        .all(|c| (u32_at(c, 0) as usize) < n);
+    (payload.len() == PAYLOAD_PREFIX + 8 * count && in_range).then(|| u64_at(payload, 0))
+}
+
+/// Stream records from the header to the first invalid byte, keeping
+/// only their offsets. Every check that fails — short frame, length
+/// bound, CRC, malformed payload, out-of-range endpoint, non-dense epoch
+/// — ends the valid prefix there.
+fn scan_records(file: &File, file_len: u64, n: usize) -> Result<WalScan, PersistError> {
+    let mut r = BufReader::with_capacity(SCAN_BUF, file);
+    let mut records: Vec<RecordSpan> = Vec::new();
+    let mut at = WAL_HEADER_LEN;
+    let mut payload = Vec::new();
+    while file_len - at >= FRAME_LEN as u64 {
+        let mut frame = [0u8; FRAME_LEN];
+        r.read_exact(&mut frame)?;
+        let len = u32_at(&frame, 0) as u64;
+        let payload_at = at + FRAME_LEN as u64;
+        if len < PAYLOAD_PREFIX as u64 || len > file_len - payload_at {
             break;
         }
-        let payload = &bytes[payload_at..payload_at + len];
-        if crc32(payload) != crc {
+        payload.resize(len as usize, 0);
+        r.read_exact(&mut payload)?;
+        let Some(epoch) = check_record(&payload, u32_at(&frame, 4), n) else {
+            break;
+        };
+        if records.last().is_some_and(|prev| epoch != prev.epoch + 1) {
             break;
         }
-        let epoch = u64_at(payload, 0);
-        let count = u32_at(payload, 8) as usize;
-        if len != PAYLOAD_PREFIX + 8 * count {
-            break;
-        }
-        if let Some(e) = expect_epoch {
-            if epoch != e {
-                break;
-            }
-        }
-        let mut edges = Vec::with_capacity(count);
-        let mut ok = true;
-        for i in 0..count {
-            let u = u32_at(payload, PAYLOAD_PREFIX + 8 * i);
-            let v = u32_at(payload, PAYLOAD_PREFIX + 8 * i + 4);
-            if u as usize >= n || v as usize >= n {
-                ok = false;
-                break;
-            }
-            edges.push((u, v));
-        }
-        if !ok {
-            break;
-        }
-        let end = (payload_at + len) as u64;
-        records.push(WalRecord {
+        let end = payload_at + len;
+        records.push(RecordSpan {
             epoch,
-            edges,
-            start: at as u64,
+            start: at,
             end,
         });
-        expect_epoch = Some(epoch + 1);
-        at = end as usize;
+        at = end;
     }
-    WalScan {
+    Ok(WalScan {
         records,
-        valid_len: at as u64,
-    }
+        valid_len: at,
+    })
 }
 
 #[cfg(test)]
@@ -337,6 +469,36 @@ mod tests {
         );
     }
 
+    /// The bitwise definition the table form replaces.
+    fn crc32_bitwise(bytes: &[u8]) -> u32 {
+        let mut crc: u32 = !0;
+        for &b in bytes {
+            crc ^= b as u32;
+            for _ in 0..8 {
+                let mask = (crc & 1).wrapping_neg();
+                crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+            }
+        }
+        !crc
+    }
+
+    #[test]
+    fn table_crc_matches_bitwise_crc_at_every_split() {
+        let bytes: Vec<u8> = (0u32..300)
+            .map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8)
+            .collect();
+        for len in [0, 1, 7, 8, 9, 63, 64, 65, 300] {
+            let want = crc32_bitwise(&bytes[..len]);
+            assert_eq!(crc32(&bytes[..len]), want, "len {len}");
+            for split in 0..=len {
+                let mut c = Crc32::new();
+                c.update(&bytes[..split]);
+                c.update(&bytes[split..len]);
+                assert_eq!(c.finish(), want, "len {len} split {split}");
+            }
+        }
+    }
+
     #[test]
     fn append_scan_roundtrip() {
         let path = tmp("roundtrip");
@@ -353,12 +515,60 @@ mod tests {
         assert_eq!(wal.len(), end);
         let epochs: Vec<_> = scan.records.iter().map(|r| r.epoch).collect();
         assert_eq!(epochs, vec![1, 2, 3]);
-        assert_eq!(scan.records[0].edges, vec![(0, 1), (2, 3)]);
-        assert_eq!(scan.records[1].edges, vec![]);
         assert_eq!(scan.boundary_after(0), Some(scan.records[0].start));
         assert_eq!(scan.boundary_after(1), Some(scan.records[0].end));
         assert_eq!(scan.boundary_after(3), Some(scan.records[2].end));
         assert_eq!(scan.boundary_after(4), None);
+        assert_eq!((scan.edges_after(0), scan.edges_after(2)), (3, 1));
+        // The tail decoder returns the edges exactly as appended.
+        let mut wal = wal;
+        let all = wal.read_tail(&scan, 0).unwrap();
+        let decoded: Vec<_> = all.iter().map(|r| (r.epoch, r.edges.clone())).collect();
+        assert_eq!(
+            decoded,
+            vec![(1, vec![(0, 1), (2, 3)]), (2, vec![]), (3, vec![(9, 0)])]
+        );
+        let tail = wal.read_tail(&scan, 2).unwrap();
+        assert_eq!(tail.len(), 1);
+        assert_eq!((tail[0].epoch, &tail[0].edges), (3, &vec![(9, 0)]));
+        assert!(wal.read_tail(&scan, 3).unwrap().is_empty());
+        // Decoding leaves the log positioned for appending.
+        wal.append(4, &[(5, 6)]).unwrap();
+        drop(wal);
+        let (_, scan) = Wal::open(&path, 10).unwrap();
+        assert_eq!(scan.records.len(), 4);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn records_before_the_tail_are_never_decoded() {
+        let path = tmp("tail_only");
+        std::fs::remove_file(&path).ok();
+        let mut wal = Wal::create(&path, 16).unwrap();
+        for epoch in 1..=5u64 {
+            let e = epoch as u32;
+            wal.append(epoch, &[(e, e + 1), (e + 2, e + 3)]).unwrap();
+        }
+        drop(wal);
+        let (mut wal, scan) = Wal::open(&path, 16).unwrap();
+        assert_eq!(scan.records.len(), 5);
+        // After the scan, wreck every byte of records 1..=3 on disk: a
+        // decoder that touched them would fail their checksums.
+        let mut bytes = std::fs::read(&path).unwrap();
+        let wreck = scan.records[0].start as usize..scan.records[2].end as usize;
+        bytes[wreck].fill(0xA5);
+        std::fs::write(&path, &bytes).unwrap();
+        let tail = wal.read_tail(&scan, 3).unwrap();
+        let decoded: Vec<_> = tail.iter().map(|r| (r.epoch, r.edges.clone())).collect();
+        assert_eq!(
+            decoded,
+            vec![(4, vec![(4, 5), (6, 7)]), (5, vec![(5, 6), (7, 8)])]
+        );
+        // Asking for a wrecked record is a typed error, not a wrong batch.
+        assert!(matches!(
+            wal.read_tail(&scan, 2),
+            Err(PersistError::Corrupt(_))
+        ));
         std::fs::remove_file(&path).ok();
     }
 

@@ -11,30 +11,33 @@
 //! determinism fingerprints to survive (see `ARCHITECTURE.md`).
 //!
 //! Per [`Cmd::Apply`] the writer: normalizes the batch against the base
-//! CSR and the persistent dedup set, absorbs the surviving edges into the
-//! sharded overlay ([`ShardedOverlay::absorb`]), folds the delta list
-//! into a fresh base CSR when the rebuild threshold is crossed (the
-//! *fold* is synchronous and deterministic; only the *recompute* is
-//! pipelined), seals and publishes the epoch's [`Snapshot`], and then —
-//! and only then — fulfills the caller's ticket.
+//! edge list (row index) and the persistent dedup set, notes the roots
+//! the surviving edges touch, absorbs them into the sharded overlay
+//! ([`ShardedOverlay::absorb`]), settles the merges into the component
+//! counts and the remap ([`Labeling::settle`]), folds the delta list into
+//! the base when the rebuild threshold is crossed (the *fold* is
+//! synchronous and deterministic; only the *recompute* is pipelined),
+//! seals and publishes the epoch's [`Snapshot`], and then — and only
+//! then — fulfills the caller's ticket. Nothing on this path is O(n)
+//! except the fold's label materialization.
 //!
 //! # Pipelined rebuilds
 //!
-//! A threshold crossing sends the freshly folded CSR to the rebuild
-//! worker and keeps committing. When the worker's labeling comes back,
-//! the writer swaps in a new overlay built from those labels plus a
-//! replay of the deltas that accumulated meanwhile — an O(n + |delta|)
-//! splice between two commits, never a stall across one. A recompute
-//! whose base was re-folded while it ran is discarded and the newest fold
-//! is resubmitted, so the worker always converges to the current base.
-//! The swap cannot change any published label: the retiring overlay and
-//! the incoming one describe the same partition, which the writer asserts
-//! at swap time (this is also what keeps the
-//! [`RebuildBackend::FasterSim`] route honest — a diverging backend
-//! aborts instead of silently disagreeing).
+//! A threshold crossing sends the freshly folded edge list to the
+//! rebuild worker and keeps committing. When the worker's labeling comes
+//! back, the writer checks it against the labels it materialized at that
+//! fold — an O(n) comparison between two commits, never a stall across
+//! one. A recompute whose base was re-folded while it ran is discarded
+//! and the newest fold is resubmitted, so the worker always converges to
+//! the current base. The recompute is an independent cross-check of the
+//! overlay: a disagreeing backend (this is also what keeps the
+//! [`RebuildBackend::FasterSim`] route honest) aborts the writer instead
+//! of silently publishing a wrong partition.
 
-use crate::persist::{self, SnapshotFile};
+use crate::base::BaseEdges;
+use crate::persist::{self, SnapshotHead};
 use crate::shard::ShardedOverlay;
+use crate::snapshot::Labeling;
 use crate::ticket::TicketCell;
 use crate::wal::{Wal, WalRecord};
 use crate::{Edge, Epoch, FsyncPolicy, RebuildBackend, Snapshot, SvcParams, WriterDead};
@@ -116,8 +119,8 @@ pub(crate) struct SharedStats {
     /// counter, and event lands here. Exposed as
     /// [`ConnectivityService::obs`](crate::ConnectivityService::obs).
     pub(crate) obs: Registry,
-    /// Background recomputes whose labelings were swapped in
-    /// (`svc_overlay_swaps_total`).
+    /// Background recomputes that landed on their own fold and matched
+    /// its labels (`svc_overlay_swaps_total`).
     pub(crate) overlay_swaps: Counter,
     /// Background recomputes discarded because their base was re-folded
     /// while they ran (`svc_stale_rebuilds_total`).
@@ -137,11 +140,13 @@ impl SharedStats {
     }
 }
 
-/// A fold shipped to the rebuild worker: the new base CSR and the fold
-/// generation (= the writer's `rebuilds` counter at fold time).
+/// A fold shipped to the rebuild worker: the folded base edge list
+/// (shared, not copied) and the fold generation (= the writer's
+/// `rebuilds` counter at fold time).
 struct RebuildJob {
     generation: u64,
-    base: Arc<Graph>,
+    n: usize,
+    edges: Arc<Vec<Edge>>,
 }
 
 /// The worker's reply: the recomputed labeling for `generation`'s base,
@@ -230,7 +235,7 @@ impl Durable {
 /// The initial state a writer starts from: a fresh graph
 /// ([`WriterSeed::fresh`]) or a recovered durable state mid-history.
 pub(crate) struct WriterSeed {
-    pub(crate) base: Graph,
+    pub(crate) base: BaseEdges,
     pub(crate) delta: Vec<Edge>,
     /// `None` ⇒ compute the initial labeling with the backend (fresh
     /// start or genesis-only recovery).
@@ -244,7 +249,7 @@ pub(crate) struct WriterSeed {
 impl WriterSeed {
     pub(crate) fn fresh(initial: Graph) -> Self {
         WriterSeed {
-            base: initial,
+            base: BaseEdges::new(initial.n(), initial.into_edges()),
             delta: Vec::new(),
             labels: None,
             epoch: 0,
@@ -258,8 +263,11 @@ impl WriterSeed {
 /// Everything the writer thread owns.
 pub(crate) struct Writer {
     params: SvcParams,
-    base: Arc<Graph>,
+    base: BaseEdges,
     overlay: ShardedOverlay,
+    /// Fold-time labels, remap, and component counts behind every
+    /// published snapshot.
+    labeling: Labeling,
     /// Distinct delta edges absorbed since the last fold, arrival order.
     delta: Vec<Edge>,
     /// Exact dedup set over `delta` (reseeded at each fold).
@@ -277,9 +285,13 @@ pub(crate) struct Writer {
     rb_worker: Option<std::thread::JoinHandle<()>>,
     /// Generation currently on the worker, if any.
     inflight: Option<u64>,
-    /// Newest fold waiting for the worker slot (at most one: newer folds
-    /// replace it — only the latest base is worth recomputing).
-    queued: Option<RebuildJob>,
+    /// A fold is waiting for the worker slot. Its job is built only at
+    /// dispatch, from the newest base — only the latest fold is worth
+    /// recomputing, and an undispatched job must not pin the edge list.
+    queued: bool,
+    /// Set while [`replay`](Writer::replay) runs: its folds only queue
+    /// their job, since they arrive faster than any recompute.
+    replaying: bool,
     /// Durable WAL + snapshot state; `None` for memory-only services.
     durable: Option<Durable>,
     /// Pre-registered handles into `stats.obs` for the commit path.
@@ -297,11 +309,11 @@ impl Writer {
         published: Arc<Ring>,
         stats: Arc<SharedStats>,
     ) -> Self {
+        let mut base = seed.base;
         let labels = seed
             .labels
-            .unwrap_or_else(|| run_backend(params.backend, &seed.base));
+            .unwrap_or_else(|| run_backend(params.backend, base.n(), &base.shared()));
         let overlay = ShardedOverlay::from_labels(&labels, params.shard_count);
-        let base = Arc::new(seed.base);
         // Rebuild the delta dedup set exactly as the original run left it:
         // the stored delta edges are distinct and absent from the (same)
         // folded base, so re-dedup re-inserts each of them.
@@ -309,9 +321,9 @@ impl Writer {
             PairSet::with_capacity(DELTA_DEDUP_SEED ^ seed.rebuilds, params.rebuild_threshold);
         let readded = base.dedup_new_edges(&seed.delta, &mut seen);
         debug_assert_eq!(readded, seed.delta, "recovered delta list not canonical");
-        let snapshot = Arc::new(Snapshot::new(
+        let labeling = Labeling::new(labels);
+        let snapshot = Arc::new(labeling.snapshot(
             seed.epoch,
-            overlay.labels(),
             base.m(),
             seed.delta.len(),
             seed.rebuilds,
@@ -336,6 +348,7 @@ impl Writer {
             params,
             base,
             overlay,
+            labeling,
             delta: seed.delta,
             epoch: seed.epoch,
             rebuilds: seed.rebuilds,
@@ -346,7 +359,8 @@ impl Writer {
             rb_rx,
             rb_worker: Some(rb_worker),
             inflight: None,
-            queued: None,
+            queued: false,
+            replaying: false,
             durable: seed.durable,
         }
     }
@@ -362,6 +376,7 @@ impl Writer {
         /// without flooding the ring.
         const PROGRESS_EVERY: usize = 256;
         let total = records.len();
+        self.replaying = true;
         for (i, rec) in records.iter().enumerate() {
             debug_assert_eq!(rec.epoch, self.epoch + 1, "replay records not dense");
             self.commit(&rec.edges);
@@ -375,6 +390,8 @@ impl Writer {
                 );
             }
         }
+        self.replaying = false;
+        self.dispatch_rebuild();
         if !records.is_empty() {
             self.snapshot_now();
         }
@@ -515,10 +532,11 @@ impl Writer {
         }
     }
 
-    /// Serialize the full writer state and install it as
-    /// `snap-<epoch>.bin` (temp file + atomic rename), pruning old
-    /// snapshots. The WAL is synced first (unless the policy is `Off`) so
-    /// the snapshot never names a WAL offset the disk does not have.
+    /// Stream the full writer state into `snap-<epoch>.bin` (temp file +
+    /// atomic rename) straight from the live base edge list, delta, and
+    /// labeling — no copy of any of them — and prune old snapshots. The
+    /// WAL is synced first (unless the policy is `Off`) so the snapshot
+    /// never names a WAL offset the disk does not have.
     fn snapshot_now(&mut self) {
         let Some(d) = self.durable.as_mut() else {
             return;
@@ -530,16 +548,15 @@ impl Writer {
                 .sync()
                 .unwrap_or_else(|e| panic!("WAL fsync failed: {e}"));
         }
-        let snap = SnapshotFile {
+        let head = SnapshotHead {
             epoch: self.epoch,
             wal_offset: d.wal.len(),
             rebuilds: self.rebuilds,
             cross_unions: self.cross_unions,
-            base_edges: self.base.edges().to_vec(),
-            delta: self.delta.clone(),
-            labels: self.overlay.labels(),
         };
-        persist::write_snapshot(&d.dir, &snap, fsync)
+        let labeling = &self.labeling;
+        let labels = (0..self.base.n() as u32).map(|v| labeling.label(v));
+        persist::write_snapshot(&d.dir, &head, &self.base, &self.delta, labels, fsync)
             .unwrap_or_else(|e| panic!("snapshot write failed: {e}"));
         persist::prune_snapshots(&d.dir, self.params.snapshots_kept)
             .unwrap_or_else(|e| panic!("snapshot prune failed: {e}"));
@@ -553,25 +570,32 @@ impl Writer {
         // Every stage of substance inside the `svc_commit_ns` span is
         // individually timed (dedup / absorb / cross-drain / fold /
         // publish, plus WAL append + fsync before this call), so the
-        // per-stage sums account for the span's total — `svc_driver
-        // --mt` asserts that coverage per row.
+        // per-stage sums account for the span's total — perfbench and
+        // `svc_driver --mt` assert that coverage. Publish is two
+        // intervals: noting the batch's pre-absorb roots, and settling
+        // the merges + sealing the snapshot + the ring push.
         let dedup = Instant::now();
         let fresh = self.base.dedup_new_edges(edges, &mut self.seen);
         self.obs.dedup_ns.observe_duration(dedup.elapsed());
+        let notes = Instant::now();
+        self.labeling.note_roots(&self.overlay, &fresh);
+        let mut publish = notes.elapsed();
         let cross =
             self.overlay
                 .absorb_timed(&fresh, &self.obs.absorb_intra_ns, &self.obs.cross_drain_ns);
         self.cross_unions += cross;
         self.obs.cross_unions.add(cross);
+        let settle = Instant::now();
+        self.labeling.settle(&self.overlay);
+        publish += settle.elapsed();
         self.delta.extend_from_slice(&fresh);
         if self.delta.len() >= self.params.rebuild_threshold {
             self.fold();
         }
         self.epoch += 1;
-        let publish = Instant::now();
-        let snapshot = Arc::new(Snapshot::new(
+        let seal = Instant::now();
+        let snapshot = Arc::new(self.labeling.snapshot(
             self.epoch,
-            self.overlay.labels(),
             self.base.m(),
             self.delta.len(),
             self.rebuilds,
@@ -584,44 +608,54 @@ impl Writer {
             ring.pop_front();
         }
         drop(ring);
-        self.obs
-            .snapshot_publish_ns
-            .observe_duration(publish.elapsed());
+        publish += seal.elapsed();
+        self.obs.snapshot_publish_ns.observe_duration(publish);
         self.obs.commits.inc();
         self.epoch
     }
 
     /// The synchronous, deterministic half of a rebuild: merge the delta
-    /// list into a fresh base CSR, reset the delta segment, and hand the
-    /// recompute to the worker (or queue it behind an in-flight one).
+    /// list into the base edge list, materialize the current labels as
+    /// the new shared snapshot base (the only O(n) step of the commit
+    /// path, once per `rebuild_threshold` distinct edges), reset the
+    /// delta segment, and hand the recompute to the worker (or queue it
+    /// behind an in-flight one).
     ///
-    /// Memory: `from_csr_plus_edges` folds the base's canonical edge
-    /// list and the sorted delta as two pre-sorted runs through
-    /// `cc_graph::runs::merge_sorted_runs` — the streaming builder's
-    /// merge primitive — so the fold's transient footprint is base +
-    /// delta + merged output, never an unsorted 2× edge-list copy
-    /// (the bound `bench_report`'s `graph_build` rows pin for one-shot
-    /// builds carries over to every threshold rebuild here).
+    /// Memory: the merge runs in place, or — while the worker still
+    /// reads the previous fold's list — waits in a pending run beside it
+    /// ([`BaseEdges::fold`]); the service never holds two copies of its
+    /// edges.
     fn fold(&mut self) {
         let _fold = logdiam_obs::span!(self.stats.obs, "svc_fold_ns", delta = self.delta.len());
         self.obs.folds.inc();
-        self.base = Arc::new(Graph::from_csr_plus_edges(&self.base, &self.delta));
+        self.base.fold(&mut self.delta);
+        self.labeling.rebase(self.overlay.labels());
         self.delta.clear();
         self.rebuilds += 1;
         self.seen = PairSet::with_capacity(
             DELTA_DEDUP_SEED ^ self.rebuilds,
             self.params.rebuild_threshold,
         );
-        let job = RebuildJob {
-            generation: self.rebuilds,
-            base: self.base.clone(),
-        };
+        self.queued = true;
         self.stats.rebuild_in_flight.store(true, Ordering::Release);
-        if self.inflight.is_none() {
-            self.inflight = Some(job.generation);
+        if !self.replaying {
+            self.dispatch_rebuild();
+        }
+    }
+
+    /// If a fold is queued and the worker is idle (so it no longer holds
+    /// the edge list), send it the current base — its pending run merged
+    /// in place first.
+    fn dispatch_rebuild(&mut self) {
+        if self.queued && self.inflight.is_none() {
+            self.queued = false;
+            self.inflight = Some(self.rebuilds);
+            let job = RebuildJob {
+                generation: self.rebuilds,
+                n: self.base.n(),
+                edges: self.base.shared(),
+            };
             self.rb_tx.send(job).expect("rebuild worker gone");
-        } else {
-            self.queued = Some(job);
         }
     }
 
@@ -633,7 +667,7 @@ impl Writer {
             self.inflight = None;
             self.obs.recompute_ns.observe_duration(done.recompute);
             if done.generation == self.rebuilds {
-                self.swap_overlay(done.labels);
+                self.land_rebuild(&done.labels);
             } else {
                 // The base was re-folded while this recompute ran: its
                 // labeling describes a stale graph. Discard it.
@@ -644,30 +678,23 @@ impl Writer {
                         .with("current", self.rebuilds),
                 );
             }
-            if let Some(job) = self.queued.take() {
-                self.inflight = Some(job.generation);
-                self.rb_tx.send(job).expect("rebuild worker gone");
-            }
+            self.dispatch_rebuild();
         }
-        if self.inflight.is_none() && self.queued.is_none() {
+        if self.inflight.is_none() && !self.queued {
             self.stats.rebuild_in_flight.store(false, Ordering::Release);
         }
     }
 
-    /// Retire the overlay for a fresh one built from the recompute's
-    /// labels plus a replay of the deltas absorbed since the fold. Pure
-    /// representation change: the partition — and therefore every future
-    /// published label — is unchanged, which is asserted.
-    fn swap_overlay(&mut self, labels: Vec<u32>) {
+    /// A recompute of the current fold landed: its labels must be exactly
+    /// the ones the writer materialized at that fold (both are canonical
+    /// minima of the same edge list), which is asserted. Nothing is
+    /// replaced — the check is what the recompute is for.
+    fn land_rebuild(&mut self, labels: &[u32]) {
         let _swap = self.stats.obs.span("svc_swap_ns");
-        let mut next = ShardedOverlay::from_labels(&labels, self.params.shard_count);
-        next.absorb(&self.delta);
-        assert_eq!(
-            next.labels(),
-            self.overlay.labels(),
-            "background rebuild disagrees with the live overlay partition"
+        assert!(
+            labels == self.labeling.base(),
+            "background rebuild disagrees with the fold-time labels"
         );
-        self.overlay = next;
         self.stats.overlay_swaps.inc();
     }
 }
@@ -706,12 +733,20 @@ fn rebuild_worker(
     done: mpsc::SyncSender<RebuildDone>,
     backend: RebuildBackend,
 ) {
-    while let Ok(job) = jobs.recv() {
+    while let Ok(RebuildJob {
+        generation,
+        n,
+        edges,
+    }) = jobs.recv()
+    {
         let started = Instant::now();
-        let labels = run_backend(backend, &job.base);
+        let labels = run_backend(backend, n, &edges);
+        // Release the shared edge list before replying, so the writer's
+        // next fold can merge in place.
+        drop(edges);
         if done
             .send(RebuildDone {
-                generation: job.generation,
+                generation,
                 labels,
                 recompute: started.elapsed(),
             })
@@ -722,18 +757,24 @@ fn rebuild_worker(
     }
 }
 
-/// Full recompute with the selected backend; always returns canonical
-/// min-vertex labels (the `FasterSim` labeling is canonicalized through
-/// [`UnionFind::from_labels`]), so every epoch's published labels are
-/// backend- and thread-count-independent.
-pub(crate) fn run_backend(backend: RebuildBackend, g: &Graph) -> Vec<u32> {
+/// Full recompute with the selected backend over a canonical edge list;
+/// always returns canonical min-vertex labels (the `FasterSim` labeling
+/// is canonicalized through [`UnionFind::from_labels`]), so every epoch's
+/// published labels are backend- and thread-count-independent. Only the
+/// simulated backend builds a CSR, and only for the duration of its run.
+pub(crate) fn run_backend(backend: RebuildBackend, n: usize, edges: &[Edge]) -> Vec<u32> {
     match backend {
-        RebuildBackend::UnionFind => logdiam_par::unionfind::unionfind_cc(g),
+        RebuildBackend::UnionFind => {
+            let uf = UnionFind::new(n);
+            uf.absorb(edges);
+            uf.labels()
+        }
         RebuildBackend::FasterSim { seed } => {
+            let g = Graph::from_canonical_edges(n as u32, edges.to_vec());
             let mut pram = pram_sim::Pram::new(pram_sim::WritePolicy::ArbitrarySeeded(seed));
             let report = logdiam_cc::theorem3::faster_cc(
                 &mut pram,
-                g,
+                &g,
                 seed,
                 &logdiam_cc::theorem3::FasterParams::default(),
             );

@@ -8,11 +8,19 @@
 //! the overlay path and the fold-and-rebuild path are exercised; after
 //! every commit the published partition must equal sequential ground
 //! truth on the union graph so far.
+//!
+//! A second property pins the O(batch) snapshot model: every epoch's
+//! labels, point queries, and spectrum equal a from-scratch BFS plus an
+//! O(n) recount — at several shard counts, across folds, background
+//! rebuilds, and a durable restart — and snapshots share their fold-time
+//! base with a remap bounded by the rebuild threshold.
 
-use cc_graph::seq::{components, same_partition};
+use cc_graph::seq::{canonical_labels, components, components_bfs, same_partition};
 use cc_graph::{gen, Graph, GraphBuilder};
-use logdiam_svc::{ConnectivityService, RebuildBackend, SvcParams};
+use logdiam_svc::{ConnectivityService, FsyncPolicy, RebuildBackend, Snapshot, SvcParams};
 use proptest::prelude::*;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// A replay scenario: initial graph, edge stream, interleaving choices.
 #[derive(Debug, Clone)]
@@ -181,5 +189,148 @@ fn family_streams_from_empty_base() {
         }
         assert!(same_partition(svc.latest().labels(), &components(&g)));
         assert!(svc.spectrum().rebuilds >= 1, "rebuild path not exercised");
+    }
+}
+
+/// From-scratch truth for one epoch: canonical min-vertex labels by BFS
+/// over the accumulated graph, the O(n) component recount, and the
+/// distinct edge count.
+struct Truth {
+    labels: Vec<u32>,
+    components: usize,
+    largest: usize,
+    isolated: usize,
+    m: usize,
+}
+
+fn truth(initial: &Graph, applied: &[(u32, u32)]) -> Truth {
+    let g = Graph::from_csr_plus_edges(initial, applied);
+    let labels = canonical_labels(&components_bfs(&g));
+    let mut size = vec![0usize; g.n()];
+    for &l in &labels {
+        size[l as usize] += 1;
+    }
+    let sizes = || size.iter().copied().filter(|&s| s > 0);
+    Truth {
+        components: sizes().count(),
+        largest: sizes().max().unwrap_or(0),
+        isolated: sizes().filter(|&s| s == 1).count(),
+        m: g.m(),
+        labels,
+    }
+}
+
+/// Every public read of one published snapshot against the truth.
+fn check_snapshot(snap: &Snapshot, want: &Truth, epoch: u64, shards: usize) {
+    assert_eq!(snap.epoch(), epoch);
+    assert_eq!(snap.labels(), &want.labels[..], "labels at epoch {epoch}");
+    let n = want.labels.len() as u32;
+    for v in 0..n {
+        assert_eq!(snap.component_of(v), want.labels[v as usize]);
+        let w = (v * 7 + 3) % n;
+        assert_eq!(
+            snap.connected(v, w),
+            want.labels[v as usize] == want.labels[w as usize],
+            "connected({v},{w}) at epoch {epoch}"
+        );
+    }
+    let sp = snap.spectrum();
+    assert_eq!(
+        (sp.epoch, sp.n, sp.base_m + sp.delta_edges, sp.shards),
+        (epoch, n as usize, want.m, shards)
+    );
+    assert_eq!(
+        (sp.components, sp.largest_component, sp.isolated_vertices),
+        (want.components, want.largest, want.isolated),
+        "spectrum counts at epoch {epoch}"
+    );
+}
+
+static STORE_SEQ: AtomicU64 = AtomicU64::new(0);
+
+/// Replay a scenario through a durable service at one shard count,
+/// dropping it and reopening the store mid-stream. After every commit the
+/// published snapshot must equal the from-scratch truth (labels,
+/// `component_of`, `connected`, spectrum), and the snapshot model must
+/// hold: epochs between two folds share one fold-time base, and no
+/// snapshot carries more remap entries than the rebuild threshold.
+fn check_epochs_against_recount(s: &Scenario, shard_count: usize, cut: u64) {
+    // A sparse start and a descending chain after the random stream:
+    // every chain batch merges a root that earlier batches already merged
+    // into into a still smaller one, so remap entries must follow their
+    // target across commits.
+    let mut s = s.clone();
+    s.initial.truncate(s.initial.len() / 4);
+    s.stream.extend((1..s.n as u32).rev().map(|v| (v - 1, v)));
+    let s = &s;
+    let reopen_at = (cut % s.stream.chunks(s.batch.max(1)).count() as u64) as usize;
+    let dir = std::env::temp_dir().join(format!(
+        "logdiam_proptest_svc_{}_{}",
+        std::process::id(),
+        STORE_SEQ.fetch_add(1, Ordering::Relaxed)
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    let initial = initial_graph(s);
+    let params = SvcParams {
+        rebuild_threshold: s.rebuild_threshold,
+        snapshot_history: 4,
+        shard_count,
+        fsync: FsyncPolicy::Off,
+        snapshot_every: 3,
+        snapshots_kept: 2,
+        ..SvcParams::default()
+    };
+    let mut svc = ConnectivityService::create(&dir, initial.clone(), params).unwrap();
+    check_snapshot(&svc.latest(), &truth(&initial, &[]), 0, shard_count);
+    let mut prev = svc.latest();
+    let mut applied: Vec<(u32, u32)> = Vec::new();
+    for (i, chunk) in s.stream.chunks(s.batch.max(1)).enumerate() {
+        if i == reopen_at {
+            drop(svc);
+            svc = ConnectivityService::open(&dir, params).unwrap();
+            let snap = svc.latest();
+            check_snapshot(&snap, &truth(&initial, &applied), i as u64, shard_count);
+            prev = snap;
+        }
+        let epoch = svc.apply_batch(chunk).wait().unwrap();
+        applied.extend_from_slice(chunk);
+        let snap = svc.snapshot(epoch).unwrap();
+        check_snapshot(&snap, &truth(&initial, &applied), epoch, shard_count);
+        assert!(snap.remap_len() <= s.rebuild_threshold);
+        let same_fold = snap.spectrum().rebuilds == prev.spectrum().rebuilds;
+        assert_eq!(
+            Arc::ptr_eq(snap.base_labels(), prev.base_labels()),
+            same_fold,
+            "epochs {} and {epoch}: shared base iff no fold between them",
+            prev.epoch()
+        );
+        prev = snap;
+    }
+    // Let any background recompute land (empty commits give the writer a
+    // turn to check it) — the published answers must not move.
+    let want = truth(&initial, &applied);
+    for _ in 0..200 {
+        let epoch = svc.apply_batch(&[]).wait().unwrap();
+        check_snapshot(&svc.latest(), &want, epoch, shard_count);
+        if !svc.rebuild_in_flight() {
+            break;
+        }
+        std::thread::sleep(std::time::Duration::from_millis(2));
+    }
+    drop(svc);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 16, ..ProptestConfig::default() })]
+
+    /// O(batch) publishing is exact: every epoch's reads equal a BFS plus
+    /// an O(n) recount, at shard counts 1/3/8, across folds, background
+    /// rebuilds, and a drop + `open()` mid-stream.
+    #[test]
+    fn every_epoch_equals_bfs_and_recount(s in arb_scenario(), cut in any::<u64>()) {
+        for shard_count in [1, 3, 8] {
+            check_epochs_against_recount(&s, shard_count, cut);
+        }
     }
 }

@@ -421,3 +421,107 @@ fn fsync_always_roundtrip_with_clean_reopen() {
     drop(svc);
     let _ = std::fs::remove_dir_all(dir);
 }
+
+/// CRC-32 (IEEE, reflected), so a test can re-seal a file it edited.
+fn crc32(bytes: &[u8]) -> u32 {
+    let mut crc: u32 = !0;
+    for &b in bytes {
+        crc ^= b as u32;
+        for _ in 0..8 {
+            crc = (crc >> 1) ^ (0xEDB8_8320 & (crc & 1).wrapping_neg());
+        }
+    }
+    !crc
+}
+
+/// Snapshot files in `dir`, newest epoch first.
+fn snapshot_files(dir: &Path) -> Vec<(u64, PathBuf)> {
+    let mut snaps: Vec<(u64, PathBuf)> = std::fs::read_dir(dir)
+        .unwrap()
+        .filter_map(|e| {
+            let path = e.unwrap().path();
+            let epoch = path
+                .file_name()?
+                .to_str()?
+                .strip_prefix("snap-")?
+                .strip_suffix(".bin")?
+                .parse()
+                .ok()?;
+            Some((epoch, path))
+        })
+        .collect();
+    snaps.sort_unstable_by_key(|&(e, _)| std::cmp::Reverse(e));
+    snaps
+}
+
+/// The first two encoded base edges of a snapshot file.
+type EdgePair = [[u8; 8]; 2];
+/// An in-place edit of those two edges.
+type Edit = fn(&mut EdgePair);
+
+/// Rewrite the first two base edges of a snapshot file with `edit` and
+/// re-seal its checksum, so only the semantic checks can reject it.
+/// Payload layout: epoch, wal_offset, rebuilds, cross_unions (u64 each),
+/// n (u32), base count (u64), then the base edges as (u32, u32).
+fn tamper_base_edges(path: &Path, edit: Edit) {
+    const FRAME: usize = 16;
+    const BASE_AT: usize = FRAME + 4 * 8 + 4 + 8;
+    let mut bytes = std::fs::read(path).unwrap();
+    let count = u64::from_le_bytes(bytes[BASE_AT - 8..BASE_AT].try_into().unwrap());
+    assert!(count >= 2, "test needs a snapshot with two base edges");
+    let mut pair: EdgePair = [[0u8; 8]; 2];
+    pair[0].copy_from_slice(&bytes[BASE_AT..BASE_AT + 8]);
+    pair[1].copy_from_slice(&bytes[BASE_AT + 8..BASE_AT + 16]);
+    edit(&mut pair);
+    bytes[BASE_AT..BASE_AT + 8].copy_from_slice(&pair[0]);
+    bytes[BASE_AT + 8..BASE_AT + 16].copy_from_slice(&pair[1]);
+    let crc = crc32(&bytes[FRAME..]);
+    bytes[12..16].copy_from_slice(&crc.to_le_bytes());
+    std::fs::write(path, &bytes).unwrap();
+}
+
+/// A snapshot whose checksum is valid but whose base edge list is not
+/// canonical (unsorted, or with a duplicate) cannot have been written by
+/// the service: `open()` must skip it — here every snapshot, so recovery
+/// replays the whole log from genesis — and still answer exactly.
+#[test]
+fn checksum_valid_snapshot_with_non_canonical_base_is_skipped() {
+    let initial = gen::gnm(40, 60, 5);
+    let stream = gen::gnm(40, 80, 6);
+    let batches: Vec<&[(u32, u32)]> = stream.edges().chunks(8).collect();
+    let params = params_for(40, batches.len(), 3);
+    let clean = clean_run(&initial, &batches, params, "canon_clean");
+    let last = batches.len();
+    let edits: [(&str, Edit); 2] = [
+        ("unsorted", |p| p.swap(0, 1)),
+        ("duplicate", |p| p[1] = p[0]),
+    ];
+    for (what, edit) in edits {
+        let dir = scratch("canon");
+        copy_dir(&clean.dir, &dir);
+        let snaps = snapshot_files(&dir);
+        assert!(!snaps.is_empty(), "clean run left no snapshot");
+        for (_, path) in &snaps {
+            tamper_base_edges(path, edit);
+        }
+        let svc = ConnectivityService::open(&dir, params).unwrap();
+        assert_eq!(svc.epoch(), last as u64, "{what}");
+        assert_eq!(
+            svc.metrics().counters["svc_replayed_records_total"],
+            last as u64,
+            "{what}: a non-canonical snapshot was trusted"
+        );
+        assert_eq!(svc.latest().labels(), &clean.per_epoch_labels[last][..]);
+        assert_eq!(svc.spectrum(), clean.per_epoch_spectrum[last], "{what}");
+        for u in 0..40 {
+            for v in 0..40 {
+                let want = clean.per_epoch_labels[last][u as usize]
+                    == clean.per_epoch_labels[last][v as usize];
+                assert_eq!(svc.query_latest(u, v), want);
+            }
+        }
+        drop(svc);
+        let _ = std::fs::remove_dir_all(dir);
+    }
+    let _ = std::fs::remove_dir_all(&clean.dir);
+}
