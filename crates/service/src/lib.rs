@@ -111,8 +111,9 @@ pub enum RebuildBackend {
     /// seeded-ARBITRARY simulated CRCW PRAM — orders of magnitude slower
     /// per rebuild, but routes the service's maintenance path through the
     /// reproduction itself. The recompute runs off the commit path, and
-    /// the swap asserts partition agreement with the live overlay, so a
-    /// diverging simulation aborts loudly instead of corrupting state.
+    /// its result must equal the labels the writer materialized at that
+    /// fold, so a diverging simulation aborts loudly instead of
+    /// corrupting state.
     FasterSim {
         /// Seed for the simulated machine and the algorithm's hash draws.
         seed: u64,

@@ -233,15 +233,16 @@ impl ConnectivityService {
     }
 
     /// Whether a background rebuild (fold already published, recompute
-    /// still running or awaiting its swap) is currently in flight.
+    /// queued, running, or not yet checked by the writer) is currently in
+    /// flight.
     /// Observability only: the value depends on worker timing and is
     /// *not* part of the deterministic per-epoch surface.
     pub fn rebuild_in_flight(&self) -> bool {
         self.stats.rebuild_in_flight.load(Ordering::Acquire)
     }
 
-    /// Background recomputes whose labelings were swapped into the
-    /// overlay so far (observability only, timing-dependent).
+    /// Background recomputes that landed on their own fold and matched
+    /// its labels so far (observability only, timing-dependent).
     pub fn overlay_swaps(&self) -> u64 {
         self.stats.overlay_swaps.get()
     }

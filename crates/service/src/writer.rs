@@ -101,15 +101,15 @@ pub(crate) enum Cmd {
 /// a metric. The writer `store(true, Release)`s it after handing a fold
 /// to the rebuild worker and `store(false, Release)`s it only once the
 /// pipeline is empty, so a handle that observes `false` with `Acquire`
-/// sees every overlay swap that made it false. Tests (and callers such as
+/// sees every landed recompute that made it false. Tests (and callers such as
 /// drain loops) rely on exactly that edge; do not demote it to Relaxed.
 ///
 /// [`dead`](SharedStats::dead) is a mutex for the same reason: the first
 /// panic's payload must be published once, fully formed, to every handle.
 pub(crate) struct SharedStats {
     // --- Load-bearing synchronization (NOT metrics; see above) ---
-    /// True between a fold being sent to the rebuild worker and its
-    /// (or a successor's) labeling being swapped in. Acquire/Release.
+    /// True between a fold queueing its recompute and that (or a
+    /// successor's) recompute landing. Acquire/Release.
     pub(crate) rebuild_in_flight: AtomicBool,
     /// Set (once) when the writer thread dies; handles fast-fail new
     /// batches against it and `flush` reports it.
@@ -276,7 +276,7 @@ pub(crate) struct Writer {
     /// Folds triggered (deterministic: a pure function of the replay).
     rebuilds: u64,
     /// Cross-shard unions drained, cumulative and deterministic (counted
-    /// at first absorption, not re-counted by swap replays).
+    /// at first absorption).
     cross_unions: u64,
     published: Arc<Ring>,
     stats: Arc<SharedStats>,
