@@ -14,40 +14,52 @@ use pram_kit::PairSet;
 /// [`Graph::from_csr_plus_edges`] deterministic in its inputs.
 const FOLD_DEDUP_SEED: u64 = 0xF01D_5EED;
 
+/// The one normalization rule for incremental edges over vertices
+/// `0..n`: self-loops are dropped, each edge is normalized to `(min,
+/// max)`, edges the base already holds (`in_base`) are filtered out, and
+/// duplicates within `extra` — and across calls sharing the same `seen`
+/// set — are collapsed (an exact [`PairSet`] probe, so the dedup costs
+/// O(|extra|) plus the base lookups, never O(m)). Returns the surviving
+/// new edges in arrival order; `seen` gains exactly those.
+///
+/// Every base representation routes through it —
+/// [`Graph::dedup_new_edges`] with a search of the canonical edge list,
+/// the `logdiam-svc` base store with a search of one row — so "counts as
+/// a new edge" can never mean two different things.
+pub fn dedup_new_edges_by(
+    n: usize,
+    extra: &[(u32, u32)],
+    seen: &mut PairSet,
+    mut in_base: impl FnMut((u32, u32)) -> bool,
+) -> Vec<(u32, u32)> {
+    let n = n as u32;
+    let mut fresh: Vec<(u32, u32)> = Vec::new();
+    for &(u, v) in extra {
+        assert!(u < n && v < n, "edge ({u},{v}) out of range");
+        if u == v {
+            continue;
+        }
+        let e = (u.min(v), u.max(v));
+        if !in_base(e) && seen.insert(e.0 as u64, e.1 as u64) {
+            fresh.push(e);
+        }
+    }
+    fresh
+}
+
 impl Graph {
     /// Canonicalize a delta edge list against this graph and a
-    /// caller-held dedup set: self-loops are dropped, each edge is
-    /// normalized to `(min, max)`, duplicates within `extra` — and across
-    /// calls sharing the same `seen` set — are collapsed (an exact
-    /// [`PairSet`] probe, so the dedup costs O(|extra|), never O(m)), and
-    /// edges already present in this graph are filtered out (binary
-    /// search on the canonical edge list). Returns the surviving new
-    /// edges in arrival order.
-    ///
-    /// This is the one normalization rule for incremental edges: both
-    /// [`Graph::from_csr_plus_edges`] and the `logdiam-svc` batch path
-    /// route through it, so "counts as a new edge" can never mean two
-    /// different things.
+    /// caller-held dedup set through [`dedup_new_edges_by`], looking
+    /// edges up by binary search on the canonical edge list.
     pub fn dedup_new_edges(&self, extra: &[(u32, u32)], seen: &mut PairSet) -> Vec<(u32, u32)> {
-        let n = self.n() as u32;
-        let mut fresh: Vec<(u32, u32)> = Vec::new();
-        for &(u, v) in extra {
-            assert!(u < n && v < n, "edge ({u},{v}) out of range");
-            if u == v {
-                continue;
-            }
-            let e = (u.min(v), u.max(v));
-            if seen.insert(e.0 as u64, e.1 as u64) && self.edges().binary_search(&e).is_err() {
-                fresh.push(e);
-            }
-        }
-        fresh
+        dedup_new_edges_by(self.n(), extra, seen, |e| {
+            self.edges().binary_search(&e).is_ok()
+        })
     }
 
     /// Append a delta edge list onto an existing CSR graph and rebuild:
-    /// the incremental path used when a maintained labeling folds its
-    /// accumulated deltas back into a fresh base (`logdiam-svc` rebuilds,
-    /// regeneration loops).
+    /// the union graph of a base and the edges streamed onto it, as the
+    /// service verifiers and regeneration loops build it.
     ///
     /// Deltas are normalized through [`Graph::dedup_new_edges`]
     /// (loop-drop, exact dedup, already-present filter); the base's

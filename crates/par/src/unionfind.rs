@@ -151,8 +151,14 @@ impl UnionFind {
 
 /// Connected components via concurrent union–find.
 pub fn unionfind_cc(g: &Graph) -> Vec<u32> {
-    let uf = UnionFind::new(g.n());
-    uf.absorb(g.edges());
+    unionfind_cc_edges(g.n(), g.edges())
+}
+
+/// [`unionfind_cc`] over a bare edge list on vertices `0..n`, for owners
+/// that keep no CSR.
+pub fn unionfind_cc_edges(n: usize, edges: &[(u32, u32)]) -> Vec<u32> {
+    let uf = UnionFind::new(n);
+    uf.absorb(edges);
     uf.labels()
 }
 

@@ -4,14 +4,16 @@
 //! Nothing on the commit path walks adjacency. Dedup only asks "is
 //! `(u, v)` in the base?", which the row index answers by a binary search
 //! inside `u`'s row; durable snapshots stream the edge list; the rebuild
-//! worker reads it directly (and builds a CSR of its own only for the
-//! simulated backend). So the service holds exactly one copy of its
-//! edges, shared by `Arc` with the worker while a recompute runs. A fold
+//! worker reads it directly (and copies it into a CSR of its own only for
+//! the simulated backend). So with the default backend the service holds
+//! exactly one copy of its edges, shared by `Arc` with the worker while a
+//! recompute runs. A fold
 //! that lands while the worker still holds the list does not copy it:
 //! the folded edges wait in a small sorted *pending* run beside it and
 //! are merged in place once the worker lets go.
 
 use crate::Edge;
+use cc_graph::builder::dedup_new_edges_by;
 use pram_kit::PairSet;
 use std::sync::Arc;
 
@@ -79,25 +81,11 @@ impl BaseEdges {
             || (!self.pending.is_empty() && self.pending.binary_search(&(u, v)).is_ok())
     }
 
-    /// The stateful half of batch normalization: drop loops, canonicalize
-    /// each edge to `(min, max)`, and keep it iff it is neither in the
-    /// base nor already in `seen` (which it then joins). Survivors keep
-    /// their batch order — the same rule as
-    /// [`cc_graph::Graph::dedup_new_edges`].
+    /// Batch normalization against this base and the caller's dedup set:
+    /// [`cc_graph::builder::dedup_new_edges_by`], with the base lookup
+    /// searching one row.
     pub(crate) fn dedup_new_edges(&self, extra: &[Edge], seen: &mut PairSet) -> Vec<Edge> {
-        let n = self.n as u32;
-        let mut fresh = Vec::new();
-        for &(u, v) in extra {
-            assert!(u < n && v < n, "edge ({u},{v}) out of range");
-            if u == v {
-                continue;
-            }
-            let e = (u.min(v), u.max(v));
-            if !self.contains(e) && seen.insert(e.0 as u64, e.1 as u64) {
-                fresh.push(e);
-            }
-        }
-        fresh
+        dedup_new_edges_by(self.n, extra, seen, |e| self.contains(e))
     }
 
     /// Whether `delta` is a list the commit path could have produced on

@@ -154,9 +154,9 @@ impl ConnectivityService {
     /// dropped, endpoints validated — an out-of-range endpoint panics
     /// here, on the caller); the writer applies the stateful half of the
     /// normalization rule (exact dedup against earlier batches and the
-    /// base edge list, see [`Graph::dedup_new_edges`]) when it dequeues the
-    /// command, so edges already present never count toward the rebuild
-    /// threshold. An empty batch (or one that is all duplicates/loops)
+    /// base edge list, see [`cc_graph::builder::dedup_new_edges_by`])
+    /// when it dequeues the command, so edges already present never count
+    /// toward the rebuild threshold. An empty batch (or one that is all duplicates/loops)
     /// still commits and publishes an epoch — callers can rely on one
     /// epoch per call, assigned in dequeue (FIFO) order.
     ///

@@ -66,16 +66,12 @@ const VACANT: u32 = u32::MAX;
 
 /// Base roots merged away since the last fold → their component's current
 /// minimum id: the writer's open-addressing table (linear probing, load ≤
-/// 1/2, Fibonacci hashing) of plain `u32` pairs, plus a one-hash bit
-/// filter with four bits per slot. Readers probe the published
-/// [`RemapView`].
+/// 1/2, Fibonacci hashing) of plain `u32` pairs. Readers probe the
+/// published [`RemapView`].
 #[derive(Clone, Debug, Default)]
 pub(crate) struct Remap {
     /// Power-of-two length, or empty; `(VACANT, _)` marks a free slot.
     slots: Vec<(u32, u32)>,
-    /// `4 * slots.len()` bits; bit `filter_bit(hash(key))` is set for
-    /// every key.
-    filter: Vec<u64>,
     len: usize,
     /// `64 - log2(slots.len())`: the hash's top bits index the table.
     shift: u32,
@@ -86,12 +82,6 @@ fn hash(key: u32) -> u64 {
     (key as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
 }
 
-/// The filter bit of hash `h`: the table index plus two more bits.
-#[inline]
-fn filter_bit(h: u64, shift: u32) -> usize {
-    (h >> (shift - 2)) as usize
-}
-
 impl Remap {
     /// Map `key` to `value` (inserting or overwriting).
     pub(crate) fn insert(&mut self, key: u32, value: u32) {
@@ -99,11 +89,8 @@ impl Remap {
         if (self.len + 1) * 2 > self.slots.len() {
             self.grow();
         }
-        let h = hash(key);
-        let bit = filter_bit(h, self.shift);
-        self.filter[bit / 64] |= 1 << (bit % 64);
         let mask = self.slots.len() - 1;
-        let mut i = (h >> self.shift) as usize;
+        let mut i = (hash(key) >> self.shift) as usize;
         loop {
             let slot = &mut self.slots[i];
             if slot.0 == key {
@@ -122,7 +109,6 @@ impl Remap {
     fn grow(&mut self) {
         let cap = (self.slots.len() * 2).max(16);
         let old = std::mem::replace(&mut self.slots, vec![(VACANT, 0); cap]);
-        self.filter = vec![0; cap * 4 / 64];
         self.len = 0;
         self.shift = 64 - cap.trailing_zeros();
         for (k, v) in old {
@@ -145,7 +131,6 @@ impl Remap {
     fn view(&self) -> RemapView {
         RemapView {
             slots: self.slots.as_slice().into(),
-            filter: self.filter.as_slice().into(),
             len: self.len,
             shift: self.shift,
         }
@@ -153,16 +138,13 @@ impl Remap {
 }
 
 /// The published form of a [`Remap`], shared by every snapshot whose
-/// batch merged nothing: table and filter behind shared slices, so a
-/// probe goes from the snapshot straight to the data. Most queried labels
-/// were never merged away, and for them a probe is one load from the
-/// filter (false positive rate at most 1/8), not a table miss. The hash
-/// is fixed, so callers could pick ids that collide; a probe then walks
-/// at most the whole table, which the rebuild threshold bounds.
+/// batch merged nothing: the table behind a shared slice, so a probe goes
+/// from the snapshot straight to the data. The hash is fixed, so callers
+/// could pick ids that collide; a probe then walks at most the whole
+/// table, which the rebuild threshold bounds.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct RemapView {
     slots: Arc<[(u32, u32)]>,
-    filter: Arc<[u64]>,
     len: usize,
     shift: u32,
 }
@@ -174,13 +156,8 @@ impl RemapView {
         if self.len == 0 {
             return None;
         }
-        let h = hash(key);
-        let bit = filter_bit(h, self.shift);
-        if self.filter[bit / 64] & (1 << (bit % 64)) == 0 {
-            return None;
-        }
         let mask = self.slots.len() - 1;
-        let mut i = (h >> self.shift) as usize;
+        let mut i = (hash(key) >> self.shift) as usize;
         loop {
             let (k, v) = self.slots[i];
             if k == key {

@@ -43,6 +43,7 @@ use crate::wal::{Wal, WalRecord};
 use crate::{Edge, Epoch, FsyncPolicy, RebuildBackend, Snapshot, SvcParams, WriterDead};
 use cc_graph::Graph;
 use logdiam_obs::{Counter, Event, Histogram, Registry};
+use logdiam_par::unionfind::unionfind_cc_edges;
 use logdiam_par::UnionFind;
 use pram_kit::PairSet;
 use std::collections::VecDeque;
@@ -764,11 +765,7 @@ fn rebuild_worker(
 /// simulated backend builds a CSR, and only for the duration of its run.
 pub(crate) fn run_backend(backend: RebuildBackend, n: usize, edges: &[Edge]) -> Vec<u32> {
     match backend {
-        RebuildBackend::UnionFind => {
-            let uf = UnionFind::new(n);
-            uf.absorb(edges);
-            uf.labels()
-        }
+        RebuildBackend::UnionFind => unionfind_cc_edges(n, edges),
         RebuildBackend::FasterSim { seed } => {
             let g = Graph::from_canonical_edges(n as u32, edges.to_vec());
             let mut pram = pram_sim::Pram::new(pram_sim::WritePolicy::ArbitrarySeeded(seed));
