@@ -376,12 +376,13 @@ impl FrameReader {
         Ok(())
     }
 
-    /// `count` edges over `n` vertices.
-    fn edge_list(&mut self, count: u64, n: usize) -> Result<Vec<Edge>, PersistError> {
+    /// `count` edges over `n` vertices, into a list with room for
+    /// `spare` more.
+    fn edge_list(&mut self, count: u64, n: usize, spare: usize) -> Result<Vec<Edge>, PersistError> {
         if count.checked_mul(8).is_none_or(|bytes| bytes > self.left) {
             return Err(corrupt("payload truncated"));
         }
-        let mut edges = Vec::with_capacity(count as usize);
+        let mut edges = Vec::with_capacity(count as usize + spare);
         self.words(2 * count, n, |block| {
             edges.extend(block.chunks_exact(8).map(|c| {
                 (
@@ -461,7 +462,7 @@ pub(crate) fn read_genesis(
         let n = r.u32()? as usize;
         let m = r.u64()?;
         let edges = if decode {
-            let edges = r.edge_list(m, n)?;
+            let edges = r.edge_list(m, n, 0)?;
             if !is_canonical(&edges, n) {
                 return Err(corrupt("genesis edges not canonical"));
             }
@@ -516,8 +517,16 @@ pub(crate) fn write_snapshot(
 
 /// Decode one snapshot file; `Ok(None)` when it fails any validation —
 /// frame, checksum, shape, a non-canonical base edge list, or labels that
-/// are not canonical minima (recovery skips it and falls back).
-pub(crate) fn read_snapshot(path: &Path, n: usize) -> Result<Option<SnapshotFile>, PersistError> {
+/// are not canonical minima (recovery skips it and falls back). The base
+/// edge list is allocated with room for `spare` more edges, so the folds
+/// of the replay that follows grow it in place: a reallocation there
+/// would briefly hold two copies of the base, and the reopen sets the
+/// process's peak RSS.
+pub(crate) fn read_snapshot(
+    path: &Path,
+    n: usize,
+    spare: usize,
+) -> Result<Option<SnapshotFile>, PersistError> {
     let Some(mut r) = FrameReader::open(path, SNAP_MAGIC)? else {
         return Ok(None);
     };
@@ -532,12 +541,12 @@ pub(crate) fn read_snapshot(path: &Path, n: usize) -> Result<Option<SnapshotFile
             return Err(corrupt("n mismatch"));
         }
         let base_count = r.u64()?;
-        let base_edges = r.edge_list(base_count, n)?;
+        let base_edges = r.edge_list(base_count, n, spare)?;
         if !is_canonical(&base_edges, n) {
             return Err(corrupt("base edges not canonical"));
         }
         let delta_count = r.u64()?;
-        let delta = r.edge_list(delta_count, n)?;
+        let delta = r.edge_list(delta_count, n, 0)?;
         let mut labels = Vec::with_capacity(n);
         r.words(n as u64, n.max(1), |block| {
             labels.extend(
@@ -612,7 +621,7 @@ pub(crate) fn recover(dir: &Path) -> Result<Recovered, PersistError> {
     let (mut wal, scan) = Wal::open(&wal_path(dir), n)?;
     // Newest-first: the first snapshot the WAL can extend wins.
     for (epoch, path) in list_snapshots(dir)? {
-        let Some(snap) = read_snapshot(&path, n)? else {
+        let Some(snap) = read_snapshot(&path, n, scan.edges_after(epoch))? else {
             continue; // corrupt snapshot: fall back to an older one
         };
         debug_assert_eq!(snap.head.epoch, epoch);
@@ -780,7 +789,7 @@ mod tests {
         want.extend_from_slice(&crate::wal::crc32(&payload).to_le_bytes());
         want.extend_from_slice(&payload);
         assert_eq!(std::fs::read(snapshot_path(&dir, 9)).unwrap(), want);
-        let snap = read_snapshot(&snapshot_path(&dir, 9), 5002)
+        let snap = read_snapshot(&snapshot_path(&dir, 9), 5002, 0)
             .unwrap()
             .unwrap();
         assert_eq!((snap.base_edges, snap.delta), (base, delta));
@@ -799,7 +808,7 @@ mod tests {
         let listed = list_snapshots(&dir).unwrap();
         let epochs: Vec<_> = listed.iter().map(|&(e, _)| e).collect();
         assert_eq!(epochs, vec![12, 7, 3]);
-        let snap = read_snapshot(&listed[1].1, 4).unwrap().unwrap();
+        let snap = read_snapshot(&listed[1].1, 4, 0).unwrap().unwrap();
         assert_eq!(snap.head, head(7, 23));
         assert_eq!(snap.delta, vec![(1, 2)]);
         assert_eq!(snap.labels, vec![0, 0, 0, 3]);
@@ -831,10 +840,10 @@ mod tests {
         let last = bytes.len() - 1;
         bytes[last] ^= 0xFF;
         std::fs::write(&path, &bytes).unwrap();
-        assert!(read_snapshot(&path, 2).unwrap().is_none());
+        assert!(read_snapshot(&path, 2, 0).unwrap().is_none());
         // Wrong n is also a skip, not a hard error.
         std::fs::write(&path, &bytes).unwrap();
-        assert!(read_snapshot(&path, 3).unwrap().is_none());
+        assert!(read_snapshot(&path, 3, 0).unwrap().is_none());
         // So is a checksum-valid snapshot whose labels are not minima.
         write_snapshot(
             &dir,
@@ -845,7 +854,7 @@ mod tests {
             false,
         )
         .unwrap();
-        assert!(read_snapshot(&path, 2).unwrap().is_none());
+        assert!(read_snapshot(&path, 2, 0).unwrap().is_none());
         std::fs::remove_dir_all(&dir).ok();
     }
 

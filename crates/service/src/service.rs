@@ -156,9 +156,9 @@ impl ConnectivityService {
     /// normalization rule (exact dedup against earlier batches and the
     /// base edge list, see [`cc_graph::builder::dedup_new_edges_by`])
     /// when it dequeues the command, so edges already present never count
-    /// toward the rebuild threshold. An empty batch (or one that is all duplicates/loops)
-    /// still commits and publishes an epoch — callers can rely on one
-    /// epoch per call, assigned in dequeue (FIFO) order.
+    /// toward the rebuild threshold. An empty batch (or one that is all
+    /// duplicates/loops) still commits and publishes an epoch — callers
+    /// can rely on one epoch per call, assigned in dequeue (FIFO) order.
     ///
     /// **Backpressure:** the command channel is bounded
     /// ([`SvcParams::command_queue`]); when the writer is

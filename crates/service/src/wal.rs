@@ -187,6 +187,16 @@ impl WalScan {
         let idx = epoch.checked_sub(first.epoch)?;
         self.records.get(idx as usize).map(|r| r.end)
     }
+
+    /// Edges carried by the records after `epoch` — an upper bound on
+    /// what replaying them can add to a recovered base.
+    pub(crate) fn edges_after(&self, epoch: Epoch) -> usize {
+        let tail = &self.records[self.records.partition_point(|r| r.epoch <= epoch)..];
+        let framing = (FRAME_LEN + PAYLOAD_PREFIX) as u64;
+        tail.iter()
+            .map(|r| ((r.end - r.start - framing) / 8) as usize)
+            .sum()
+    }
 }
 
 /// An open, appendable write-ahead log positioned at its valid tail.
@@ -509,6 +519,7 @@ mod tests {
         assert_eq!(scan.boundary_after(1), Some(scan.records[0].end));
         assert_eq!(scan.boundary_after(3), Some(scan.records[2].end));
         assert_eq!(scan.boundary_after(4), None);
+        assert_eq!((scan.edges_after(0), scan.edges_after(2)), (3, 1));
         // The tail decoder returns the edges exactly as appended.
         let mut wal = wal;
         let all = wal.read_tail(&scan, 0).unwrap();
