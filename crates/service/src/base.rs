@@ -7,10 +7,10 @@
 //! worker reads it directly (and copies it into a CSR of its own only for
 //! the simulated backend). So with the default backend the service holds
 //! exactly one copy of its edges, shared by `Arc` with the worker while a
-//! recompute runs. A fold
-//! that lands while the worker still holds the list does not copy it:
-//! the folded edges wait in a small sorted *pending* run beside it and
-//! are merged in place once the worker lets go.
+//! recompute runs. A fold that lands while the worker still holds the
+//! list does not copy it: the folded edges wait in a small sorted
+//! *pending* run beside it and are merged in place once the worker lets
+//! go.
 
 use crate::Edge;
 use cc_graph::builder::dedup_new_edges_by;
@@ -169,10 +169,10 @@ mod tests {
             .collect();
         let mut a = PairSet::with_capacity(1, 16);
         let mut b = PairSet::with_capacity(1, 16);
-        assert_eq!(
-            base.dedup_new_edges(&batch, &mut a),
-            g.dedup_new_edges(&batch, &mut b)
-        );
+        let fresh = base.dedup_new_edges(&batch, &mut a);
+        assert_eq!(fresh, g.dedup_new_edges(&batch, &mut b));
+        // The seen sets hold exactly the survivors, never base edges.
+        assert_eq!((a.len(), b.len()), (fresh.len(), fresh.len()));
     }
 
     #[test]
