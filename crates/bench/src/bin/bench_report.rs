@@ -41,14 +41,14 @@
 //! `--xl` switches to the 1e8 tier (see `BENCH_PR10.json`): path and
 //! grid at n = 1e8, graph build forced through out-of-core edge runs
 //! (`LOGDIAM_RUN_SPILL` — the parent pins a spill dir for its children,
-//! honoring a pre-set value), the Theorem-3 simulation on the narrow-cell
-//! (`CellWidth::W32`) machine, path-only and single-rep. Rows carry
-//! `cell_width`, `spilled_runs`, `spill_bytes` (process-wide spill
-//! counter deltas around the build) and `arena_bytes` (the machine's
-//! backing allocation after the run); the streaming-build memory contract
-//! (peak RSS ≤ 2× final CSR) is asserted with spilling active, and the
-//! practical `logdiam-par` rows are gated off above 1e7 where the
-//! graphs alone dominate the measurement budget.
+//! honoring a pre-set value), the Theorem-3 simulation path-only and
+//! single-rep. Rows carry `cell_width`, `spilled_runs`, `spill_bytes`
+//! (process-wide spill counter deltas around the build) and
+//! `arena_bytes` (the machine's backing allocation after the run); the
+//! streaming-build memory contract (peak RSS ≤ 2× final CSR) is
+//! asserted with spilling active, and the practical `logdiam-par` rows
+//! are gated off above 1e7 where the graphs alone dominate the
+//! measurement budget.
 //!
 //! `--smoke` shrinks the matrix to seconds (CI keeps the emitter alive)
 //! and additionally runs the **wall-clock guards**: diameter-heavy
@@ -83,9 +83,10 @@ use logdiam_obs::Registry;
 use logdiam_par::{
     contract::contract_cc, labelprop::labelprop_cc, sv::sv_cc, unionfind::unionfind_cc,
 };
-use pram_sim::{CellWidth, Pram, WritePolicy};
+use pram_sim::{Pram, WritePolicy};
 use std::io::Write as _;
 use std::process::Command;
+use std::sync::Arc;
 
 const SEED: u64 = 0xBEEF_CAFE;
 
@@ -99,7 +100,7 @@ const SEED: u64 = 0xBEEF_CAFE;
 const DEFAULT_SIM_MAX_N: usize = 10_000_000;
 
 /// The `--xl` tier size. A path/1e8 Theorem-3 run peaks at ≈ 33 simulated
-/// words per vertex (measured with `t3_probe --w32`), i.e. ≈ 3.3e9 words
+/// words per vertex (measured with `t3_probe`), i.e. ≈ 3.3e9 words
 /// — inside the arena's 2^32-word address space, which is exactly what
 /// the compact-image work buys. The build streams its ≈ 1e8-edge runs
 /// through spill files, so construction never holds the unsorted list.
@@ -309,7 +310,8 @@ struct Row {
     /// Final `logdiam_obs` registry dump (the `docs/obs-schema.md` JSON
     /// object), embedded verbatim — `theorem3_sim_obs` guard rows.
     obs: Option<String>,
-    /// Machine cell width in bits (32 narrow / 64 full) — simulated rows.
+    /// Machine cell width in bits (always 32: narrow cells) — simulated
+    /// rows.
     cell_width: Option<u32>,
     /// Edge runs sealed to spill files during the build, and bytes
     /// written to them (deltas of the process-wide spill counters across
@@ -317,7 +319,7 @@ struct Row {
     spilled_runs: Option<u64>,
     spill_bytes: Option<u64>,
     /// The machine's arena backing allocation (cells + stamps + priority
-    /// sidecar + free lists) after the run — simulated rows; divide by
+    /// sidecar + escape table) after the run — simulated rows; divide by
     /// `n` for the bytes-per-vertex budget line.
     arena_bytes: Option<u64>,
 }
@@ -565,10 +567,9 @@ fn run_child(smoke: bool, xl: bool, sim_max_n: usize) {
             ..row("graph_build", 1, build_ms, None)
         });
         // The xl tier simulates path only (the d ≈ n shape the paper's
-        // bound is about) on the narrow-cell machine: the whole point of
-        // the compact image is that 1e8 vertices of simulated memory fit
-        // the 2^32-word address space, which W64 alone would not change
-        // but the 8-bytes-per-word backing makes affordable.
+        // bound is about): the whole point of the compact image is that
+        // 1e8 vertices of simulated memory fit the 2^32-word address
+        // space, and 8 bytes of backing per word make that affordable.
         let run_sim = if xl {
             family == "path"
         } else {
@@ -579,8 +580,7 @@ fn run_child(smoke: bool, xl: bool, sim_max_n: usize) {
             // at 1e6+; repeat only where the live-work scheduler makes reps
             // cheap, and label the single-rep case honestly (see Row).
             let sim_reps = if g.n() <= SIM_MEDIAN_MAX_N { reps } else { 1 };
-            let width = if xl { CellWidth::W32 } else { CellWidth::W64 };
-            let mut pram = Pram::with_width(WritePolicy::ArbitrarySeeded(SEED), width);
+            let mut pram = Pram::new(WritePolicy::ArbitrarySeeded(SEED));
             let mut ws = FasterWorkspace::new();
             let mut cost = None;
             reset_peak_rss();
@@ -592,7 +592,7 @@ fn run_child(smoke: bool, xl: bool, sim_max_n: usize) {
             let sim_peak = peak_rss_kb();
             emit(Row {
                 peak_rss_kb: sim_peak,
-                cell_width: Some(if width == CellWidth::W32 { 32 } else { 64 }),
+                cell_width: Some(32),
                 arena_bytes: Some(pram.arena_backing_bytes() as u64),
                 ..row("theorem3_sim", sim_reps, ms, cost)
             });
@@ -681,17 +681,20 @@ fn run_child(smoke: bool, xl: bool, sim_max_n: usize) {
 
         // Observability-overhead guard: the same workload, re-measured
         // with full registry recording — spans enabled, per-round events
-        // and `sim_`/`run_` gauges via `RunReport::record_into`, plus a
-        // per-round charged-work histogram. The plain guard run above is
-        // the spans-off baseline; recording must cost ≤ 5% of it (plus
-        // [`OBS_GUARD_SLACK_MS`] of scheduler noise). The row embeds the
-        // final registry dump, which CI's smoke validation parses.
+        // and `sim_`/`run_` gauges via `RunReport::record_into`, the
+        // machine's per-step host-time counters (`sim_step_run_ns`,
+        // `sim_commit_ns`), plus a per-round charged-work histogram. The
+        // plain guard run above is the spans-off baseline; recording must
+        // cost ≤ 5% of it (plus [`OBS_GUARD_SLACK_MS`] of scheduler
+        // noise). The row embeds the final registry dump, which CI's
+        // smoke validation parses.
         let off_ms = ms;
-        let reg = Registry::new();
+        let reg = Arc::new(Registry::new());
         reg.set_spans_enabled(true);
         let round_work = reg.histogram("sim_round_work");
         let on_ms = time_ms(reps, || {
             let mut pram = Pram::new(WritePolicy::ArbitrarySeeded(SEED));
+            pram.set_obs_registry(reg.clone());
             let report = faster_cc(&mut pram, &g, SEED, &FasterParams::default());
             check(&report.run.labels);
             report.run.record_into(&reg);

@@ -15,12 +15,13 @@
 //! cost is visible. On a healthy run every column decays with the live
 //! subproblem — no column may flatline at a value scaling with n.
 //!
-//! Usage: `t3_probe [n] [--human] [--all-rounds] [--w32]`
+//! The `arena` event (peak/live words, backing bytes) is how the
+//! memory-per-vertex budget for the 1e8 tier was measured; the
+//! `host_time` event splits the machine's host time between running
+//! step closures and committing their writes (the `sim_step_run_ns` /
+//! `sim_commit_ns` counters of an attached registry).
 //!
-//! `--w32` runs the simulation on a narrow-cell
-//! ([`pram_sim::CellWidth::W32`]) machine; the emitted `arena` event
-//! (peak/live words, backing bytes) is how the memory-per-vertex budget
-//! for the 1e8 tier was measured.
+//! Usage: `t3_probe [n] [--human] [--all-rounds]`
 //!
 //! [`RoundMetrics::to_event`]: logdiam_cc::metrics::RoundMetrics::to_event
 //! [`RunReport::to_event`]: logdiam_cc::metrics::RunReport::to_event
@@ -28,37 +29,38 @@
 use cc_graph::gen;
 use logdiam_cc::theorem3::{faster_cc, FasterParams};
 use logdiam_obs::{Event, Registry};
-use pram_sim::{CellWidth, Pram, WritePolicy};
+use pram_sim::{Pram, WritePolicy};
+use std::sync::Arc;
 
 fn main() {
     let mut n: usize = 200_000;
     let mut human = false;
     let mut all_rounds = false;
-    let mut width = CellWidth::W64;
     for arg in std::env::args().skip(1) {
         match arg.as_str() {
             "--human" => human = true,
             "--all-rounds" => all_rounds = true,
-            "--w32" => width = CellWidth::W32,
             other => match other.parse() {
                 Ok(v) => n = v,
                 Err(_) => {
-                    eprintln!("usage: t3_probe [n] [--human] [--all-rounds] [--w32]");
+                    eprintln!("usage: t3_probe [n] [--human] [--all-rounds]");
                     std::process::exit(2);
                 }
             },
         }
     }
 
+    // Collect everything through one registry so events carry ordered
+    // sequence numbers and a common timestamp base; the machine feeds its
+    // host-time counters into it.
+    let reg = Arc::new(Registry::new());
     let g = gen::path(n);
     let t0 = std::time::Instant::now();
-    let mut pram = Pram::with_width(WritePolicy::ArbitrarySeeded(0xBEEF_CAFE), width);
+    let mut pram = Pram::new(WritePolicy::ArbitrarySeeded(0xBEEF_CAFE));
+    pram.set_obs_registry(reg.clone());
     let r = faster_cc(&mut pram, &g, 0xBEEF_CAFE, &FasterParams::default());
     let wall = t0.elapsed();
 
-    // Collect everything through one registry so events carry ordered
-    // sequence numbers and a common timestamp base.
-    let reg = Registry::new();
     for m in &r.run.per_round {
         // Default: the interesting prefix/suffix plus every 5th round.
         if all_rounds || m.round % 5 == 0 || m.round <= 3 || m.round + 3 >= r.run.rounds {
@@ -90,13 +92,16 @@ fn main() {
     let stats = pram.stats();
     reg.event(
         Event::new("arena")
-            .with(
-                "cell_width",
-                if width == CellWidth::W32 { 32u64 } else { 64 },
-            )
+            .with("cell_width", 32u64)
             .with("peak_words", stats.peak_words)
             .with("live_words", stats.live_words)
             .with("backing_bytes", pram.arena_backing_bytes() as u64),
+    );
+    let counters = reg.snapshot().counters;
+    reg.event(
+        Event::new("host_time")
+            .with("step_run_ns", counters["sim_step_run_ns"])
+            .with("commit_ns", counters["sim_commit_ns"]),
     );
     reg.event(
         Event::new("probe_done")

@@ -3,17 +3,33 @@
 //!
 //! A [`Ctx`] is handed to the step closure for every simulated processor.
 //! Reads go straight to the frozen pre-step memory image; writes are
-//! buffered (sharded by address so the commit phase can run in parallel on
-//! disjoint address sets) and committed by the machine when the step ends.
+//! buffered (sharded by address block, see `shard_of`, so the commit
+//! phase can run in parallel on disjoint address sets) and committed by
+//! the machine when the step ends.
 //!
 //! Write records carry no precomputed priority: the seeded-arbitrary
 //! policies derive the winner from `(seed, addr, value)` at commit time
 //! and the processor-priority policies from the record's processor id, so
-//! a buffered write is 16 bytes — and only 8 under narrow cells with a
-//! value-resolved policy (see `NarrowRec` in this module).
+//! a buffered write is 8 bytes under a value-resolved policy (see
+//! `NarrowRec` in this module) and 16 under a processor-priority one.
 
 use crate::mem::{narrow_encode, CellsRef, Handle, NARROW_ESC};
 use crate::splitmix64;
+
+/// log₂ of the words in one commit block. Shard `s` owns every block
+/// whose index `addr >> SHARD_BLOCK_BITS` is `≡ s` modulo the shard
+/// count: 1024 words is 4 KiB of cells and 4 KiB of stamps, so apart
+/// from the lines a block shares with its neighbours (the arrays are not
+/// line-aligned), each cache line is committed by one shard task.
+const SHARD_BLOCK_BITS: u32 = 10;
+
+/// The shard that buffers — and commits — writes to `addr`, for a
+/// power-of-two shard count `mask + 1`. The one partition both
+/// [`Ctx::write`] and the machine's commit rely on.
+#[inline]
+pub(crate) fn shard_of(addr: u32, mask: u32) -> usize {
+    ((addr >> SHARD_BLOCK_BITS) & mask) as usize
+}
 
 /// One buffered write (full-width record).
 #[derive(Clone, Copy, Debug)]
@@ -39,10 +55,11 @@ pub(crate) struct NarrowRec {
 
 /// One shard's buffered writes.
 pub(crate) enum ShardBuf {
-    /// Full-width records (any policy, any cell width).
+    /// Full-width records carrying the processor id (the `Priority*`
+    /// policies).
     Wide(Vec<WriteRec>),
-    /// Narrow records + escape side list (narrow cells with a policy that
-    /// resolves from the value, i.e. everything but `Priority*`).
+    /// Narrow records + escape side list (every policy that resolves
+    /// from the value, i.e. everything but `Priority*`).
     Narrow {
         recs: Vec<NarrowRec>,
         wide: Vec<u64>,
@@ -69,7 +86,7 @@ impl ShardBuf {
 }
 
 /// Record layout a machine's steps buffer writes in (fixed per machine:
-/// chosen from the policy and cell width at construction).
+/// chosen from the policy at construction).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum RecLayout {
     Wide,
@@ -117,20 +134,24 @@ impl<'a> Ctx<'a> {
     /// Fresh-buffer constructor (tests; the machine recycles via
     /// [`Ctx::new_in`]).
     #[cfg(test)]
-    pub(crate) fn new(words: &'a [u64], shard_count: u32, step_seed: u64) -> Self {
-        let layout = RecLayout::Wide;
+    pub(crate) fn new(
+        mem: CellsRef<'a>,
+        layout: RecLayout,
+        shard_count: u32,
+        step_seed: u64,
+    ) -> Self {
         Self::new_in(
-            CellsRef::W64(words),
+            mem,
             shard_count,
             step_seed,
             (0..shard_count).map(|_| layout.empty_shard()).collect(),
         )
     }
 
-    /// Like [`Ctx::new`] but over any cell representation and reusing
-    /// `shards` buffers recycled from an earlier step (must be empty,
-    /// `shard_count` of them, in the machine's record layout; their
-    /// capacity is the point — steady-state steps allocate nothing).
+    /// Like [`Ctx::new`] but reusing `shards` buffers recycled from an
+    /// earlier step (must be empty, `shard_count` of them, in the
+    /// machine's record layout; their capacity is the point —
+    /// steady-state steps allocate nothing).
     pub(crate) fn new_in(
         mem: CellsRef<'a>,
         shard_count: u32,
@@ -194,8 +215,7 @@ impl<'a> Ctx<'a> {
         self.writes += 1;
         self.ops_this_proc += 1;
         let addr = h.addr(i);
-        let shard = (addr & self.shard_mask) as usize;
-        match &mut self.shards[shard] {
+        match &mut self.shards[shard_of(addr, self.shard_mask)] {
             ShardBuf::Wide(recs) => recs.push(WriteRec {
                 addr,
                 aux: self.proc as u32,
@@ -274,43 +294,47 @@ impl<'a> Ctx<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mem::Arena;
+
+    /// An arena holding one zeroed block of `len` words.
+    fn arena(len: usize) -> (Arena, Handle) {
+        let mut a = Arena::new(false);
+        let h = a.alloc(len, 0);
+        (a, h)
+    }
 
     #[test]
-    fn writes_are_sharded_by_address() {
-        let words = vec![0u64; 64];
-        let mut ctx = Ctx::new(&words, 4, 0);
+    fn writes_are_sharded_by_address_block() {
+        let (mem, h) = arena(8 << 10);
+        let mut ctx = Ctx::new(mem.cells_ref(), RecLayout::Wide, 4, 0);
         ctx.begin_proc(1);
-        let h = Handle { base: 0, len: 64 };
-        for i in 0..16 {
+        // Four writes per 1024-word block; blocks b and b + 4 share a
+        // shard.
+        for i in (0..8 << 10).step_by(256) {
             ctx.write(h, i, i as u64);
         }
         ctx.end_proc();
         let out = ctx.finish();
-        assert_eq!(out.writes, 16);
+        assert_eq!(out.writes, 32);
         for (s, shard) in out.shards.iter().enumerate() {
             let ShardBuf::Wide(recs) = shard else {
                 panic!("expected wide layout")
             };
-            assert_eq!(recs.len(), 4);
+            assert_eq!(recs.len(), 8);
             for rec in recs {
-                assert_eq!((rec.addr & 3) as usize, s);
+                assert_eq!(shard_of(rec.addr, 3), s);
+                assert_eq!((rec.addr >> 10) as usize % 4, s);
                 assert_eq!(rec.aux, 1);
             }
         }
-        assert_eq!(out.max_ops, 16);
+        assert_eq!(out.max_ops, 32);
     }
 
     #[test]
     fn narrow_layout_escapes_oversized_values() {
-        let cells = vec![0u32; 8];
-        let wide = crate::mem::WideTable::new();
-        let mem = CellsRef::W32 {
-            cells: &cells,
-            wide: &wide,
-        };
-        let mut ctx = Ctx::new_in(mem, 1, 0, vec![RecLayout::Narrow.empty_shard()]);
+        let (mem, h) = arena(8);
+        let mut ctx = Ctx::new(mem.cells_ref(), RecLayout::Narrow, 1, 0);
         ctx.begin_proc(0);
-        let h = Handle { base: 0, len: 8 };
         ctx.write(h, 0, 5);
         ctx.write(h, 1, crate::NULL);
         ctx.write(h, 2, 1 << 40);
@@ -328,8 +352,8 @@ mod tests {
 
     #[test]
     fn rand_depends_on_proc_and_tag() {
-        let words = vec![0u64; 1];
-        let mut ctx = Ctx::new(&words, 1, 7);
+        let (mem, _) = arena(1);
+        let mut ctx = Ctx::new(mem.cells_ref(), RecLayout::Narrow, 1, 7);
         ctx.begin_proc(0);
         let a = ctx.rand(0);
         let b = ctx.rand(1);
@@ -344,8 +368,8 @@ mod tests {
 
     #[test]
     fn coin_matches_probability_roughly() {
-        let words = vec![0u64; 1];
-        let mut ctx = Ctx::new(&words, 1, 99);
+        let (mem, _) = arena(1);
+        let mut ctx = Ctx::new(mem.cells_ref(), RecLayout::Narrow, 1, 99);
         let mut hits = 0;
         let trials = 20_000;
         for p in 0..trials {

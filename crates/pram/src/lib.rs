@@ -69,7 +69,7 @@ pub mod stats;
 pub use ctx::Ctx;
 pub use error::PramError;
 pub use machine::{Pram, Stamped};
-pub use mem::{CellWidth, Handle, MemView, NULL};
+pub use mem::{Handle, MemView, NULL};
 pub use resolve::{CombineOp, WritePolicy};
 pub use stats::Stats;
 

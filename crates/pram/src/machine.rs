@@ -1,11 +1,13 @@
 //! The PRAM machine: synchronous step execution and commit.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
+use std::time::Instant;
 
 use rayon::prelude::*;
 
-use crate::ctx::{Ctx, CtxOut, RecLayout, ShardBuf};
-use crate::mem::{narrow_encode, Arena, CellWidth, CellsPtr, Handle, MemView, WideTable};
+use crate::ctx::{shard_of, Ctx, CtxOut, RecLayout, ShardBuf};
+use crate::mem::{narrow_decode, narrow_encode, Arena, Handle, MemView, WideTable};
 use crate::mem::{NARROW_ESC, NARROW_NULL, NULL};
 use crate::resolve::{hashed_prio, CombineOp, Resolution, WritePolicy};
 use crate::splitmix64;
@@ -51,25 +53,28 @@ pub struct Pram {
     /// steady-state steps allocate no write buffers at all. A `Mutex`
     /// because pool workers draw from it inside `run_procs`.
     spare_bufs: Mutex<Vec<Vec<ShardBuf>>>,
-    /// Optional observability sink: arena occupancy gauges and
-    /// [`Pram::reset_for_run`] events are recorded here when attached.
-    obs: Option<Arc<logdiam_obs::Registry>>,
+    /// Optional observability sink (see [`Pram::set_obs_registry`]).
+    obs: Option<Obs>,
+}
+
+/// An attached registry plus the host-time counters every executed step
+/// adds to. Host time never enters [`Stats`], which must repeat exactly
+/// across runs.
+struct Obs {
+    registry: Arc<logdiam_obs::Registry>,
+    /// Nanoseconds spent running step closures (`run_procs`).
+    step_run_ns: logdiam_obs::Counter,
+    /// Nanoseconds spent resolving and committing the buffered writes
+    /// (plus recycling the write buffers).
+    commit_ns: logdiam_obs::Counter,
 }
 
 impl Pram {
-    /// Create a machine with the given write-resolution policy and
-    /// full-width (8-byte) cells.
-    pub fn new(policy: WritePolicy) -> Self {
-        Self::with_width(policy, CellWidth::W64)
-    }
-
-    /// Create a machine with an explicit cell width (see [`CellWidth`]).
+    /// Create a machine with the given write-resolution policy.
     ///
-    /// `W32` halves the dominant per-word storage for drivers whose values
-    /// fit 32 bits (any `u64` still round-trips via the escape table); the
-    /// committed image is bit-identical to a `W64` machine's for the same
-    /// program, policy and seed — width is a host-memory knob only.
-    pub fn with_width(policy: WritePolicy, width: CellWidth) -> Self {
+    /// Cells are 4 bytes; values that do not fit escape to a side table
+    /// (see [`crate::mem`]), so any `u64` round-trips.
+    pub fn new(policy: WritePolicy) -> Self {
         let threads = rayon::current_num_threads();
         // Sharding the commit by address only pays for itself across real
         // threads; scale shards with the pool (a few per thread so commit
@@ -79,13 +84,13 @@ impl Pram {
             WritePolicy::ArbitrarySeeded(s) | WritePolicy::CrewChecked(s) => s,
             _ => 0x5EED_0BAD_CAFE_F00D,
         };
-        let layout = if width == CellWidth::W32 && !policy.needs_prio_sidecar() {
-            RecLayout::Narrow
-        } else {
+        let layout = if policy.needs_prio_sidecar() {
             RecLayout::Wide
+        } else {
+            RecLayout::Narrow
         };
         Pram {
-            mem: Arena::new(width, policy.needs_prio_sidecar()),
+            mem: Arena::new(policy.needs_prio_sidecar()),
             policy,
             resolution: policy.resolution(),
             layout,
@@ -107,11 +112,6 @@ impl Pram {
         self.policy
     }
 
-    /// The machine's cell width.
-    pub fn width(&self) -> CellWidth {
-        self.mem.width()
-    }
-
     /// Resource accounting so far (space fields refreshed on read).
     pub fn stats(&self) -> Stats {
         let mut s = self.stats;
@@ -122,18 +122,24 @@ impl Pram {
 
     /// Actual heap bytes behind the arena's per-word arrays (cells,
     /// stamps, and the priority sidecar if the policy needs one) — the
-    /// measured bytes-per-word footprint: ≤ 12·words full-width for
-    /// non-priority policies, ≤ 8·words narrow.
+    /// measured bytes-per-word footprint: ≤ 8·words for non-priority
+    /// policies, ≤ 16·words with the sidecar.
     pub fn arena_backing_bytes(&self) -> usize {
         self.mem.backing_bytes()
     }
 
     /// Attach an observability registry: records the `sim_*` stats gauges
     /// now and on every [`Pram::reset_for_run`] (which also emits a
-    /// `run_reset` event). See `docs/obs-schema.md`.
+    /// `run_reset` event), and adds every executed step's host time to
+    /// the `sim_step_run_ns` / `sim_commit_ns` counters. See
+    /// `docs/obs-schema.md`.
     pub fn set_obs_registry(&mut self, registry: Arc<logdiam_obs::Registry>) {
         self.stats().record_into(&registry, "sim");
-        self.obs = Some(registry);
+        self.obs = Some(Obs {
+            step_run_ns: registry.counter("sim_step_run_ns"),
+            commit_ns: registry.counter("sim_commit_ns"),
+            registry,
+        });
     }
 
     /// Reset time/work/traffic counters (space high-water and the recorded
@@ -164,7 +170,7 @@ impl Pram {
         self.mem.reset_keep_capacity();
         self.step_id = 0;
         self.reset_stats();
-        if let Some(reg) = &self.obs {
+        if let Some(Obs { registry: reg, .. }) = &self.obs {
             reg.event(
                 logdiam_obs::Event::new("run_reset")
                     .with("live_words", live)
@@ -222,20 +228,10 @@ impl Pram {
         self.mem.store(h.addr(i) as usize, v);
     }
 
-    /// Host view of a whole block, valid at either cell width (narrow
-    /// cells decode transparently). The width-agnostic replacement for
-    /// [`Pram::slice`].
+    /// Host view of a whole block (narrow cells and their escapes decode
+    /// transparently).
     pub fn view(&self, h: Handle) -> MemView<'_> {
         MemView::new(self.mem.cells_ref(), h.base as usize, h.len as usize)
-    }
-
-    /// Host `&[u64]` view of a whole block.
-    ///
-    /// Only available at [`CellWidth::W64`] (panics on a narrow machine —
-    /// narrow cells have no contiguous `u64` representation); host code
-    /// that must work at any width uses [`Pram::view`].
-    pub fn slice(&self, h: Handle) -> &[u64] {
-        self.mem.words_u64(h.base as usize, h.len as usize)
     }
 
     /// Copy a block out (host side).
@@ -381,13 +377,7 @@ impl Pram {
         F: Fn(u64, &mut Ctx) + Send + Sync,
     {
         self.stats.record_step(nprocs as u64, charge);
-        if nprocs == 0 {
-            return;
-        }
-        self.step_id += 1;
-        let outs = self.run_procs(nprocs, &f);
-        self.commit(&outs);
-        self.retire(outs);
+        self.execute(nprocs, &f, None);
     }
 
     /// Execute one synchronous COMBINING CRCW step: concurrent writes to a
@@ -397,16 +387,39 @@ impl Pram {
         F: Fn(u64, &mut Ctx) + Send + Sync,
     {
         self.stats.record_step(nprocs as u64, 1);
+        self.execute(nprocs, &f, Some(op));
+    }
+
+    /// Run one step's processors, then commit their buffered writes —
+    /// resolved by the policy, or folded with `combine` — and add both
+    /// halves' host time to the attached registry's counters, if any.
+    fn execute<F>(&mut self, nprocs: usize, f: &F, combine: Option<CombineOp>)
+    where
+        F: Fn(u64, &mut Ctx) + Send + Sync,
+    {
         if nprocs == 0 {
             return;
         }
         self.step_id += 1;
-        let outs = self.run_procs(nprocs, &f);
-        self.commit_combine(&outs, op);
+        // A step below the threshold runs inline, and so does its commit:
+        // for a few thousand writes a pool task per shard costs more than
+        // the writes themselves.
+        let parallel = nprocs >= self.par_threshold;
+        let start = self.obs.is_some().then(Instant::now);
+        let outs = self.run_procs(nprocs, parallel, f);
+        let ran = start.map(|_| Instant::now());
+        match combine {
+            None => self.commit(&outs, parallel),
+            Some(op) => self.commit_combine(&outs, op, parallel),
+        }
         self.retire(outs);
+        if let (Some(obs), Some(start), Some(ran)) = (&self.obs, start, ran) {
+            obs.step_run_ns.add((ran - start).as_nanos() as u64);
+            obs.commit_ns.add(ran.elapsed().as_nanos() as u64);
+        }
     }
 
-    fn run_procs<F>(&mut self, nprocs: usize, f: &F) -> Vec<CtxOut>
+    fn run_procs<F>(&mut self, nprocs: usize, parallel: bool, f: &F) -> Vec<CtxOut>
     where
         F: Fn(u64, &mut Ctx) + Send + Sync,
     {
@@ -430,7 +443,7 @@ impl Pram {
             Ctx::new_in(mem_ref, shard_count, step_seed, bufs)
         };
 
-        if nprocs < self.par_threshold {
+        if !parallel {
             let mut ctx = fresh_ctx();
             for p in 0..nprocs as u64 {
                 ctx.begin_proc(p);
@@ -469,84 +482,78 @@ impl Pram {
         }
     }
 
-    fn commit(&mut self, outs: &[CtxOut]) {
+    fn commit(&mut self, outs: &[CtxOut], parallel: bool) {
         let step = self.step_id;
         let res = self.resolution;
-        let count_conflicts = self.policy.counts_conflicts();
-        let shards = self.shard_count as usize;
-        let (cells, stamp, prio) = self.mem.commit_ptrs();
-        let mem = ShardedMem {
-            cells,
-            stamp,
-            prio,
-            wide: &self.mem.wide,
-        };
-        let conflicts: u64 = (0..shards)
-            .into_par_iter()
-            .map(|s| {
-                let mut conflicts = 0;
-                // SAFETY (applies to every commit_one below): writes are
-                // sharded by `addr & (shards-1)`, so each address is
-                // touched by exactly one shard iteration; the parallel
-                // iterations access disjoint cells.
-                for out in outs {
-                    match &out.shards[s] {
-                        ShardBuf::Wide(recs) => {
-                            for rec in recs {
-                                if unsafe { mem.commit_one(step, rec.addr, rec.aux, rec.val, res) }
-                                {
-                                    conflicts += 1;
-                                }
-                            }
-                        }
-                        ShardBuf::Narrow { recs, wide } => {
-                            let mut cur = 0usize;
-                            for rec in recs {
-                                let val = narrow_rec_val(rec.val, wide, &mut cur);
-                                if unsafe { mem.commit_one(step, rec.addr, 0, val, res) } {
-                                    conflicts += 1;
-                                }
-                            }
-                        }
-                    }
-                }
-                conflicts
-            })
-            .sum();
-        if count_conflicts {
-            self.stats.write_conflicts += conflicts;
+        let mask = self.shard_count - 1;
+        let mem = ShardedMem::new(&mut self.mem);
+        let conflicts = AtomicU64::new(0);
+        over_shards(self.shard_count, parallel, |s| {
+            let mut n = 0;
+            for_each_rec(outs, s, mask, |addr, proc, val| {
+                // SAFETY: `for_each_rec` yields only records with
+                // `shard_of(addr) == s`, and distinct shards own disjoint
+                // 1024-word address blocks (see `ShardedMem`), so no other
+                // task touches this cell, stamp or priority word.
+                n += u64::from(unsafe { mem.commit_one(step, addr, proc, val, res) });
+            });
+            conflicts.fetch_add(n, Ordering::Relaxed);
+        });
+        if self.policy.counts_conflicts() {
+            self.stats.write_conflicts += conflicts.into_inner();
         }
     }
 
-    fn commit_combine(&mut self, outs: &[CtxOut], op: CombineOp) {
+    fn commit_combine(&mut self, outs: &[CtxOut], op: CombineOp, parallel: bool) {
         let step = self.step_id;
-        let shards = self.shard_count as usize;
-        let (cells, stamp, prio) = self.mem.commit_ptrs();
-        let mem = ShardedMem {
-            cells,
-            stamp,
-            prio,
-            wide: &self.mem.wide,
-        };
-        (0..shards).into_par_iter().for_each(|s| {
-            for out in outs {
-                // SAFETY: as in `commit` — shards partition addresses.
-                match &out.shards[s] {
-                    ShardBuf::Wide(recs) => {
-                        for rec in recs {
-                            unsafe { mem.combine_one(step, rec.addr, rec.val, op) };
-                        }
-                    }
-                    ShardBuf::Narrow { recs, wide } => {
-                        let mut cur = 0usize;
-                        for rec in recs {
-                            let val = narrow_rec_val(rec.val, wide, &mut cur);
-                            unsafe { mem.combine_one(step, rec.addr, val, op) };
-                        }
-                    }
+        let mask = self.shard_count - 1;
+        let mem = ShardedMem::new(&mut self.mem);
+        over_shards(self.shard_count, parallel, |s| {
+            for_each_rec(outs, s, mask, |addr, _, val| {
+                // SAFETY: as in `commit` — this task is shard `s`, the
+                // only one that owns `addr`'s block.
+                unsafe { mem.combine_one(step, addr, val, op) };
+            });
+        });
+    }
+}
+
+/// Run `task(s)` for every shard `s < shard_count`: as pool tasks when
+/// the step ran on the pool, inline otherwise.
+fn over_shards<F>(shard_count: u32, parallel: bool, task: F)
+where
+    F: Fn(usize) + Send + Sync,
+{
+    let shards = 0..shard_count as usize;
+    if parallel {
+        shards.into_par_iter().for_each(task);
+    } else {
+        shards.for_each(task);
+    }
+}
+
+/// Feed shard `s`'s buffered writes, from every worker context in order,
+/// to `apply(addr, proc, value)` (`proc` is 0 under the narrow record
+/// layout, whose policies never read it). Checks in debug builds that
+/// each record belongs to the shard it was buffered in.
+#[inline]
+fn for_each_rec(outs: &[CtxOut], s: usize, mask: u32, mut apply: impl FnMut(u32, u32, u64)) {
+    for out in outs {
+        match &out.shards[s] {
+            ShardBuf::Wide(recs) => {
+                for rec in recs {
+                    debug_assert_eq!(shard_of(rec.addr, mask), s);
+                    apply(rec.addr, rec.aux, rec.val);
                 }
             }
-        });
+            ShardBuf::Narrow { recs, wide } => {
+                let mut cur = 0usize;
+                for rec in recs {
+                    debug_assert_eq!(shard_of(rec.addr, mask), s);
+                    apply(rec.addr, 0, narrow_rec_val(rec.val, wide, &mut cur));
+                }
+            }
+        }
     }
 }
 
@@ -591,52 +598,57 @@ pub struct Stamped {
     pub gen: u64,
 }
 
-/// Raw-pointer view of the arena used by the sharded parallel commit.
+/// Raw-pointer view of the arena used by the sharded commit.
+///
+/// The commit runs one task per shard, and shard `s` owns every address
+/// `a` with [`shard_of`]`(a) == s`: the 1024-word blocks whose index is
+/// `≡ s` modulo the shard count. [`Ctx::write`] buffers each record in
+/// its address's shard, so the tasks write disjoint cells, stamps and
+/// priority words, and — but for the lines at block edges — disjoint
+/// cache lines.
 ///
 /// Methods take `&self` so that commit closures capture the whole struct
 /// (keeping the `Sync` reasoning in one place) rather than the raw-pointer
 /// fields individually.
 struct ShardedMem<'a> {
-    cells: CellsPtr,
+    cells: *mut u32,
     stamp: *mut u32,
     /// Null unless the policy needs the processor-priority sidecar.
     prio: *mut u64,
     wide: &'a WideTable,
 }
 
-impl ShardedMem<'_> {
+impl<'a> ShardedMem<'a> {
+    fn new(arena: &'a mut Arena) -> Self {
+        let (cells, stamp, prio) = arena.commit_ptrs();
+        ShardedMem {
+            cells,
+            stamp,
+            prio,
+            wide: &arena.wide,
+        }
+    }
+
     /// Decode the committed value at `a`.
     ///
     /// # Safety
     /// `a` in bounds; no concurrent access to the cell (see commit).
     #[inline]
     unsafe fn load(&self, a: usize) -> u64 {
-        match self.cells {
-            CellsPtr::W64(p) => unsafe { *p.add(a) },
-            CellsPtr::W32(p) => match unsafe { *p.add(a) } {
-                NARROW_NULL => NULL,
-                NARROW_ESC => self.wide.get(a as u32),
-                x => x as u64,
-            },
-        }
+        narrow_decode(unsafe { *self.cells.add(a) }, self.wide, a)
     }
 
-    /// Store `v` at `a` (encoding for narrow cells).
+    /// Store `v` at `a`, escaping it if it does not fit a narrow cell.
     ///
     /// # Safety
     /// As for [`ShardedMem::load`].
     #[inline]
     unsafe fn store(&self, a: usize, v: u64) {
-        match self.cells {
-            CellsPtr::W64(p) => unsafe { *p.add(a) = v },
-            CellsPtr::W32(p) => match narrow_encode(v) {
-                Some(x) => unsafe { *p.add(a) = x },
-                None => {
-                    self.wide.set(a as u32, v);
-                    unsafe { *p.add(a) = NARROW_ESC };
-                }
-            },
-        }
+        let cell = narrow_encode(v).unwrap_or_else(|| {
+            self.wide.set(a as u32, v);
+            NARROW_ESC
+        });
+        unsafe { *self.cells.add(a) = cell };
     }
 
     /// Apply one buffered write under the machine's resolution rule.
@@ -645,8 +657,8 @@ impl ShardedMem<'_> {
     ///
     /// # Safety
     /// Caller must guarantee `addr` is in bounds and no other thread is
-    /// concurrently accessing that cell (the sharded commit partitions
-    /// addresses across threads).
+    /// concurrently accessing that cell (the commit task calling this
+    /// owns `addr`'s block, see [`ShardedMem`]).
     unsafe fn commit_one(
         &self,
         step: u32,
@@ -714,9 +726,10 @@ impl ShardedMem<'_> {
     }
 }
 
-// SAFETY: the commit loops partition addresses by shard (addr & mask), so no
-// two threads access the same cell; the wide table is internally
-// mutex-striped.
+// SAFETY: the commit tasks partition addresses by block — task `s` touches
+// only addresses `a` with `shard_of(a) == s` (checked by a debug assertion
+// in `for_each_rec`) — so no two threads access the same cell, stamp or
+// priority word; the wide table is internally mutex-striped.
 unsafe impl Sync for ShardedMem<'_> {}
 unsafe impl Send for ShardedMem<'_> {}
 
@@ -1001,7 +1014,7 @@ mod tests {
 
     /// A mixed program touching every representability class (small
     /// values, NULL, >32-bit values, combining steps, stamped blocks),
-    /// used by the width-equivalence tests below.
+    /// used by the replay test below.
     fn mixed_program(pram: &mut Pram) -> Vec<u64> {
         let n = 4096usize;
         let xs = pram.alloc_filled(n, NULL);
@@ -1040,35 +1053,63 @@ mod tests {
         out
     }
 
+    /// The committed image of one step of conflicting writes — many
+    /// writers per cell, a third of them with values that escape a narrow
+    /// cell (including both reserved encodings taken as plain values) —
+    /// equals a host-side `u64` model of the policy's winner rule: the
+    /// highest `hashed_prio(seed, addr, val)` for the seeded policies
+    /// (ties to the larger value), the extreme processor id for the
+    /// priority ones. The step sizes straddle the parallel threshold, so
+    /// both the inline and the pooled commit are checked, twice over the
+    /// same cells so escaped incumbents get overwritten.
     #[test]
-    fn narrow_cells_match_full_width_bit_for_bit() {
+    fn escaping_conflicting_writes_match_a_u64_model() {
+        const WORDS: usize = 3000; // spans 3–4 commit blocks
+        let value = |p: u64, step: u64| match (p + step) % 6 {
+            0 => (1 << 40) | p,
+            1 => NARROW_ESC as u64,
+            2 => u32::MAX as u64,
+            3 => NULL,
+            _ => p ^ step,
+        };
         for policy in [
             WritePolicy::ArbitrarySeeded(42),
-            WritePolicy::Racy,
-            WritePolicy::CrewChecked(11),
+            WritePolicy::CrewChecked(7),
+            WritePolicy::PriorityMin,
+            WritePolicy::PriorityMax,
         ] {
-            let mut wide = Pram::with_width(policy, CellWidth::W64);
-            let mut narrow = Pram::with_width(policy, CellWidth::W32);
-            // Racy is only deterministic single-threaded, but these step
-            // sizes stay under the parallel threshold either way.
-            assert_eq!(
-                mixed_program(&mut wide),
-                mixed_program(&mut narrow),
-                "{policy:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn narrow_cells_match_full_width_for_priority_policies() {
-        for policy in [WritePolicy::PriorityMin, WritePolicy::PriorityMax] {
-            let mut wide = Pram::with_width(policy, CellWidth::W64);
-            let mut narrow = Pram::with_width(policy, CellWidth::W32);
-            assert_eq!(
-                mixed_program(&mut wide),
-                mixed_program(&mut narrow),
-                "{policy:?}"
-            );
+            for nprocs in [1_000usize, 200_000] {
+                let mut pram = Pram::new(policy);
+                let xs = pram.alloc_filled(WORDS, 1 << 50);
+                let mut model = vec![1u64 << 50; WORDS];
+                for step in 0..2u64 {
+                    let cell = move |p: u64| (p as usize * 7919 + step as usize) % (WORDS - 8);
+                    pram.step(nprocs, move |p, ctx| ctx.write(xs, cell(p), value(p, step)));
+                    let mut winner: Vec<Option<(u64, u64)>> = vec![None; WORDS];
+                    for p in 0..nprocs as u64 {
+                        let (i, v) = (cell(p), value(p, step));
+                        let wins = winner[i].is_none_or(|(q, cur)| match policy.resolution() {
+                            Resolution::Hashed(seed) => {
+                                let a = xs.addr(i);
+                                let (pv, pc) = (hashed_prio(seed, a, v), hashed_prio(seed, a, cur));
+                                pv > pc || (pv == pc && v > cur)
+                            }
+                            Resolution::ProcMin => p < q,
+                            Resolution::ProcMax => p > q,
+                            Resolution::Racy => unreachable!(),
+                        });
+                        if wins {
+                            winner[i] = Some((p, v));
+                        }
+                    }
+                    for (m, w) in model.iter_mut().zip(&winner) {
+                        if let Some((_, v)) = w {
+                            *m = *v;
+                        }
+                    }
+                    assert_eq!(pram.read_vec(xs), model, "{policy:?}, {nprocs} procs");
+                }
+            }
         }
     }
 
@@ -1092,28 +1133,21 @@ mod tests {
     }
 
     #[test]
-    fn footprint_is_at_most_12_bytes_per_word_for_default_policy() {
-        // The PR-10 acceptance bound: cells (8) + stamp (4), and no prio
-        // sidecar, for non-priority policies at full width.
+    fn footprint_is_at_most_8_bytes_per_word_for_default_policy() {
+        // Narrow cell (4) + stamp (4), and no prio sidecar, for
+        // non-priority policies.
         let mut pram = Pram::new(WritePolicy::ArbitrarySeeded(1));
         let words = 1usize << 18;
-        let h = pram.alloc(words);
-        let per_word = pram.arena_backing_bytes() as f64 / pram.stats().live_words as f64;
-        assert!(per_word <= 12.0, "bytes/word = {per_word}");
-        pram.free(h);
-
-        // Narrow cells: 4 + 4.
-        let mut pram = Pram::with_width(WritePolicy::ArbitrarySeeded(1), CellWidth::W32);
         let _ = pram.alloc(words);
         let per_word = pram.arena_backing_bytes() as f64 / pram.stats().live_words as f64;
-        assert!(per_word <= 8.0, "narrow bytes/word = {per_word}");
+        assert!(per_word <= 8.0, "bytes/word = {per_word}");
 
-        // Priority policies pay for the sidecar (8 + 4 + 8).
+        // Priority policies pay for the sidecar (4 + 4 + 8).
         let mut pram = Pram::new(WritePolicy::PriorityMax);
         let _ = pram.alloc(words);
         let per_word = pram.arena_backing_bytes() as f64 / pram.stats().live_words as f64;
         assert!(
-            per_word > 12.0 && per_word <= 20.0,
+            per_word > 8.0 && per_word <= 16.0,
             "prio bytes/word = {per_word}"
         );
     }
@@ -1153,5 +1187,20 @@ mod tests {
             reset.field("live_words"),
             Some(&logdiam_obs::Value::U64(112))
         );
+    }
+
+    #[test]
+    fn step_host_time_reaches_the_registry_but_not_stats() {
+        let reg = Arc::new(logdiam_obs::Registry::new());
+        let mut timed = Pram::new(WritePolicy::ArbitrarySeeded(5));
+        timed.set_obs_registry(reg.clone());
+        let mut plain = Pram::new(WritePolicy::ArbitrarySeeded(5));
+        for pram in [&mut timed, &mut plain] {
+            let _ = mixed_program(pram);
+        }
+        let snap = reg.snapshot();
+        assert!(snap.counters["sim_step_run_ns"] > 0);
+        assert!(snap.counters["sim_commit_ns"] > 0);
+        assert_eq!(timed.stats(), plain.stats());
     }
 }

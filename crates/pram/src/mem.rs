@@ -1,5 +1,5 @@
-//! Shared-memory arena with size-class reuse, space accounting, and a
-//! selectable cell width.
+//! Shared-memory arena with size-class reuse, space accounting, and
+//! narrow (4-byte) cells.
 //!
 //! The paper's algorithms repeatedly allocate *blocks* (of size `b_ℓ`)
 //! and the analysis bounds the total space by `O(m)`. To make that
@@ -11,9 +11,8 @@
 //!
 //! Per simulated word the arena stores:
 //!
-//! * the cell itself — 8 bytes under [`CellWidth::W64`], 4 bytes under
-//!   [`CellWidth::W32`] (values that do not fit a narrow cell escape to a
-//!   striped side table, see below);
+//! * the cell itself — 4 bytes (values that do not fit a narrow cell
+//!   escape to a striped side table, see below);
 //! * a 4-byte *stamp* (id of the last step that wrote the cell), which is
 //!   how the commit phase detects "first write of this step" without
 //!   clearing any per-step structure;
@@ -24,19 +23,18 @@
 //!   priority is a hash of `(seed, addr, value)`), so they never pay for
 //!   this array.
 //!
-//! That makes the footprint 12 bytes/word for the default policy at full
-//! width, and 8 bytes/word narrow — down from the historical 20.
+//! That makes the footprint 8 bytes/word for the default policy — down
+//! from the historical 20.
 //!
 //! # Narrow cells
 //!
-//! Under [`CellWidth::W32`] a cell holds `u32`; two encodings are
-//! reserved: `0xFFFF_FFFF` represents [`NULL`] (`u64::MAX`), and
-//! `0xFFFF_FFFE` marks an *escaped* cell whose actual 64-bit value lives
-//! in a mutex-striped side table keyed by address. Any `u64` value is
-//! therefore representable at any width — narrow mode is purely a
-//! memory/performance choice, never a semantic one — but drivers should
-//! pick `W32` only when almost all stored values fit 32 bits (vertex ids,
-//! parents, offsets and generation stamps all do for `n < 2^31`).
+//! A cell holds `u32`; two encodings are reserved: `0xFFFF_FFFF`
+//! represents [`NULL`] (`u64::MAX`), and `0xFFFF_FFFE` marks an
+//! *escaped* cell whose actual 64-bit value lives in a mutex-striped side
+//! table keyed by address. Any `u64` value is therefore representable;
+//! the escape path is only slow, never wrong. Everything the drivers
+//! store — vertex ids, parents, offsets and generation stamps for
+//! `n < 2^31` — fits a cell directly.
 //!
 //! # Size classes
 //!
@@ -56,41 +54,6 @@ use std::sync::Mutex;
 /// Vertex ids, parent pointers and table cells use `NULL` for "no value".
 /// It is `u64::MAX`, which no vertex id or packed value ever equals.
 pub const NULL: u64 = u64::MAX;
-
-/// Cell representation of a machine's shared memory (chosen at
-/// [`crate::Pram::with_width`]; the plain constructor defaults to `W64`).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum CellWidth {
-    /// 8-byte cells: every value is stored directly.
-    W64,
-    /// 4-byte cells with an escape table for values that need 64 bits
-    /// (see the module docs). Right when the driver's working values —
-    /// vertex ids, parents, offsets — fit `u32`.
-    W32,
-}
-
-impl CellWidth {
-    /// The natural width for a driver whose ordinary (non-`NULL`) values
-    /// are bounded by `max_value`: `W32` when they all fit a narrow cell
-    /// directly, else `W64`. Purely advisory — either width is always
-    /// correct.
-    pub fn for_max_value(max_value: u64) -> CellWidth {
-        if max_value < NARROW_ESC as u64 {
-            CellWidth::W32
-        } else {
-            CellWidth::W64
-        }
-    }
-
-    /// Bytes of backing store per simulated word for the cell itself
-    /// (excludes the stamp and any priority sidecar).
-    pub fn cell_bytes(self) -> usize {
-        match self {
-            CellWidth::W64 => 8,
-            CellWidth::W32 => 4,
-        }
-    }
-}
 
 /// Narrow encoding of [`NULL`].
 pub(crate) const NARROW_NULL: u32 = u32::MAX;
@@ -161,42 +124,47 @@ impl WideTable {
         }
     }
 
-    fn entries(&self) -> usize {
-        self.stripes.iter().map(|s| s.lock().unwrap().len()).sum()
+    /// Entries the stripes hold room for; like the cell arrays, a reset
+    /// keeps this capacity.
+    fn capacity(&self) -> usize {
+        self.stripes
+            .iter()
+            .map(|s| s.lock().unwrap().capacity())
+            .sum()
+    }
+}
+
+/// Decode the narrow cell `cell` stored at absolute address `a`.
+#[inline]
+pub(crate) fn narrow_decode(cell: u32, wide: &WideTable, a: usize) -> u64 {
+    match cell {
+        NARROW_NULL => NULL,
+        NARROW_ESC => wide.get(a as u32),
+        x => x as u64,
     }
 }
 
 /// Read-only view of the cell store, shared with step contexts while a
 /// step runs (reads see the frozen pre-step image).
 #[derive(Clone, Copy)]
-pub(crate) enum CellsRef<'a> {
-    W64(&'a [u64]),
-    W32 {
-        cells: &'a [u32],
-        wide: &'a WideTable,
-    },
+pub(crate) struct CellsRef<'a> {
+    cells: &'a [u32],
+    wide: &'a WideTable,
 }
 
 impl CellsRef<'_> {
     /// Decode the word at absolute address `a`.
     #[inline]
     pub(crate) fn get(self, a: usize) -> u64 {
-        match self {
-            CellsRef::W64(w) => w[a],
-            CellsRef::W32 { cells, wide } => match cells[a] {
-                NARROW_NULL => NULL,
-                NARROW_ESC => wide.get(a as u32),
-                x => x as u64,
-            },
-        }
+        narrow_decode(self.cells[a], self.wide, a)
     }
 }
 
-/// Host-side read view of one block, valid at either cell width.
+/// Host-side read view of one block.
 ///
-/// The width-agnostic replacement for borrowing a raw `&[u64]`: every
-/// controller-side scan in the drivers goes through `get`/`iter`, which
-/// decode narrow cells transparently. Obtained from [`crate::Pram::view`].
+/// Every controller-side scan in the drivers goes through `get`/`iter`,
+/// which decode narrow cells (and their escapes) transparently. Obtained
+/// from [`crate::Pram::view`].
 #[derive(Clone, Copy)]
 pub struct MemView<'a> {
     cells: CellsRef<'a>,
@@ -298,36 +266,6 @@ impl Handle {
     }
 }
 
-/// Mutable raw pointer to the cell store, for the sharded parallel
-/// commit (addresses are partitioned across threads by the caller).
-#[derive(Clone, Copy)]
-pub(crate) enum CellsPtr {
-    W64(*mut u64),
-    W32(*mut u32),
-}
-
-/// Backing store of the cells at the machine's width.
-pub(crate) enum Cells {
-    W64(Vec<u64>),
-    W32(Vec<u32>),
-}
-
-impl Cells {
-    fn len(&self) -> usize {
-        match self {
-            Cells::W64(w) => w.len(),
-            Cells::W32(c) => c.len(),
-        }
-    }
-
-    fn capacity_bytes(&self) -> usize {
-        match self {
-            Cells::W64(w) => w.capacity() * 8,
-            Cells::W32(c) => c.capacity() * 4,
-        }
-    }
-}
-
 /// Hard cap of the word address space: [`Handle`] bases are `u32`.
 pub(crate) const MAX_WORDS: usize = u32::MAX as usize;
 
@@ -346,14 +284,14 @@ fn block_size(len: usize) -> usize {
 
 /// Size-class arena backing the shared memory.
 pub(crate) struct Arena {
-    /// The memory words themselves, at the machine's cell width.
-    cells: Cells,
+    /// The memory words themselves, narrow-encoded.
+    cells: Vec<u32>,
     /// Per-word stamp: the id of the last step that wrote the cell.
     pub(crate) stamp: Vec<u32>,
     /// Per-word priority of the winning write in the current step — only
     /// allocated for processor-priority policies (see the module docs).
     prio: Option<Vec<u64>>,
-    /// Escaped narrow-cell values (unused, and empty, at `W64`).
+    /// Escaped narrow-cell values.
     pub(crate) wide: WideTable,
     /// Free lists keyed by exact block size in words.
     free: HashMap<usize, Vec<u32>>,
@@ -366,12 +304,9 @@ pub(crate) struct Arena {
 }
 
 impl Arena {
-    pub(crate) fn new(width: CellWidth, track_prio: bool) -> Self {
+    pub(crate) fn new(track_prio: bool) -> Self {
         Arena {
-            cells: match width {
-                CellWidth::W64 => Cells::W64(Vec::new()),
-                CellWidth::W32 => Cells::W32(Vec::new()),
-            },
+            cells: Vec::new(),
             stamp: Vec::new(),
             prio: track_prio.then(Vec::new),
             wide: WideTable::new(),
@@ -379,13 +314,6 @@ impl Arena {
             live: 0,
             peak: 0,
             cap_words: MAX_WORDS,
-        }
-    }
-
-    pub(crate) fn width(&self) -> CellWidth {
-        match self.cells {
-            Cells::W64(_) => CellWidth::W64,
-            Cells::W32(_) => CellWidth::W32,
         }
     }
 
@@ -553,19 +481,16 @@ impl Arena {
                 backing - self.live,
             );
         }
-        let new_len = self.cells.len() + size;
-        match &mut self.cells {
-            Cells::W64(w) => w.resize(new_len, fill),
-            Cells::W32(c) => match narrow_encode(fill) {
-                Some(x) => c.resize(new_len, x),
-                None => {
-                    let start = c.len();
-                    c.resize(new_len, NARROW_ESC);
-                    for a in start..new_len {
-                        self.wide.set(a as u32, fill);
-                    }
+        let start = self.cells.len();
+        let new_len = start + size;
+        match narrow_encode(fill) {
+            Some(x) => self.cells.resize(new_len, x),
+            None => {
+                self.cells.resize(new_len, NARROW_ESC);
+                for a in start..new_len {
+                    self.wide.set(a as u32, fill);
                 }
-            },
+            }
         }
         self.stamp.resize(new_len, 0);
         if let Some(prio) = &mut self.prio {
@@ -575,17 +500,14 @@ impl Arena {
 
     /// Fill `len` words starting at absolute address `start` with `v`.
     pub(crate) fn fill_words(&mut self, start: usize, len: usize, v: u64) {
-        match &mut self.cells {
-            Cells::W64(w) => w[start..start + len].fill(v),
-            Cells::W32(c) => match narrow_encode(v) {
-                Some(x) => c[start..start + len].fill(x),
-                None => {
-                    c[start..start + len].fill(NARROW_ESC);
-                    for a in start..start + len {
-                        self.wide.set(a as u32, v);
-                    }
+        match narrow_encode(v) {
+            Some(x) => self.cells[start..start + len].fill(x),
+            None => {
+                self.cells[start..start + len].fill(NARROW_ESC);
+                for a in start..start + len {
+                    self.wide.set(a as u32, v);
                 }
-            },
+            }
         }
     }
 
@@ -598,65 +520,38 @@ impl Arena {
     /// Store `v` at absolute address `a`.
     #[inline]
     pub(crate) fn store(&mut self, a: usize, v: u64) {
-        match &mut self.cells {
-            Cells::W64(w) => w[a] = v,
-            Cells::W32(c) => match narrow_encode(v) {
-                Some(x) => c[a] = x,
-                None => {
-                    self.wide.set(a as u32, v);
-                    c[a] = NARROW_ESC;
-                }
-            },
-        }
+        self.cells[a] = narrow_encode(v).unwrap_or_else(|| {
+            self.wide.set(a as u32, v);
+            NARROW_ESC
+        });
     }
 
     /// Copy `len` words from absolute address `s` to `d` (ranges may
     /// overlap, like `copy_within`).
     pub(crate) fn copy_words(&mut self, s: usize, d: usize, len: usize) {
-        match &mut self.cells {
-            Cells::W64(w) => w.copy_within(s..s + len, d),
-            Cells::W32(c) => {
-                c.copy_within(s..s + len, d);
-                // Escaped markers moved, but the wide table is keyed by
-                // address: re-key the copied escapes. Source entries are
-                // still present (the cells copy never touches the table).
-                for i in 0..len {
-                    if c[d + i] == NARROW_ESC {
-                        let v = self.wide.get((s + i) as u32);
-                        self.wide.set((d + i) as u32, v);
-                    }
-                }
+        let c = &mut self.cells;
+        c.copy_within(s..s + len, d);
+        // Escaped markers moved, but the wide table is keyed by address:
+        // re-key the copied escapes. Source entries are still present
+        // (the cells copy never touches the table).
+        for i in 0..len {
+            if c[d + i] == NARROW_ESC {
+                let v = self.wide.get((s + i) as u32);
+                self.wide.set((d + i) as u32, v);
             }
         }
     }
 
-    /// Direct `&[u64]` access (W64 only — callers that must work at any
-    /// width go through [`CellsRef`]/[`MemView`]).
-    pub(crate) fn words_u64(&self, base: usize, len: usize) -> &[u64] {
-        match &self.cells {
-            Cells::W64(w) => &w[base..base + len],
-            Cells::W32(_) => panic!(
-                "Pram::slice requires CellWidth::W64; use Pram::view for width-agnostic access"
-            ),
-        }
-    }
-
     pub(crate) fn cells_ref(&self) -> CellsRef<'_> {
-        match &self.cells {
-            Cells::W64(w) => CellsRef::W64(w),
-            Cells::W32(c) => CellsRef::W32 {
-                cells: c,
-                wide: &self.wide,
-            },
+        CellsRef {
+            cells: &self.cells,
+            wide: &self.wide,
         }
     }
 
     /// Raw commit pointers (see `machine::ShardedMem`).
-    pub(crate) fn commit_ptrs(&mut self) -> (CellsPtr, *mut u32, *mut u64) {
-        let cells = match &mut self.cells {
-            Cells::W64(w) => CellsPtr::W64(w.as_mut_ptr()),
-            Cells::W32(c) => CellsPtr::W32(c.as_mut_ptr()),
-        };
+    pub(crate) fn commit_ptrs(&mut self) -> (*mut u32, *mut u32, *mut u64) {
+        let cells = self.cells.as_mut_ptr();
         let prio = self
             .prio
             .as_mut()
@@ -681,10 +576,7 @@ impl Arena {
     /// observationally identical to a fresh one: the same allocation
     /// sequence yields the same addresses and the same initial contents.
     pub(crate) fn reset_keep_capacity(&mut self) {
-        match &mut self.cells {
-            Cells::W64(w) => w.clear(),
-            Cells::W32(c) => c.clear(),
-        }
+        self.cells.clear();
         self.stamp.clear();
         if let Some(prio) = &mut self.prio {
             prio.clear();
@@ -715,13 +607,14 @@ impl Arena {
     }
 
     /// Actual heap bytes behind the arena's per-word arrays (cells +
-    /// stamps + priority sidecar if present), by capacity. The footprint
-    /// measure the bytes/word acceptance tests pin.
+    /// stamps + priority sidecar if present) and its escape table, by
+    /// capacity. The footprint measure the bytes/word acceptance tests
+    /// pin.
     pub(crate) fn backing_bytes(&self) -> usize {
-        self.cells.capacity_bytes()
+        self.cells.capacity() * 4
             + self.stamp.capacity() * 4
             + self.prio.as_ref().map_or(0, |p| p.capacity() * 8)
-            + self.wide.entries() * 16
+            + self.wide.capacity() * 16
     }
 }
 
@@ -730,7 +623,7 @@ mod tests {
     use super::*;
 
     fn arena() -> Arena {
-        Arena::new(CellWidth::W64, false)
+        Arena::new(false)
     }
 
     #[test]
@@ -877,7 +770,7 @@ mod tests {
 
     #[test]
     fn narrow_cells_roundtrip_all_value_ranges() {
-        let mut a = Arena::new(CellWidth::W32, false);
+        let mut a = arena();
         let h = a.alloc(8, NULL);
         for i in 0..8 {
             assert_eq!(a.load(h.base as usize + i), NULL);
@@ -902,7 +795,7 @@ mod tests {
 
     #[test]
     fn narrow_copy_rekeys_escaped_entries() {
-        let mut a = Arena::new(CellWidth::W32, false);
+        let mut a = arena();
         let h = a.alloc(16, 0);
         let b = h.base as usize;
         a.store(b, 0xFFFF_FFFF_FF00); // escaped
@@ -917,17 +810,15 @@ mod tests {
     #[test]
     fn prio_sidecar_only_allocated_when_tracked() {
         // Footprint per word: cells + stamp (+ prio only when tracked).
-        let mut plain = Arena::new(CellWidth::W64, false);
-        let mut prio = Arena::new(CellWidth::W64, true);
-        let mut narrow = Arena::new(CellWidth::W32, false);
-        for a in [&mut plain, &mut prio, &mut narrow] {
+        let mut plain = Arena::new(false);
+        let mut prio = Arena::new(true);
+        for a in [&mut plain, &mut prio] {
             let _ = a.alloc(1 << 16, 0);
         }
         let per_word = |a: &Arena| a.backing_bytes() as f64 / a.len_words() as f64;
-        assert!(per_word(&plain) <= 12.0, "plain {}", per_word(&plain));
-        assert!(per_word(&narrow) <= 8.0, "narrow {}", per_word(&narrow));
-        assert!(per_word(&prio) <= 20.0, "prio {}", per_word(&prio));
-        assert!(per_word(&prio) > 12.0, "sidecar missing");
+        assert!(per_word(&plain) <= 8.0, "plain {}", per_word(&plain));
+        assert!(per_word(&prio) <= 16.0, "prio {}", per_word(&prio));
+        assert!(per_word(&prio) > 8.0, "sidecar missing");
     }
 
     #[test]

@@ -15,21 +15,7 @@
 //! sharded-commit design).
 
 use logdiam::graph::{gen, Graph};
-use logdiam::pram::{CellWidth, Pram, WritePolicy};
-
-/// Machine constructor honoring `LOGDIAM_CELL_WIDTH` (`32` or `64`,
-/// default 64). The determinism suite compares probe runs across the two
-/// settings: narrow cells are a pure representation change, so every
-/// fingerprint — labels, full memory image, traffic counters — must be
-/// byte-identical to the full-width machine's.
-fn make_pram(policy: WritePolicy) -> Pram {
-    let width = match std::env::var("LOGDIAM_CELL_WIDTH").as_deref() {
-        Ok("32") => CellWidth::W32,
-        Ok("64") | Err(_) => CellWidth::W64,
-        Ok(other) => panic!("LOGDIAM_CELL_WIDTH must be 32 or 64, got {other}"),
-    };
-    Pram::with_width(policy, width)
-}
+use logdiam::pram::{Pram, WritePolicy};
 
 /// FNV-1a over a `u32` stream: tiny, dependency-free, and order-sensitive
 /// (a permuted labeling fingerprints differently).
@@ -71,7 +57,7 @@ fn main() {
     // `pram_stress` needs no graph: it hammers one machine with
     // conflicting writes and fingerprints everything observable.
     if algo == "pram_stress" {
-        let mut pram = make_pram(WritePolicy::ArbitrarySeeded(seed));
+        let mut pram = Pram::new(WritePolicy::ArbitrarySeeded(seed));
         let xs = pram.alloc(n);
         for round in 0..8u64 {
             pram.step(8 * n, |p, ctx| {
@@ -162,7 +148,7 @@ fn main() {
     let labels: Vec<u32> = match algo.as_str() {
         // --- simulated (logdiam-cc); all on seeded-ARBITRARY machines ---
         "theorem1" => {
-            let mut pram = make_pram(WritePolicy::ArbitrarySeeded(seed));
+            let mut pram = Pram::new(WritePolicy::ArbitrarySeeded(seed));
             logdiam::algorithms::theorem1::connected_components(
                 &mut pram,
                 &g,
@@ -172,7 +158,7 @@ fn main() {
             .labels
         }
         "theorem2" => {
-            let mut pram = make_pram(WritePolicy::ArbitrarySeeded(seed));
+            let mut pram = Pram::new(WritePolicy::ArbitrarySeeded(seed));
             logdiam::algorithms::theorem2::spanning_forest(
                 &mut pram,
                 &g,
@@ -182,7 +168,7 @@ fn main() {
             .labels
         }
         "theorem3" => {
-            let mut pram = make_pram(WritePolicy::ArbitrarySeeded(seed));
+            let mut pram = Pram::new(WritePolicy::ArbitrarySeeded(seed));
             logdiam::algorithms::theorem3::faster_cc(
                 &mut pram,
                 &g,
@@ -196,7 +182,7 @@ fn main() {
         // allocations instead of generation stamps): a distinct scheduling
         // of the same algorithm, equally thread-count invariant.
         "theorem1_nostamp" => {
-            let mut pram = make_pram(WritePolicy::ArbitrarySeeded(seed));
+            let mut pram = Pram::new(WritePolicy::ArbitrarySeeded(seed));
             logdiam::algorithms::theorem1::connected_components(
                 &mut pram,
                 &g,
@@ -212,7 +198,7 @@ fn main() {
         // n-cell candidate array are a distinct scheduling of the same
         // algorithm and must be just as thread-count invariant.
         "theorem3_nostamp" => {
-            let mut pram = make_pram(WritePolicy::ArbitrarySeeded(seed));
+            let mut pram = Pram::new(WritePolicy::ArbitrarySeeded(seed));
             logdiam::algorithms::theorem3::faster_cc(
                 &mut pram,
                 &g,
@@ -226,15 +212,15 @@ fn main() {
             .labels
         }
         "vanilla" => {
-            let mut pram = make_pram(WritePolicy::ArbitrarySeeded(seed));
+            let mut pram = Pram::new(WritePolicy::ArbitrarySeeded(seed));
             logdiam::algorithms::vanilla::vanilla(&mut pram, &g, seed).labels
         }
         "awerbuch_shiloach" => {
-            let mut pram = make_pram(WritePolicy::ArbitrarySeeded(seed));
+            let mut pram = Pram::new(WritePolicy::ArbitrarySeeded(seed));
             logdiam::algorithms::baselines::awerbuch_shiloach(&mut pram, &g).labels
         }
         "labelprop_sim" => {
-            let mut pram = make_pram(WritePolicy::ArbitrarySeeded(seed));
+            let mut pram = Pram::new(WritePolicy::ArbitrarySeeded(seed));
             logdiam::algorithms::baselines::labelprop(&mut pram, &g).labels
         }
         // --- practical shared-memory ports (logdiam-par) ---
