@@ -1,7 +1,7 @@
 //! E2/E11 companion: simulated Theorem-1 runs and a single EXPAND phase.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use logdiam_cc::theorem1::{self, expand, ExpandParams, Theorem1Params};
+use logdiam_cc::theorem1::{self, expand, ExpandParams, ExpandScratch, Theorem1Params};
 use logdiam_cc::CcState;
 use pram_sim::{Pram, WritePolicy};
 use std::hint::black_box;
@@ -28,6 +28,7 @@ fn bench_theorem1(c: &mut Criterion) {
             let mut pram = Pram::new(WritePolicy::ArbitrarySeeded(6));
             let st = CcState::init(&mut pram, &g);
             let live = logdiam_cc::live::LiveSet::full(&mut pram, &st);
+            let mut scratch = ExpandScratch::new(&mut pram, st.n);
             let e = expand(
                 &mut pram,
                 &st,
@@ -39,7 +40,7 @@ fn bench_theorem1(c: &mut Criterion) {
                 },
                 6,
                 &live,
-                None,
+                &mut scratch,
             );
             black_box(e.rounds)
         })

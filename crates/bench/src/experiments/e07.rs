@@ -49,7 +49,7 @@ pub(super) fn run(cfg: &Config) -> Vec<Table> {
         "Theorem 3 rounds should track log₂ d; the O(log n) baselines are \
          roughly flat in d (their cost is set by n). Columns report outer \
          rounds/phases of each algorithm (each O(1) simulated steps except \
-         where noted in DESIGN.md).",
+         the charged primitives of ARCHITECTURE.md's accounting model).",
         &[
             "k",
             "d",

@@ -1,4 +1,4 @@
-//! The experiment suite (DESIGN.md §4). Each `eNN` module regenerates one
+//! The experiment suite, E1–E14. Each `eNN` module regenerates one
 //! "table/figure" of the reproduction.
 
 pub mod common;

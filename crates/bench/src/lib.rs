@@ -1,6 +1,6 @@
 //! # `logdiam-bench` — experiment harness
 //!
-//! One function per experiment in DESIGN.md §4 (E1–E12). Each returns
+//! One function per experiment of [`experiments`] (E1–E14). Each returns
 //! [`table::Table`]s that the `experiments` binary prints as Markdown —
 //! these are the "tables and figures" of the reproduction, recorded in
 //! EXPERIMENTS.md. Criterion benches under `benches/` cover the wall-clock

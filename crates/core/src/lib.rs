@@ -36,8 +36,8 @@
 //! field of [`theorem1::Theorem1Params`] / [`theorem3::FasterParams`] with
 //! laptop-scale defaults; the mechanisms (collision ⇒ dormant ⇒ level-up,
 //! random level sampling, MAXLINK toward higher levels, budget
-//! double-exponentiation) are untouched. DESIGN.md §1.1 tabulates the
-//! substitutions; experiment E10 ablates them.
+//! double-exponentiation) are untouched. Each field's docs give the
+//! paper's value in brackets; experiment E10 ablates them.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

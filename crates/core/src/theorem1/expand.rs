@@ -25,121 +25,25 @@
 //! inserts and collision checks one per *live* arc (`live.arcs`), and the
 //! squaring rounds one per occupied-block cell pair (`owned` — already
 //! live-sized). The per-vertex `fdr` and step-3 liveness flag arrays are
-//! still `n` cells so runtime vertex ids index them directly, but in the
-//! default configuration they are **generation-stamped**
-//! ([`ExpandScratch`], allocated once per driver run): the per-phase
-//! "re-fill with NULL" is a generation bump — O(1) host work, zero
-//! simulated time, and no O(n) memset per phase. The clear-based legacy
-//! path (`Theorem1Params::expand_stamps = false`) re-allocates and
-//! memsets per phase exactly as before; both paths are equivalent — see
-//! [`PhaseCells`] and the pinned equivalence tests.
+//! still `n` cells so runtime vertex ids index them directly, but they are
+//! **generation-stamped** ([`ExpandScratch`], allocated once per driver
+//! run): the per-phase "re-fill with NULL" is a generation bump — O(1)
+//! host work, zero simulated time, and no O(n) memset per phase.
 
 use crate::live::LiveSet;
 use crate::state::CcState;
 use pram_kit::ops::Flag;
 use pram_kit::PairwiseHash;
-use pram_sim::{Ctx, Handle, Pram, Stamped, NULL};
+use pram_sim::{Handle, Pram, Stamped, NULL};
 
 /// First-dormant-round encoding: fully dormant (lost the block lottery).
 pub const FDR_FULLY: u64 = 0;
-
-/// A per-vertex phase-state array handed to EXPAND's charged steps:
-/// either a plain handle pre-filled with a stale value once per phase
-/// (the clear-based legacy path), or a generation-stamped block whose
-/// per-phase refill is a stamp-generation bump (the default). A read of
-/// a stamped cell whose stamp is stale returns the stale value, so the
-/// two representations expose identical cell *semantics*; they differ
-/// only in charged operation counts (a stamped read costs 1–2 reads, a
-/// stamped write 2 writes). Neither representation adds or removes a
-/// synchronous step, so the per-step coin streams are identical — runs
-/// with the two representations produce bit-identical results under the
-/// pid-only PRIORITY write policies and the same component partition
-/// under the seeded-arbitrary policy (pinned by this module's tests and
-/// the `live_work` proptests).
-#[derive(Clone, Copy, Debug)]
-pub struct PhaseCells {
-    repr: CellsRepr,
-    stale: u64,
-}
-
-#[derive(Clone, Copy, Debug)]
-enum CellsRepr {
-    Plain(Handle),
-    Stamped(Stamped),
-}
-
-impl PhaseCells {
-    fn plain(h: Handle, stale: u64) -> Self {
-        PhaseCells {
-            repr: CellsRepr::Plain(h),
-            stale,
-        }
-    }
-
-    fn stamped(s: Stamped, stale: u64) -> Self {
-        PhaseCells {
-            repr: CellsRepr::Stamped(s),
-            stale,
-        }
-    }
-
-    /// Charged read of cell `i` (stale stamped cells read as the array's
-    /// stale value).
-    #[inline]
-    pub fn read(self, ctx: &mut Ctx<'_>, i: usize) -> u64 {
-        match self.repr {
-            CellsRepr::Plain(h) => ctx.read(h, i),
-            CellsRepr::Stamped(s) => ctx.read_stamped(s, i, self.stale),
-        }
-    }
-
-    /// Charged write of cell `i`.
-    #[inline]
-    pub fn write(self, ctx: &mut Ctx<'_>, i: usize, val: u64) {
-        match self.repr {
-            CellsRepr::Plain(h) => ctx.write(h, i, val),
-            CellsRepr::Stamped(s) => ctx.write_stamped(s, i, val),
-        }
-    }
-
-    /// Host (uncharged) read of cell `i` — controller bookkeeping.
-    pub fn host_get(self, pram: &Pram, i: usize) -> u64 {
-        match self.repr {
-            CellsRepr::Plain(h) => pram.get(h, i),
-            CellsRepr::Stamped(s) => pram.get_stamped(s, i, self.stale),
-        }
-    }
-
-    /// Host (uncharged) snapshot of every cell — tests and
-    /// instrumentation.
-    pub fn host_vec(self, pram: &Pram) -> Vec<u64> {
-        match self.repr {
-            CellsRepr::Plain(h) => pram.read_vec(h),
-            CellsRepr::Stamped(s) => {
-                let len = s.values.len();
-                (0..len)
-                    .map(|i| pram.get_stamped(s, i, self.stale))
-                    .collect()
-            }
-        }
-    }
-
-    /// Free the backing store if it is per-phase (plain); stamped blocks
-    /// are owned by the driver's [`ExpandScratch`] and outlive the phase.
-    fn free_per_phase(self, pram: &mut Pram) {
-        if let CellsRepr::Plain(h) = self.repr {
-            pram.free(h);
-        }
-    }
-}
 
 /// Driver-lifetime scratch backing EXPAND's per-vertex phase arrays
 /// (`fdr` and the step-3 liveness flags) as generation-stamped blocks:
 /// allocated once per run, after which each phase's "refill with
 /// NULL / 0" is a stamp-generation bump ([`Pram::host_stamped_fill`])
-/// instead of an O(n) memset. Enabled by default through
-/// [`crate::theorem1::Theorem1Params::expand_stamps`]; pass `None` to
-/// [`expand`] for the clear-based legacy path.
+/// instead of an O(n) memset.
 pub struct ExpandScratch {
     fdr: Stamped,
     live3: Stamped,
@@ -188,8 +92,9 @@ pub struct Expansion {
     pub owner: Handle,
     /// First-dormant-round per vertex: `NULL` = never dormant (live),
     /// `FDR_FULLY` = no block, `i + 1` = became dormant in round `i`.
-    /// Plain or generation-stamped per the caller's scratch choice.
-    pub fdr: PhaseCells,
+    /// A block of the caller's [`ExpandScratch`] whose stale value is
+    /// `NULL`: read it with `read_stamped(.., NULL)`.
+    pub fdr: Stamped,
     /// The vertex→block hash.
     pub hb: PairwiseHash,
     /// The vertex→cell hash.
@@ -210,11 +115,10 @@ impl Expansion {
         blk as usize * self.k + i as usize
     }
 
-    /// Release everything (driver-owned stamped scratch is untouched).
+    /// Release everything but `fdr`, which the caller's scratch owns.
     pub fn free(self, pram: &mut Pram) {
         pram.free(self.tables);
         pram.free(self.owner);
-        self.fdr.free_per_phase(pram);
         for s in self.snapshots {
             pram.free(s);
         }
@@ -222,18 +126,16 @@ impl Expansion {
 }
 
 /// Run EXPAND on the current graph (the live arcs of `st`, scheduled over
-/// `live`); see module docs. With `Some(scratch)` the per-vertex phase
-/// arrays are the driver's generation-stamped blocks (refilled here by a
-/// stamp bump); with `None` they are allocated and memset per phase.
+/// `live`); see module docs. The per-vertex phase arrays are the
+/// driver's `scratch` blocks, refilled here by a stamp bump.
 pub fn expand(
     pram: &mut Pram,
     st: &CcState,
     params: &ExpandParams,
     seed: u64,
     live: &LiveSet,
-    scratch: Option<&mut ExpandScratch>,
+    scratch: &mut ExpandScratch,
 ) -> Expansion {
-    let n = st.n;
     let k = params.table_size;
     let nblocks = params.nblocks;
     assert!(k.is_power_of_two() && nblocks.is_power_of_two());
@@ -243,20 +145,9 @@ pub fn expand(
 
     let tables = pram.alloc_filled(nblocks * k, NULL);
     let owner = pram.alloc_filled(nblocks, NULL);
-    let (fdr, live3) = match scratch {
-        Some(s) => {
-            pram.host_stamped_fill(&mut s.fdr);
-            pram.host_stamped_fill(&mut s.live3);
-            (
-                PhaseCells::stamped(s.fdr, NULL),
-                PhaseCells::stamped(s.live3, 0),
-            )
-        }
-        None => (
-            PhaseCells::plain(pram.alloc_filled(n, NULL), NULL),
-            PhaseCells::plain(pram.alloc_filled(n, 0), 0),
-        ),
-    };
+    pram.host_stamped_fill(&mut scratch.fdr);
+    pram.host_stamped_fill(&mut scratch.live3);
+    let (fdr, live3) = (scratch.fdr, scratch.live3);
 
     // (There is no ongoing-flag pass: `live.verts` *is* the set of
     // non-loop-arc endpoints — Definition B.1 via Lemma B.2 — and every
@@ -268,20 +159,20 @@ pub fn expand(
     });
     pram.step_over(&live.verts, move |_, &v, ctx| {
         if ctx.read(owner, hb.eval(v as u64) as usize) != v as u64 {
-            fdr.write(ctx, v as usize, FDR_FULLY);
+            ctx.write_stamped(fdr, v as usize, FDR_FULLY);
         }
     });
     // Record step-3 liveness (the paper's "live before Step (3)").
     pram.step_over(&live.verts, move |_, &v, ctx| {
-        if fdr.read(ctx, v as usize) == NULL {
-            live3.write(ctx, v as usize, 1);
+        if ctx.read_stamped(fdr, v as usize, NULL) == NULL {
+            ctx.write_stamped(live3, v as usize, 1);
         }
     });
 
     // Step 3: seed the tables. Self-insert...
     pram.step_over(&live.verts, move |_, &v, ctx| {
         let v = v as u64;
-        if live3.read(ctx, v as usize) == 1 {
+        if ctx.read_stamped(live3, v as usize, 0) == 1 {
             let blk = hb.eval(v);
             ctx.write(tables, blk as usize * k + hv.eval(v) as usize, v);
         }
@@ -295,21 +186,21 @@ pub fn expand(
         if a == b {
             return;
         }
-        if live3.read(ctx, a as usize) == 1 {
+        if ctx.read_stamped(live3, a as usize, 0) == 1 {
             let blk = hb.eval(a);
             ctx.write(tables, blk as usize * k + hv.eval(b) as usize, b);
-        } else if fdr.read(ctx, b as usize) == NULL {
-            fdr.write(ctx, b as usize, 1);
+        } else if ctx.read_stamped(fdr, b as usize, NULL) == NULL {
+            ctx.write_stamped(fdr, b as usize, 1);
         }
     });
 
     // Step 4: collision detection for every hash done in step 3.
     pram.step_over(&live.verts, move |_, &v, ctx| {
         let v = v as u64;
-        if live3.read(ctx, v as usize) == 1 {
+        if ctx.read_stamped(live3, v as usize, 0) == 1 {
             let blk = hb.eval(v);
             if ctx.read(tables, blk as usize * k + hv.eval(v) as usize) != v {
-                fdr.write(ctx, v as usize, 1);
+                ctx.write_stamped(fdr, v as usize, 1);
             }
         }
     });
@@ -317,12 +208,12 @@ pub fn expand(
         let i = ai as usize;
         let a = ctx.read(eu, i);
         let b = ctx.read(ev, i);
-        if a == b || live3.read(ctx, a as usize) != 1 {
+        if a == b || ctx.read_stamped(live3, a as usize, 0) != 1 {
             return;
         }
         let blk = hb.eval(a);
         if ctx.read(tables, blk as usize * k + hv.eval(b) as usize) != b {
-            fdr.write(ctx, a as usize, 1);
+            ctx.write_stamped(fdr, a as usize, 1);
         }
     });
 
@@ -375,8 +266,11 @@ pub fn expand(
             if v == NULL {
                 return;
             }
-            if q == 0 && fdr.read(ctx, v as usize) != NULL && fdr.read(ctx, u as usize) == NULL {
-                fdr.write(ctx, u as usize, round_mark);
+            if q == 0
+                && ctx.read_stamped(fdr, v as usize, NULL) != NULL
+                && ctx.read_stamped(fdr, u as usize, NULL) == NULL
+            {
+                ctx.write_stamped(fdr, u as usize, round_mark);
                 progress.raise(ctx);
             }
             // H(v) exists only if v owns its block.
@@ -414,9 +308,9 @@ pub fn expand(
                 return;
             }
             if ctx.read(tables, blk as usize * k + hv.eval(w) as usize) != w
-                && fdr.read(ctx, u as usize) == NULL
+                && ctx.read_stamped(fdr, u as usize, NULL) == NULL
             {
-                fdr.write(ctx, u as usize, round_mark);
+                ctx.write_stamped(fdr, u as usize, round_mark);
                 progress.raise(ctx);
             }
         });
@@ -428,7 +322,6 @@ pub fn expand(
     }
     pram.free(old);
     progress.free(pram);
-    live3.free_per_phase(pram);
 
     Expansion {
         k,
@@ -451,18 +344,30 @@ mod tests {
     use pram_sim::WritePolicy;
     use std::collections::HashSet;
 
-    fn setup(g: &cc_graph::Graph, k: usize, seed: u64) -> (Pram, CcState, Expansion) {
+    fn params(g: &cc_graph::Graph, k: usize, snapshot: bool) -> ExpandParams {
+        ExpandParams {
+            table_size: k,
+            nblocks: (4 * g.n()).next_power_of_two(),
+            snapshot,
+            round_cap: 24,
+        }
+    }
+
+    fn setup(g: &cc_graph::Graph, k: usize, seed: u64, snapshot: bool) -> (Pram, Expansion) {
         let mut pram = Pram::new(WritePolicy::ArbitrarySeeded(seed));
         let st = CcState::init(&mut pram, g);
         let live = LiveSet::full(&mut pram, &st);
-        let params = ExpandParams {
-            table_size: k,
-            nblocks: (4 * g.n()).next_power_of_two(),
-            snapshot: false,
-            round_cap: 24,
-        };
-        let e = expand(&mut pram, &st, &params, seed, &live, None);
-        (pram, st, e)
+        let mut scratch = ExpandScratch::new(&mut pram, st.n);
+        let params = params(g, k, snapshot);
+        let e = expand(&mut pram, &st, &params, seed, &live, &mut scratch);
+        (pram, e)
+    }
+
+    /// Host view of every vertex's `fdr`.
+    fn fdr_vec(pram: &Pram, e: &Expansion) -> Vec<u64> {
+        (0..e.fdr.values.len())
+            .map(|v| pram.get_stamped(e.fdr, v, NULL))
+            .collect()
     }
 
     /// Host view of H(u) for an owner u.
@@ -480,8 +385,8 @@ mod tests {
         // Big tables, tiny components: everyone should stay live and learn
         // the full component (Lemma B.7 extreme).
         let g = gen::union_all(&[gen::path(6), gen::cycle(5)]);
-        let (pram, _st, e) = setup(&g, 64, 3);
-        let fdr = e.fdr.host_vec(&pram);
+        let (pram, e) = setup(&g, 64, 3, false);
+        let fdr = fdr_vec(&pram, &e);
         for u in 0..g.n() as u64 {
             if fdr[u as usize] != NULL {
                 continue; // unlucky block loser; allowed
@@ -498,8 +403,8 @@ mod tests {
 
     #[test]
     fn rounds_scale_with_diameter() {
-        let short = setup(&gen::complete(12), 64, 5).2.rounds;
-        let long = setup(&gen::path(200), 512, 5).2.rounds;
+        let short = setup(&gen::complete(12), 64, 5, false).1.rounds;
+        let long = setup(&gen::path(200), 512, 5, false).1.rounds;
         assert!(long > short, "short={short} long={long}");
         // log2(200) ≈ 7.6 — a couple of extra rounds for the final no-op.
         assert!(long <= 12, "long={long}");
@@ -512,8 +417,8 @@ mod tests {
         // must propagate (every live survivor has a full view, which is
         // impossible at K=4 < 40, so in fact *all* become dormant).
         let g = gen::cycle(40);
-        let (pram, _st, e) = setup(&g, 4, 7);
-        let fdr = e.fdr.host_vec(&pram);
+        let (pram, e) = setup(&g, 4, 7, false);
+        let fdr = fdr_vec(&pram, &e);
         let dormant = fdr.iter().filter(|&&x| x != NULL).count();
         assert_eq!(dormant, 40, "all of the 40-cycle must go dormant at K=4");
     }
@@ -521,8 +426,8 @@ mod tests {
     #[test]
     fn fdr_records_first_round_monotonically() {
         let g = gen::path(100);
-        let (pram, _st, e) = setup(&g, 8, 11);
-        let fdr = e.fdr.host_vec(&pram);
+        let (pram, e) = setup(&g, 8, 11, false);
+        let fdr = fdr_vec(&pram, &e);
         for (v, &x) in fdr.iter().enumerate() {
             assert!(
                 x == NULL || x <= e.rounds + 1,
@@ -534,17 +439,7 @@ mod tests {
 
     #[test]
     fn snapshots_are_monotone_in_occupancy() {
-        let g = gen::path(40);
-        let mut pram = Pram::new(WritePolicy::ArbitrarySeeded(5));
-        let st = CcState::init(&mut pram, &g);
-        let live = LiveSet::full(&mut pram, &st);
-        let params = ExpandParams {
-            table_size: 64,
-            nblocks: (4 * g.n()).next_power_of_two(),
-            snapshot: true,
-            round_cap: 24,
-        };
-        let e = expand(&mut pram, &st, &params, 5, &live, None);
+        let (pram, e) = setup(&gen::path(40), 64, 5, true);
         assert_eq!(e.snapshots.len() as u64, e.rounds + 1);
         for w in e.snapshots.windows(2) {
             let prev = pram.read_vec(w[0]);
@@ -556,72 +451,55 @@ mod tests {
     }
 
     #[test]
-    fn stamped_and_clear_paths_produce_identical_phase_state() {
-        // Stamps only change how cells are stored, not the step sequence,
-        // so under a pid-only priority policy (address-independent write
-        // resolution) the recorded fdr must match cell for cell.
+    fn reused_scratch_matches_a_fresh_one_under_priority_policies() {
+        // A K=4 phase with a block per vertex marks every vertex dormant
+        // after most won its lottery, so the scratch's fdr and liveness
+        // cells hold values from that phase. The next phase has fewer
+        // blocks than vertices, so some of those winners lose its lottery
+        // and must not look live. The refill must hide all of it: under a
+        // pid-only priority policy (address-independent write resolution,
+        // and EXPAND flips no coins) the phase must record exactly what it
+        // records on a fresh scratch, cell for cell.
         let g = gen::gnm(300, 900, 13);
         for policy in [WritePolicy::PriorityMin, WritePolicy::PriorityMax] {
             for seed in [1u64, 9, 42] {
-                let run = |stamped: bool| {
+                let run = |reuse: bool| {
                     let mut pram = Pram::new(policy);
                     let st = CcState::init(&mut pram, &g);
                     let live = LiveSet::full(&mut pram, &st);
-                    let params = ExpandParams {
-                        table_size: 8,
-                        nblocks: (4 * g.n()).next_power_of_two(),
-                        snapshot: false,
-                        round_cap: 24,
-                    };
-                    let mut scratch = stamped.then(|| ExpandScratch::new(&mut pram, st.n));
-                    let e = expand(&mut pram, &st, &params, seed, &live, scratch.as_mut());
-                    (e.fdr.host_vec(&pram), e.rounds)
+                    let mut scratch = ExpandScratch::new(&mut pram, st.n);
+                    if reuse {
+                        let e = expand(
+                            &mut pram,
+                            &st,
+                            &params(&g, 4, false),
+                            seed ^ 0xD0,
+                            &live,
+                            &mut scratch,
+                        );
+                        let fdr = fdr_vec(&pram, &e);
+                        assert!(
+                            live.verts.iter().all(|&v| fdr[v as usize] != NULL),
+                            "the K=4 phase left a live vertex (policy {policy:?} seed {seed})"
+                        );
+                        e.free(&mut pram);
+                    }
+                    let e = expand(
+                        &mut pram,
+                        &st,
+                        &ExpandParams {
+                            nblocks: 256,
+                            ..params(&g, 16, false)
+                        },
+                        seed,
+                        &live,
+                        &mut scratch,
+                    );
+                    (fdr_vec(&pram, &e), e.rounds)
                 };
                 assert_eq!(run(true), run(false), "policy {policy:?} seed {seed}");
             }
         }
-    }
-
-    #[test]
-    fn stamped_scratch_is_reusable_across_phases() {
-        // The whole point: one allocation, N phases. A tiny-table phase
-        // marks all of a 12-cycle dormant; a big-table phase on the *same*
-        // scratch must nonetheless start from a logically fresh fdr — if
-        // the refill leaked stale dormancy, no seed could ever produce a
-        // fully live second phase (stale marks suppress table seeding),
-        // whereas with a fresh fdr a collision-free seed exists quickly.
-        let g = gen::cycle(12);
-        let mut pram = Pram::new(WritePolicy::ArbitrarySeeded(3));
-        let st = CcState::init(&mut pram, &g);
-        let live = LiveSet::full(&mut pram, &st);
-        let mut scratch = ExpandScratch::new(&mut pram, st.n);
-        let phase = |pram: &mut Pram, scratch: &mut ExpandScratch, k: usize, seed: u64| {
-            let params = ExpandParams {
-                table_size: k,
-                nblocks: 512,
-                snapshot: false,
-                round_cap: 24,
-            };
-            let e = expand(pram, &st, &params, seed, &live, Some(scratch));
-            let dormant = e.fdr.host_vec(pram).iter().filter(|&&x| x != NULL).count();
-            e.free(pram);
-            dormant
-        };
-        let mut fully_live_refill = false;
-        for seed in 0..200 {
-            // K=4 < 12: a live exit would need the whole cycle in a
-            // 4-cell table, so every seed marks all 12 dormant.
-            assert_eq!(phase(&mut pram, &mut scratch, 4, seed), 12);
-            if phase(&mut pram, &mut scratch, 64, seed) == 0 {
-                fully_live_refill = true;
-                break;
-            }
-        }
-        assert!(
-            fully_live_refill,
-            "no refilled phase ever came up fully live — stale stamps leaking"
-        );
-        scratch.free(&mut pram);
     }
 
     #[test]

@@ -35,7 +35,7 @@
 mod expand;
 mod vote;
 
-pub use expand::{expand, ExpandParams, ExpandScratch, Expansion, PhaseCells};
+pub use expand::{expand, ExpandParams, ExpandScratch, Expansion};
 pub use vote::{link_step, vote};
 
 use crate::live::LiveSet;
@@ -90,16 +90,6 @@ pub struct Theorem1Params {
     pub max_phases: u64,
     /// Largest table size `K`.
     pub max_table: usize,
-    /// Back EXPAND's per-vertex phase arrays (`fdr`, step-3 liveness) by
-    /// driver-lifetime generation-stamped blocks ([`ExpandScratch`]): the
-    /// per-phase refill becomes a stamp bump instead of an O(n) memset,
-    /// removing the last per-phase work that scales with `n` rather than
-    /// the live set. `false` restores the clear-based per-phase
-    /// allocations; the two are equivalent (identical step sequence and
-    /// coin streams — pinned by the `live_work` equivalence proptest and
-    /// the priority-policy unit tests, like the MAXLINK stamps of
-    /// [`crate::theorem3::FasterParams::maxlink_stamps`]).
-    pub expand_stamps: bool,
 }
 
 impl Default for Theorem1Params {
@@ -114,7 +104,6 @@ impl Default for Theorem1Params {
             density: DensityMode::Combining,
             max_phases: 0,
             max_table: 1 << 12,
-            expand_stamps: true,
         }
     }
 }
@@ -217,7 +206,7 @@ pub fn connected_components_on_state(
     // ---------------------------------------------------------- main loop
     // Driver-lifetime stamped scratch for EXPAND's per-vertex arrays: one
     // allocation, every phase refills by a generation bump.
-    let mut scratch = params.expand_stamps.then(|| ExpandScratch::new(pram, n));
+    let mut scratch = ExpandScratch::new(pram, n);
     let max_phases = if params.max_phases > 0 {
         params.max_phases
     } else {
@@ -250,7 +239,7 @@ pub fn connected_components_on_state(
             snapshot: false,
             round_cap: (n.max(2) as f64).log2().ceil() as u64 + 6,
         };
-        let expansion = expand(pram, st, &exp_params, phase_seed, &live, scratch.as_mut());
+        let expansion = expand(pram, st, &exp_params, phase_seed, &live, &mut scratch);
         let p_lead = params.leader_prob(k);
         vote(pram, st, &expansion, &live, leader, p_lead, phase_seed);
         link_step(pram, st, &expansion, leader);
@@ -262,7 +251,7 @@ pub fn connected_components_on_state(
         let dormant = live
             .verts
             .iter()
-            .filter(|&&v| expansion.fdr.host_get(pram, v as usize) != NULL)
+            .filter(|&&v| pram.get_stamped(expansion.fdr, v as usize, NULL) != NULL)
             .count() as u64;
         let expand_rounds = expansion.rounds;
         let table_words = (expansion.nblocks * expansion.k) as u64;
@@ -331,9 +320,7 @@ pub fn connected_components_on_state(
             "Theorem 1 produced a cyclic labeled digraph"
         );
     }
-    if let Some(s) = scratch {
-        s.free(pram);
-    }
+    scratch.free(pram);
     pram.free(leader);
     let stats = pram.stats();
     RunReport {
@@ -467,25 +454,5 @@ mod tests {
         let g = cc_graph::GraphBuilder::new(7).build();
         let report = run(&g, 1, &Theorem1Params::default());
         check_labels(&g, &report.labels).unwrap();
-    }
-
-    #[test]
-    fn stamped_expand_matches_clear_based_labels_under_priority_policies() {
-        // Stamps never alter the step sequence or coin streams, so under
-        // a pid-only priority policy the full run is bit-identical.
-        let g = gen::gnm(400, 1600, 5);
-        for policy in [WritePolicy::PriorityMin, WritePolicy::PriorityMax] {
-            let run_with = |stamps: bool| {
-                let params = Theorem1Params {
-                    expand_stamps: stamps,
-                    ..Default::default()
-                };
-                let mut pram = Pram::new(policy);
-                connected_components(&mut pram, &g, 9, &params).labels
-            };
-            let stamped = run_with(true);
-            assert_eq!(stamped, run_with(false), "policy {policy:?}");
-            check_labels(&g, &stamped).unwrap();
-        }
     }
 }

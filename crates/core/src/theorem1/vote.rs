@@ -35,7 +35,7 @@ pub fn vote(
     });
     // Case 2 — dormant: leader with probability p_lead.
     pram.step_over(&live.verts, move |_, &u, ctx| {
-        if fdr.read(ctx, u as usize) != NULL {
+        if ctx.read_stamped(fdr, u as usize, NULL) != NULL {
             let l = ctx.coin(seed ^ 0xD0_12_34, p_lead);
             ctx.write(leader, u as usize, if l { 1 } else { 0 });
         }
@@ -47,7 +47,7 @@ pub fn vote(
         let idx = (pp as usize) / k;
         let p = (pp as usize) % k;
         let (blk, u) = owned[idx];
-        if fdr.read(ctx, u as usize) != NULL {
+        if ctx.read_stamped(fdr, u as usize, NULL) != NULL {
             return;
         }
         let v = ctx.read(tables, blk as usize * k + p);
@@ -80,7 +80,7 @@ pub fn link_step(pram: &mut Pram, st: &CcState, e: &Expansion, leader: Handle) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::theorem1::expand::{expand, ExpandParams};
+    use crate::theorem1::expand::{expand, ExpandParams, ExpandScratch};
     use cc_graph::gen;
     use pram_sim::WritePolicy;
 
@@ -94,7 +94,8 @@ mod tests {
             snapshot: false,
             round_cap: 24,
         };
-        let e = expand(&mut pram, &st, &params, seed, &live, None);
+        let mut scratch = ExpandScratch::new(&mut pram, st.n);
+        let e = expand(&mut pram, &st, &params, seed, &live, &mut scratch);
         (pram, st, e, live)
     }
 
@@ -103,7 +104,7 @@ mod tests {
     fn fully_live_setup(g: &cc_graph::Graph, k: usize) -> (Pram, CcState, Expansion, LiveSet) {
         for seed in 0..200 {
             let (pram, st, e, live) = setup(g, k, seed);
-            if e.fdr.host_vec(&pram).iter().all(|&x| x == NULL) {
+            if (0..st.n).all(|v| pram.get_stamped(e.fdr, v, NULL) == NULL) {
                 return (pram, st, e, live);
             }
             // machine dropped whole; no need to free handles individually
@@ -146,7 +147,9 @@ mod tests {
         // should be near p_lead.
         let g = gen::cycle(4000);
         let (mut pram, st, e, live) = setup(&g, 4, 23);
-        let fdr = e.fdr.host_vec(&pram);
+        let fdr: Vec<u64> = (0..st.n)
+            .map(|v| pram.get_stamped(e.fdr, v, NULL))
+            .collect();
         let dormant = fdr.iter().filter(|&&x| x != NULL).count();
         assert!(dormant > 3000, "expected mostly dormant, got {dormant}");
         let leader = pram.alloc(st.n);

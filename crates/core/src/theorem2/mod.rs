@@ -156,7 +156,7 @@ pub fn spanning_forest(
     // ------------------------------------------------------- main loop
     // Driver-lifetime stamped scratch for EXPAND's per-vertex arrays (see
     // Theorem 1): one allocation, per-phase refill by generation bump.
-    let mut scratch = params.expand_stamps.then(|| ExpandScratch::new(pram, n));
+    let mut scratch = ExpandScratch::new(pram, n);
     let max_phases = if params.max_phases > 0 {
         params.max_phases
     } else {
@@ -184,7 +184,7 @@ pub fn spanning_forest(
             snapshot: true, // TREE-LINK replays the rounds
             round_cap: (n.max(2) as f64).log2().ceil() as u64 + 6,
         };
-        let expansion = expand(pram, &st, &exp_params, phase_seed, &live, scratch.as_mut());
+        let expansion = expand(pram, &st, &exp_params, phase_seed, &live, &mut scratch);
         vote(
             pram,
             &st,
@@ -280,9 +280,7 @@ pub fn spanning_forest(
             "Theorem 2 produced a cyclic labeled digraph"
         );
     }
-    if let Some(s) = scratch {
-        s.free(pram);
-    }
+    scratch.free(pram);
     let labels = st.labels_rooted(pram);
     let stats = pram.stats();
     pram.free(forest);

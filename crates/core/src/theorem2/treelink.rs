@@ -114,7 +114,7 @@ pub(crate) fn tree_link(
             let p = (pp as usize) % k;
             let (blk, u) = owned[idx];
             let v = ctx.read(qtab, blk as usize * k + p);
-            if v != NULL && fdr.read(ctx, v as usize) < j + 2 {
+            if v != NULL && ctx.read_stamped(fdr, v as usize, NULL) < j + 2 {
                 ctx.write(gate, u as usize, 0);
             }
         });

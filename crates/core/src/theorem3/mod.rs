@@ -81,16 +81,6 @@ pub struct FasterParams {
     /// loop filtering always runs. Purely a work/wall-clock knob — labels
     /// are unaffected (duplicate arcs write identical candidates).
     pub dedup_every: u64,
-    /// Generation-stamped MAXLINK candidate cells (default true): the
-    /// candidate array is allocated per invocation at
-    /// `live_verts × (L_max + 1)` cells and a stamp check substitutes for
-    /// the NULL sentinel, so neither the O(n)-cell array nor the
-    /// per-iteration clear step exists. `false` selects the clear-based
-    /// legacy path (kept for the pinned equivalence proof — see
-    /// `maxlink`'s module docs; under processor-priority write policies
-    /// the two paths produce bit-identical parents, and the partitions
-    /// match on every machine).
-    pub maxlink_stamps: bool,
     /// Parameters of the Theorem-1 postprocess.
     pub postprocess: Theorem1Params,
 }
@@ -109,7 +99,6 @@ impl Default for FasterParams {
             compact_delta0: 4.0,
             round_cap: 0,
             dedup_every: 4,
-            maxlink_stamps: true,
             postprocess: Theorem1Params::default(),
         }
     }
@@ -306,10 +295,6 @@ pub fn faster_cc_with(
         t5off: pram.alloc_filled(n, NULL),
         dormant: pram.alloc_filled(n, 0),
         raised2: pram.alloc_filled(n, 0),
-        // The n-cell candidate array exists only on the clear-based legacy
-        // path; the stamped default allocates live-sized pairs per
-        // invocation.
-        cand: (!params.maxlink_stamps).then(|| pram.alloc_filled(n * (lmax + 1), NULL)),
         heap,
         lmax,
         budgets,

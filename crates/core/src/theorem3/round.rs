@@ -341,11 +341,6 @@ pub(crate) struct FasterState {
     /// "Raised level in Step 2" flags (ongoing-root entries only; reset
     /// per round).
     pub raised2: Handle,
-    /// MAXLINK candidate array (`n × (lmax+1)`) — clear-based legacy path
-    /// only; the default generation-stamped path allocates live-sized
-    /// candidate/stamp pairs per invocation instead (see
-    /// [`crate::theorem3::maxlink`]).
-    pub cand: Option<Handle>,
     /// The table heap.
     pub heap: TableHeap,
     /// Maximum level (budget schedule length - 1).
@@ -372,9 +367,6 @@ impl FasterState {
         pram.free(self.t5off);
         pram.free(self.dormant);
         pram.free(self.raised2);
-        if let Some(cand) = self.cand {
-            pram.free(cand);
-        }
         self.heap.free_all(pram);
         (self.live, self.scratch, self.host_tbl)
     }
@@ -400,24 +392,12 @@ pub(crate) struct RoundOutcome {
     pub compaction_work: u64,
 }
 
-/// Run one MAXLINK invocation over the current live index, in the mode
-/// `params` selects: generation-stamped (live-sized per-invocation
-/// candidate/stamp allocation, no clear step) or the clear-based legacy
-/// path (persistent `n × (lmax+1)` array, per-iteration clear).
+/// Run one MAXLINK invocation over the current live index, on
+/// generation-stamped candidate cells allocated at the live size (see
+/// [`crate::theorem3::maxlink`]).
 fn run_maxlink(pram: &mut Pram, fs: &FasterState, params: &FasterParams, changed: &Flag) {
-    let stride = fs.lmax + 1;
-    let (cand, cstamp) = match fs.cand {
-        Some(cand) => (cand, None),
-        None => {
-            let sz = (fs.live.verts.len() * stride).max(1);
-            // Zero-filled: stamp 0 never equals a generation (≥ 1), so
-            // recycled arena blocks cannot leak stale candidates.
-            (pram.alloc(sz), Some(pram.alloc(sz)))
-        }
-    };
-    let mx = MaxlinkCtx {
-        cand,
-        cstamp,
+    let mut mx = MaxlinkCtx {
+        cand: pram.alloc_stamped((fs.live.verts.len() * (fs.lmax + 1)).max(1)),
         vert_slot: fs.live.vert_slot(),
         level: fs.level,
         lmax: fs.lmax,
@@ -427,11 +407,8 @@ fn run_maxlink(pram: &mut Pram, fs: &FasterState, params: &FasterParams, changed
         eoff: fs.eoff,
         heap: fs.heap.handle(),
     };
-    maxlink(pram, &fs.st, &mx, changed, params.maxlink_iters);
-    if let Some(stamp) = cstamp {
-        pram.free(cand);
-        pram.free(stamp);
-    }
+    maxlink(pram, &fs.st, &mut mx, changed, params.maxlink_iters);
+    pram.free_stamped(mx.cand);
 }
 
 /// Execute one EXPAND-MAXLINK round.

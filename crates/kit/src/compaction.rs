@@ -16,7 +16,8 @@
 //! [`CompactionMode::ChargedO1`] runs the same protocol but charges the
 //! constant time bound of Lemma D.2 — the paper's setting guarantees
 //! `n log n` processors per compaction, under which Goodrich's algorithm is
-//! O(1)-time, and our experiments inherit that accounting (DESIGN.md §1.2).
+//! O(1)-time, and our experiments inherit that accounting (ARCHITECTURE.md,
+//! "The charge / live-work accounting model").
 
 use crate::hashing::PairwiseHash;
 use crate::ops::{host_count, Flag};

@@ -15,7 +15,8 @@
 //!   size `O(k)`. Used by COMPACT and by the per-round block allocation of
 //!   EXPAND-MAXLINK (Step 8). We provide a *measured* hash-with-retry
 //!   implementation and a *charged-O(1)* mode reflecting the
-//!   `n log n`-processor bound the paper invokes (see DESIGN.md §1.2).
+//!   `n log n`-processor bound the paper invokes (see ARCHITECTURE.md,
+//!   "The charge / live-work accounting model").
 //! * [`ops`] — SHORTCUT, ALTER, flag-OR termination tests, and host-side
 //!   helpers shared by every algorithm crate.
 

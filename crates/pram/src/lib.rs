@@ -34,8 +34,9 @@
 //!    processor performed in a step is recorded, so a step that smuggles a
 //!    loop past the model is visible in the numbers. Where the paper charges
 //!    O(1) time for a primitive that needs polylog processor slack (see
-//!    DESIGN.md §1.2) the caller uses [`Pram::step_charged`] and the charge
-//!    is recorded separately.
+//!    ARCHITECTURE.md, "The charge / live-work accounting model") the
+//!    caller uses [`Pram::step_charged`] and the charge is recorded
+//!    separately.
 //!
 //! Memory is managed by a size-class arena (`mem::Arena`) so the
 //! level/budget block machinery of the paper (allocate a block of size

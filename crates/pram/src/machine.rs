@@ -273,8 +273,8 @@ impl Pram {
     /// zero simulated time, where [`Pram::host_fill`]/[`Pram::host_fill_range`]
     /// memset O(len) words. This is what lets per-phase flag arrays sized
     /// at `n` be "cleared" each phase without any O(n) pass, host or
-    /// simulated (the MAXLINK candidate stamps of `logdiam-cc` follow the
-    /// same discipline).
+    /// simulated (`logdiam-cc` uses it for EXPAND's per-phase arrays and
+    /// between MAXLINK's candidate iterations).
     pub fn host_stamped_fill(&mut self, s: &mut Stamped) {
         s.gen = s.gen.checked_add(1).expect("stamp generation overflow");
     }
@@ -365,8 +365,8 @@ impl Pram {
     ///
     /// Used where the paper proves an O(1)- or O(k)-time bound that relies
     /// on processor slack the simulator does not spend host time emulating
-    /// (DESIGN.md §1.2). The per-processor op audit still reports the real
-    /// op count.
+    /// (ARCHITECTURE.md, "The charge / live-work accounting model"). The
+    /// per-processor op audit still reports the real op count.
     ///
     /// An *executed* step is capped at 2^32 processors (write records
     /// carry the processor id as `u32` for priority resolution; executing

@@ -11,9 +11,9 @@
 /// * `peak_words` — the space bound (`O(m)`),
 /// * `work` — processor-time product (near work-efficiency),
 /// * `max_ops_per_proc` — audit of the "O(1) local computation per step"
-///   discipline (see DESIGN.md §1.2: a few primitives scan an `O(log log n)`
-///   level array in one charged step; this counter exposes the real
-///   constant).
+///   discipline (see ARCHITECTURE.md, "The charge / live-work accounting
+///   model": a few primitives scan an `O(log log n)` level array in one
+///   charged step; this counter exposes the real constant).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct Stats {
     /// Simulated parallel time: sum of charges over executed steps

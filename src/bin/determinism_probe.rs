@@ -178,39 +178,6 @@ fn main() {
             .run
             .labels
         }
-        // The clear-based EXPAND legacy path (per-phase fdr/liveness
-        // allocations instead of generation stamps): a distinct scheduling
-        // of the same algorithm, equally thread-count invariant.
-        "theorem1_nostamp" => {
-            let mut pram = Pram::new(WritePolicy::ArbitrarySeeded(seed));
-            logdiam::algorithms::theorem1::connected_components(
-                &mut pram,
-                &g,
-                seed,
-                &logdiam::algorithms::theorem1::Theorem1Params {
-                    expand_stamps: false,
-                    ..Default::default()
-                },
-            )
-            .labels
-        }
-        // The clear-based MAXLINK legacy path: its per-iteration clear and
-        // n-cell candidate array are a distinct scheduling of the same
-        // algorithm and must be just as thread-count invariant.
-        "theorem3_nostamp" => {
-            let mut pram = Pram::new(WritePolicy::ArbitrarySeeded(seed));
-            logdiam::algorithms::theorem3::faster_cc(
-                &mut pram,
-                &g,
-                seed,
-                &logdiam::algorithms::theorem3::FasterParams {
-                    maxlink_stamps: false,
-                    ..Default::default()
-                },
-            )
-            .run
-            .labels
-        }
         "vanilla" => {
             let mut pram = Pram::new(WritePolicy::ArbitrarySeeded(seed));
             logdiam::algorithms::vanilla::vanilla(&mut pram, &g, seed).labels

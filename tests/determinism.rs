@@ -69,17 +69,14 @@ fn assert_thread_invariant(algo: &str, family: &str, n: usize, seed: u64) {
 
 /// The simulated entry points (each drives `Pram` on a seeded-ARBITRARY
 /// machine — label determinism here also exercises the sharded commit).
-/// `theorem3_nostamp` covers the clear-based MAXLINK legacy path and
-/// `theorem1_nostamp` the clear-based EXPAND phase-state path; the
-/// defaults cover the generation-stamped paths, and the
-/// theorem1/theorem2/vanilla entries run their live-scheduled phases —
-/// every live path fingerprints identically at 1/2/8 threads.
-const SIM_ALGOS: [&str; 8] = [
+/// The theorem entries run their generation-stamped phase state (MAXLINK
+/// candidates, EXPAND's `fdr` and liveness) and, with vanilla, their
+/// live-scheduled phases — every one fingerprints identically at 1/2/8
+/// threads.
+const SIM_ALGOS: [&str; 6] = [
     "theorem1",
-    "theorem1_nostamp",
     "theorem2",
     "theorem3",
-    "theorem3_nostamp",
     "vanilla",
     "awerbuch_shiloach",
     "labelprop_sim",

@@ -231,16 +231,11 @@ fn theorem2_per_phase_work_decays_with_live() {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 6, ..ProptestConfig::default() })]
 
-    /// Generation-stamped MAXLINK vs the clear-based path, across dedup
-    /// cadences: the two paths are the same PRAM program modulo candidate
-    /// memory layout, so under the seeded-ARBITRARY machine (whose winner
-    /// hash covers cell addresses) they are two equally legal ARBITRARY
-    /// executions — the partitions must be identical to each other and to
-    /// ground truth for every cadence. (Bit-exact parent equality under
-    /// layout-independent PRIORITY policies is pinned at the invocation
-    /// level in `theorem3::maxlink`'s unit tests.)
+    /// Theorem 3 across dedup cadences: every cadence must produce the
+    /// ground-truth partition (the drivers' own invariant audits run too
+    /// when built with `logdiam-cc/strict`).
     #[test]
-    fn stamped_maxlink_matches_clear_based_partition(
+    fn theorem3_partition_matches_truth_at_every_dedup_cadence(
         shape in 0usize..4,
         size in 24usize..160,
         seed in 0u64..500,
@@ -253,37 +248,23 @@ proptest! {
         };
         let truth = components(&g);
         for dedup_every in [1u64, 2, 4, 8] {
-            let mut labels = Vec::new();
-            for stamps in [true, false] {
-                let params = FasterParams {
-                    dedup_every,
-                    maxlink_stamps: stamps,
-                    ..Default::default()
-                };
-                let mut pram = Pram::new(WritePolicy::ArbitrarySeeded(seed));
-                let r = faster_cc(&mut pram, &g, seed, &params);
-                prop_assert!(
-                    same_partition(&truth, &r.run.labels),
-                    "stamps={stamps} dedup_every={dedup_every}: wrong partition"
-                );
-                labels.push(r.run.labels);
-            }
+            let params = FasterParams {
+                dedup_every,
+                ..Default::default()
+            };
+            let mut pram = Pram::new(WritePolicy::ArbitrarySeeded(seed));
+            let r = faster_cc(&mut pram, &g, seed, &params);
             prop_assert!(
-                same_partition(&labels[0], &labels[1]),
-                "dedup_every={dedup_every}: stamped and clear-based partitions diverge"
+                same_partition(&truth, &r.run.labels),
+                "dedup_every={dedup_every}: wrong partition"
             );
         }
     }
 
-    /// Generation-stamped EXPAND phase state (`fdr` + step-3 liveness) vs
-    /// the clear-based per-phase allocations, for both phase drivers
-    /// (Theorem 1 labels, Theorem 2 forest): stamps never add or remove a
-    /// synchronous step, so under the seeded-ARBITRARY machine the two
-    /// paths are equally legal executions and the partitions must match
-    /// each other and ground truth. (Bit-exact equality under the
-    /// pid-only PRIORITY policies is pinned in `theorem1`'s unit tests.)
+    /// Both EXPAND phase drivers (Theorem 1 labels, Theorem 2 forest) on
+    /// the same shapes: each must produce the ground-truth partition.
     #[test]
-    fn stamped_expand_matches_clear_based_partition(
+    fn theorem1_and_theorem2_partitions_match_truth(
         shape in 0usize..4,
         size in 24usize..160,
         seed in 0u64..500,
@@ -295,31 +276,14 @@ proptest! {
             _ => gen::union_all(&[gen::gnm(size / 2, size, seed), gen::path(size / 3 + 2)]),
         };
         let truth = components(&g);
-        let mut labels = Vec::new();
-        for stamps in [true, false] {
-            let params = Theorem1Params {
-                expand_stamps: stamps,
-                ..Default::default()
-            };
-            let mut pram = Pram::new(WritePolicy::ArbitrarySeeded(seed));
-            let r = connected_components(&mut pram, &g, seed, &params);
-            prop_assert!(
-                same_partition(&truth, &r.labels),
-                "t1 expand_stamps={stamps}: wrong partition"
-            );
-            labels.push(r.labels);
+        let params = Theorem1Params::default();
+        let mut pram = Pram::new(WritePolicy::ArbitrarySeeded(seed));
+        let r = connected_components(&mut pram, &g, seed, &params);
+        prop_assert!(same_partition(&truth, &r.labels), "t1: wrong partition");
 
-            let mut pram = Pram::new(WritePolicy::ArbitrarySeeded(seed));
-            let f = spanning_forest(&mut pram, &g, seed, &params);
-            prop_assert!(
-                same_partition(&truth, &f.labels),
-                "t2 expand_stamps={stamps}: wrong partition"
-            );
-        }
-        prop_assert!(
-            same_partition(&labels[0], &labels[1]),
-            "stamped and clear-based Theorem-1 partitions diverge"
-        );
+        let mut pram = Pram::new(WritePolicy::ArbitrarySeeded(seed));
+        let f = spanning_forest(&mut pram, &g, seed, &params);
+        prop_assert!(same_partition(&truth, &f.labels), "t2: wrong partition");
     }
 }
 
