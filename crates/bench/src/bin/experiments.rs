@@ -1,4 +1,5 @@
-//! Experiment driver: regenerates every table/figure of EXPERIMENTS.md.
+//! Experiment driver: regenerates every table/figure of the suite in
+//! `crates/bench/src/experiments/mod.rs`.
 //!
 //! ```text
 //! cargo run -p logdiam-bench --release --bin experiments -- all

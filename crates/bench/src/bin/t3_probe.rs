@@ -1,6 +1,6 @@
 //! Ad-hoc probe: per-round live/table/work telemetry of a Theorem-3 run
-//! on a path graph (straggler-tail diagnosis), emitted as structured
-//! telemetry events.
+//! on a path graph (straggler-tail diagnosis) or a preferential-attachment
+//! graph, emitted as structured telemetry events.
 //!
 //! Every record is a `logdiam_obs` event — the per-round rows come
 //! straight from [`RoundMetrics::to_event`], the summary from
@@ -21,7 +21,11 @@
 //! step closures and committing their writes (the `sim_step_run_ns` /
 //! `sim_commit_ns` counters of an attached registry).
 //!
-//! Usage: `t3_probe [n] [--human] [--all-rounds]`
+//! Usage: `t3_probe [n] [path|powerlaw] [--human] [--all-rounds]`
+//!
+//! `path` (the default) is `gen::path(n)`; `powerlaw` is
+//! `gen::preferential_attachment(n, 4, seed)`, the graph of perfbench's
+//! `sim-powerlaw` workload (m/n = 4).
 //!
 //! [`RoundMetrics::to_event`]: logdiam_cc::metrics::RoundMetrics::to_event
 //! [`RunReport::to_event`]: logdiam_cc::metrics::RunReport::to_event
@@ -32,18 +36,24 @@ use logdiam_obs::{Event, Registry};
 use pram_sim::{Pram, WritePolicy};
 use std::sync::Arc;
 
+/// The seed of the machine and of the `powerlaw` graph.
+const SEED: u64 = 0xBEEF_CAFE;
+
 fn main() {
     let mut n: usize = 200_000;
+    let mut powerlaw = false;
     let mut human = false;
     let mut all_rounds = false;
     for arg in std::env::args().skip(1) {
         match arg.as_str() {
             "--human" => human = true,
             "--all-rounds" => all_rounds = true,
+            "path" => powerlaw = false,
+            "powerlaw" => powerlaw = true,
             other => match other.parse() {
                 Ok(v) => n = v,
                 Err(_) => {
-                    eprintln!("usage: t3_probe [n] [--human] [--all-rounds]");
+                    eprintln!("usage: t3_probe [n] [path|powerlaw] [--human] [--all-rounds]");
                     std::process::exit(2);
                 }
             },
@@ -54,11 +64,15 @@ fn main() {
     // sequence numbers and a common timestamp base; the machine feeds its
     // host-time counters into it.
     let reg = Arc::new(Registry::new());
-    let g = gen::path(n);
+    let g = if powerlaw {
+        gen::preferential_attachment(n, 4, SEED)
+    } else {
+        gen::path(n)
+    };
     let t0 = std::time::Instant::now();
-    let mut pram = Pram::new(WritePolicy::ArbitrarySeeded(0xBEEF_CAFE));
+    let mut pram = Pram::new(WritePolicy::ArbitrarySeeded(SEED));
     pram.set_obs_registry(reg.clone());
-    let r = faster_cc(&mut pram, &g, 0xBEEF_CAFE, &FasterParams::default());
+    let r = faster_cc(&mut pram, &g, SEED, &FasterParams::default());
     let wall = t0.elapsed();
 
     for m in &r.run.per_round {

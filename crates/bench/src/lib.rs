@@ -2,9 +2,10 @@
 //!
 //! One function per experiment of [`experiments`] (E1–E14). Each returns
 //! [`table::Table`]s that the `experiments` binary prints as Markdown —
-//! these are the "tables and figures" of the reproduction, recorded in
-//! EXPERIMENTS.md. Criterion benches under `benches/` cover the wall-clock
-//! measurements (E8) and simulator throughput.
+//! these are the "tables and figures" of the reproduction, listed in
+//! `crates/bench/src/experiments/mod.rs`. Criterion benches under
+//! `benches/` cover the wall-clock measurements (E8) and simulator
+//! throughput.
 //!
 //! Sizes are chosen so `experiments all` finishes in minutes on a laptop;
 //! `--full` enlarges the sweeps.

@@ -105,7 +105,8 @@ impl RecLayout {
     }
 }
 
-/// The write buffers produced by one fold segment of a step.
+/// The write buffers produced by one chunk of a step (see
+/// `Pram::run_procs`).
 pub(crate) struct CtxOut {
     pub(crate) shards: Vec<ShardBuf>,
     pub(crate) reads: u64,

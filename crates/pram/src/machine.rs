@@ -34,6 +34,12 @@ fn par_threshold(threads: usize) -> usize {
     }
 }
 
+/// Chunks a pooled step's processors are split into, per pool thread: a
+/// little oversplitting evens out chunks that finish at different times
+/// (the pool hands out chunks from one counter, without stealing). At
+/// the threshold a chunk still runs at least 256 processors.
+const RUN_CHUNKS_PER_THREAD: u64 = 4;
+
 /// A simulated CRCW PRAM.
 ///
 /// See the crate docs for the model. Host code (the "controller") drives the
@@ -419,6 +425,14 @@ impl Pram {
         }
     }
 
+    /// Run processors `0..nprocs` in chunks of consecutive ids and return
+    /// each chunk's buffered writes in chunk order, i.e. processor order.
+    /// A step below the threshold is one chunk, run inline; a pooled step
+    /// is `RUN_CHUNKS_PER_THREAD` chunks per pool thread, run as pool
+    /// tasks. Either way a chunk's processors all borrow one [`Ctx`]: a
+    /// per-item accumulator (a `fold`) would move the context into and
+    /// out of its closure once per processor, which costs more than a
+    /// one-read processor does.
     fn run_procs<F>(&mut self, nprocs: usize, parallel: bool, f: &F) -> Vec<CtxOut>
     where
         F: Fn(u64, &mut Ctx) + Send + Sync,
@@ -432,41 +446,38 @@ impl Pram {
         let shard_count = self.shard_count;
         let step_seed = splitmix64(self.seed ^ (self.step_id as u64) << 17);
         let spare_bufs = &self.spare_bufs;
-        // Per-worker contexts draw their shard buffers from the recycle
-        // pool (filled back by `retire`) so capacity carries across steps.
-        let fresh_ctx = || {
+        let nprocs = nprocs as u64;
+        let chunks = if parallel {
+            rayon::current_num_threads() as u64 * RUN_CHUNKS_PER_THREAD
+        } else {
+            1
+        };
+        let run_chunk = |k: u64| {
+            // The chunk's context draws its shard buffers from the recycle
+            // pool (filled back by `retire`) so capacity carries across
+            // steps.
             let bufs = spare_bufs
                 .lock()
                 .unwrap()
                 .pop()
                 .unwrap_or_else(|| (0..shard_count).map(|_| layout.empty_shard()).collect());
-            Ctx::new_in(mem_ref, shard_count, step_seed, bufs)
-        };
-
-        if !parallel {
-            let mut ctx = fresh_ctx();
-            for p in 0..nprocs as u64 {
+            let mut ctx = Ctx::new_in(mem_ref, shard_count, step_seed, bufs);
+            for p in k * nprocs / chunks..(k + 1) * nprocs / chunks {
                 ctx.begin_proc(p);
                 f(p, &mut ctx);
                 ctx.end_proc();
             }
-            vec![ctx.finish()]
+            ctx.finish()
+        };
+        if parallel {
+            (0..chunks).into_par_iter().map(&run_chunk).collect()
         } else {
-            (0..nprocs as u64)
-                .into_par_iter()
-                .fold(fresh_ctx, |mut ctx, p| {
-                    ctx.begin_proc(p);
-                    f(p, &mut ctx);
-                    ctx.end_proc();
-                    ctx
-                })
-                .map(Ctx::finish)
-                .collect()
+            vec![run_chunk(0)]
         }
     }
 
     /// Post-commit bookkeeping, one pass over the step's outputs: merge the
-    /// per-worker counters into [`Stats`] and recycle the (emptied) shard
+    /// per-chunk counters into [`Stats`] and recycle the (emptied) shard
     /// buffers for the next step.
     fn retire(&mut self, outs: Vec<CtxOut>) {
         let mut spare = self.spare_bufs.lock().unwrap();
@@ -532,7 +543,7 @@ where
     }
 }
 
-/// Feed shard `s`'s buffered writes, from every worker context in order,
+/// Feed shard `s`'s buffered writes, from every chunk in chunk order,
 /// to `apply(addr, proc, value)` (`proc` is 0 under the narrow record
 /// layout, whose policies never read it). Checks in debug builds that
 /// each record belongs to the shard it was buffered in.
@@ -972,6 +983,63 @@ mod tests {
             }
         });
         assert_eq!(pram.stats().max_ops_per_proc, 8);
+    }
+
+    /// Every processor of a step runs exactly once, inline or on the pool:
+    /// at counts around the 2-thread parallel threshold, and at one no
+    /// chunk count divides, `Stats` matches host-computed totals for
+    /// `step`, `step_over` and `step_combine`, and a `Sum` step counts
+    /// each processor once. Processor `p` reads `p mod 5` cells and
+    /// writes one; the last one reads 7, so it alone is the heaviest.
+    #[test]
+    fn pooled_steps_run_each_processor_exactly_once() {
+        const CELLS: usize = 1000;
+        for nprocs in [4095usize, 4096, 4097, 100_003] {
+            let last = nprocs as u64 - 1;
+            let reads = move |p: u64| if p == last { 7 } else { p % 5 };
+            let total_reads: u64 = (0..nprocs as u64).map(reads).sum();
+            let mut pram = Pram::new(WritePolicy::ArbitrarySeeded(5));
+            let xs = pram.alloc(nprocs);
+            let counts = pram.alloc(CELLS);
+            let read_some = move |p: u64, ctx: &mut Ctx| {
+                for i in 0..reads(p) {
+                    let _ = ctx.read(xs, i as usize);
+                }
+            };
+            let check = |pram: &mut Pram, what: &str| {
+                let s = pram.stats();
+                assert_eq!(s.reads, total_reads, "{what}, {nprocs} procs");
+                assert_eq!(s.writes, nprocs as u64, "{what}, {nprocs} procs");
+                assert_eq!(s.max_ops_per_proc, 8, "{what}, {nprocs} procs");
+                pram.reset_stats();
+            };
+
+            pram.step(nprocs, |p, ctx| {
+                read_some(p, ctx);
+                ctx.write(xs, p as usize, p + 1);
+            });
+            check(&mut pram, "step");
+            let written = pram.read_vec(xs);
+            assert!(written.iter().zip(1..).all(|(&v, want)| v == want));
+
+            let items: Vec<u64> = (0..nprocs as u64).rev().collect();
+            pram.step_over(&items, |p, &q, ctx| {
+                read_some(p, ctx);
+                ctx.write(xs, q as usize, p);
+            });
+            check(&mut pram, "step_over");
+            let written = pram.read_vec(xs);
+            assert!(written.iter().rev().zip(0..).all(|(&v, want)| v == want));
+
+            pram.step_combine(nprocs, CombineOp::Sum, |p, ctx| {
+                read_some(p, ctx);
+                ctx.write(counts, p as usize % CELLS, 1);
+            });
+            check(&mut pram, "step_combine");
+            let want = |c: usize| (nprocs + CELLS - 1 - c) / CELLS;
+            let summed = pram.read_vec(counts);
+            assert!(summed.iter().enumerate().all(|(c, &v)| v == want(c) as u64));
+        }
     }
 
     #[test]

@@ -12,7 +12,9 @@
 //! Prints `<fingerprint-hex> <extra>` where the fingerprint hashes the
 //! full component labeling (or, for `pram_stress`, the full memory image
 //! and traffic counters — bit-identical across thread counts by the
-//! sharded-commit design).
+//! sharded-commit design). For the simulated algorithms `<extra>` also
+//! carries the machine's `reads`, `writes`, `work`, `steps`,
+//! `max_ops_per_proc` and `peak_words`.
 
 use logdiam::graph::{gen, Graph};
 use logdiam::pram::{Pram, WritePolicy};
@@ -145,10 +147,11 @@ fn main() {
     }
 
     let g = graph_for(family, n, seed);
+    // Every simulated arm runs on this seeded-ARBITRARY machine.
+    let mut pram = Pram::new(WritePolicy::ArbitrarySeeded(seed));
     let labels: Vec<u32> = match algo.as_str() {
-        // --- simulated (logdiam-cc); all on seeded-ARBITRARY machines ---
+        // --- simulated (logdiam-cc) ---
         "theorem1" => {
-            let mut pram = Pram::new(WritePolicy::ArbitrarySeeded(seed));
             logdiam::algorithms::theorem1::connected_components(
                 &mut pram,
                 &g,
@@ -158,7 +161,6 @@ fn main() {
             .labels
         }
         "theorem2" => {
-            let mut pram = Pram::new(WritePolicy::ArbitrarySeeded(seed));
             logdiam::algorithms::theorem2::spanning_forest(
                 &mut pram,
                 &g,
@@ -168,7 +170,6 @@ fn main() {
             .labels
         }
         "theorem3" => {
-            let mut pram = Pram::new(WritePolicy::ArbitrarySeeded(seed));
             logdiam::algorithms::theorem3::faster_cc(
                 &mut pram,
                 &g,
@@ -178,18 +179,11 @@ fn main() {
             .run
             .labels
         }
-        "vanilla" => {
-            let mut pram = Pram::new(WritePolicy::ArbitrarySeeded(seed));
-            logdiam::algorithms::vanilla::vanilla(&mut pram, &g, seed).labels
-        }
+        "vanilla" => logdiam::algorithms::vanilla::vanilla(&mut pram, &g, seed).labels,
         "awerbuch_shiloach" => {
-            let mut pram = Pram::new(WritePolicy::ArbitrarySeeded(seed));
             logdiam::algorithms::baselines::awerbuch_shiloach(&mut pram, &g).labels
         }
-        "labelprop_sim" => {
-            let mut pram = Pram::new(WritePolicy::ArbitrarySeeded(seed));
-            logdiam::algorithms::baselines::labelprop(&mut pram, &g).labels
-        }
+        "labelprop_sim" => logdiam::algorithms::baselines::labelprop(&mut pram, &g).labels,
         // --- practical shared-memory ports (logdiam-par) ---
         "par_labelprop" => logdiam::parallel::labelprop::labelprop_cc(&g),
         "par_unionfind" => logdiam::parallel::unionfind::unionfind_cc(&g),
@@ -198,5 +192,15 @@ fn main() {
         "par_bfs" => logdiam::parallel::bfs::bfs_cc(&g),
         other => panic!("unknown algorithm {other}"),
     };
-    println!("{:016x} n={}", fnv1a(labels.iter().copied()), labels.len());
+    print!("{:016x} n={}", fnv1a(labels.iter().copied()), labels.len());
+    // The simulated arms also print the machine's counters, so a count
+    // that drifts with the thread count fails the suite like a label does.
+    if !algo.starts_with("par_") {
+        let s = pram.stats();
+        print!(
+            " reads={} writes={} work={} steps={} max_ops={} peak_words={}",
+            s.reads, s.writes, s.work, s.steps, s.max_ops_per_proc, s.peak_words
+        );
+    }
+    println!();
 }

@@ -113,6 +113,22 @@ proptest! {
         }
     }
 
+    /// The drivers' pooled steps: at the sizes above no driver step
+    /// reaches the parallel threshold (4096 processors at 2 threads, 8192
+    /// at 8), so here path and gnm graphs carry more than 8192 arcs and
+    /// their arc steps run on the pool at 2 and 8 threads. Labels and the
+    /// machine counters must not move.
+    #[test]
+    fn simulated_pooled_steps_are_thread_invariant(
+        family in prop_oneof![Just("path"), Just("gnm")],
+        n in 6_000usize..12_000,
+        seed in 0u64..1000,
+    ) {
+        for algo in ["theorem1", "theorem3", "vanilla"] {
+            assert_thread_invariant(algo, family, n, seed);
+        }
+    }
+
     /// Practical ports: larger graphs so the parallel paths genuinely
     /// split work at 2 and 8 threads.
     #[test]
