@@ -107,12 +107,13 @@ impl GraphBuilder {
         }
     }
 
-    /// Start a graph on vertices `0..n`, expecting about `m` edges.
-    /// (Capacity is bounded by the run size; the hint only pre-sizes the
-    /// open buffer.)
+    /// Start a graph on vertices `0..n`, expecting about `m` edges: the
+    /// open run buffer is pre-sized once for `min(m, run capacity)` edges
+    /// (see [`EdgeRunStore::reserve`]).
     pub fn with_capacity(n: usize, m: usize) -> Self {
-        let _ = m; // runs are bounded; the store sizes its buffer lazily
-        Self::new(n)
+        let mut b = Self::new(n);
+        b.store.reserve(m);
+        b
     }
 
     /// Number of vertices.

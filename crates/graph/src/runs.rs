@@ -1,38 +1,71 @@
 //! Streaming edge-run storage and k-way parallel run merge.
 //!
-//! The pre-PR-8 construction path materialized every pushed edge in one
-//! unsorted `Vec<(u32, u32)>`, then sorted and deduplicated it in place —
-//! a transient 2× footprint (unsorted list + CSR) that was the binding
+//! A naive construction path materializes every pushed edge in one
+//! unsorted `Vec<(u32, u32)>`, then sorts and deduplicates it in place —
+//! a transient 2× footprint (unsorted list + CSR) that becomes the binding
 //! memory constraint at n ≥ 1e7. This module replaces that with a
 //! *streaming* discipline:
 //!
 //! * [`EdgeRunStore`] accepts edges one at a time (canonicalizing to
 //!   `(min, max)` and dropping self-loops on the way in) into a bounded
-//!   buffer. Whenever the buffer reaches the run capacity it is *sealed*:
-//!   sorted, deduplicated, and shrunk — so the store only ever holds
-//!   sorted duplicate-free runs plus one bounded open buffer.
+//!   buffer of *packed keys* `u << 32 | v`, whose `u64` order is the
+//!   edges' `(u, v)` order. Whenever the buffer reaches the run capacity
+//!   it is *sealed*: with more than one pool thread and at least
+//!   `MIN_PARALLEL_MERGE` keys, the buffer is cut into one contiguous
+//!   piece per thread, each piece is sorted and deduplicated in place on
+//!   the pool, and the pieces are merged into a fresh exact-size run;
+//!   smaller buffers and 1-thread pools sort in one piece. The buffer is
+//!   then cleared and reused, so the store only ever holds sorted
+//!   duplicate-free runs plus one bounded open buffer.
 //! * [`merge_sorted_runs`] turns the sealed runs into the single sorted
 //!   duplicate-free canonical edge list by a k-way merge. The key space is
 //!   partitioned into contiguous chunks (splitters sampled from the
-//!   largest run, sub-ranges located by binary search in every run) and
-//!   the chunks merge independently on the rayon pool. Because equal keys
-//!   always land in the same chunk, streamwise dedup inside a chunk is
-//!   exact, and because the output — the sorted set union of the runs —
-//!   is independent of chunk boundaries and thread count, the result is
-//!   deterministic at any `RAYON_NUM_THREADS`.
+//!   largest run, sub-ranges located by binary search in every run). The
+//!   output is allocated once, on the calling thread; each chunk owns the
+//!   slice of it its sub-ranges add up to, and merges them straight into
+//!   that slice on the rayon pool through a loser tree over packed keys.
+//!   Because equal keys always land in the same chunk, streamwise dedup
+//!   inside a chunk is exact; the gaps its dropped duplicates leave are
+//!   closed afterwards by sliding each chunk down, and the output is
+//!   truncated. The output — the sorted set union of the runs — is
+//!   independent of chunk boundaries and thread count, so the result is
+//!   deterministic at any `RAYON_NUM_THREADS`. A 1-thread pool or a small
+//!   input is the same code with one chunk.
+//!
+//! **No chunk-sized scratch on pool workers.** Everything whose size
+//! grows with the input — sealed runs, the merge output, each chunk's
+//! cursors and loser tree — is allocated by the calling thread; workers
+//! sort in place and write into slices they are handed. The reason is
+//! measured: what a build leaves in the malloc heap decides whether the
+//! large allocations that follow it reuse resident pages. A variant that
+//! merged each chunk with `slice::sort` into ≈ 10 MB of per-chunk scratch
+//! allocated on the workers was faster in isolation, but afterwards every
+//! `unionfind_cc` call on a 10⁷-vertex grid took ≈ 9 800 minor page
+//! faults (0 before) and ran 15–30 % slower. The only worker-side
+//! allocations left are a spilled run's bounded read buffer and the
+//! pool's one-word result per chunk.
+//!
+//! **Exhaustion.** A loser tree marks an exhausted cursor with the key
+//! `u64::MAX`, which is also the key of the edge `(u32::MAX, u32::MAX)`.
+//! That edge can only reach [`merge_sorted_runs`] from a caller (the
+//! store drops self-loops), and only as the last edge of a run, so a
+//! chunk merge stops at the first `u64::MAX` winner and compares the
+//! keys it took with the keys its cursors held: any left over are that
+//! edge, written once.
 //!
 //! Peak bytes during a build are therefore ≈ (sealed runs, which total at
 //! most the deduplicated pushed edges) + (the merged list being written),
 //! instead of (full unsorted push list) + (sorted copy). The run capacity
 //! is a host-memory knob only — it never changes the resulting graph.
 //!
-//! **Out-of-core mode** (PR 10): with spill enabled
+//! **Out-of-core mode**: with spill enabled
 //! ([`RUN_SPILL_ENV`] or [`EdgeRunStore::set_spill_dir`]), sealed runs are
 //! written to disk as fixed-width 8-byte little-endian records in
 //! *unlinked* temp files (the fd keeps the data alive; nothing is left
 //! behind on any exit path), and the final merge streams them back through
-//! bounded read buffers. Peak build memory then drops to ≈ (one open run
-//! buffer) + (merge read buffers) + (the merged list being written) —
+//! bounded read buffers into the same chunked loser-tree merge. Peak build
+//! memory then drops to ≈ (one open run buffer and the run being sealed
+//! from it) + (merge read buffers) + (the merged list being written) —
 //! the sealed-run mass moves to disk. The merge output is the sorted set
 //! union either way, so spilling is bit-identical to in-memory building,
 //! at any thread count.
@@ -54,8 +87,8 @@ pub const DEFAULT_RUN_EDGES: usize = 1 << 21;
 /// identical for every value.
 pub const RUN_EDGES_ENV: &str = "LOGDIAM_RUN_EDGES";
 
-/// Below this many total edges a chunked parallel merge is pure overhead;
-/// merge sequentially instead.
+/// Below this many edges a pooled seal or a chunked parallel merge is
+/// pure overhead; sort or merge in one piece instead.
 const MIN_PARALLEL_MERGE: usize = 1 << 15;
 
 /// The run capacity currently in effect (env override or default).
@@ -100,6 +133,27 @@ pub fn spill_counters() -> (u64, u64) {
     (
         SPILLED_RUNS.load(Ordering::Relaxed),
         SPILL_BYTES.load(Ordering::Relaxed),
+    )
+}
+
+/// The sort key of edge `(u, v)`: `u64` order on keys is `(u, v)` order
+/// on edges.
+#[inline]
+fn pack(u: u32, v: u32) -> u64 {
+    (u as u64) << 32 | v as u64
+}
+
+/// The edge whose [`pack`] is `key`.
+#[inline]
+fn unpack(key: u64) -> (u32, u32) {
+    ((key >> 32) as u32, key as u32)
+}
+
+/// The key of one 8-byte little-endian `(u, v)` spill record.
+fn record_key(rec: &[u8]) -> u64 {
+    pack(
+        u32::from_le_bytes(rec[0..4].try_into().expect("4-byte endpoint")),
+        u32::from_le_bytes(rec[4..8].try_into().expect("4-byte endpoint")),
     )
 }
 
@@ -149,41 +203,35 @@ impl FileRun {
         }
     }
 
-    /// Random-access read of record `i` (used by splitter binary search —
-    /// O(log len) such reads per splitter, negligible next to streaming).
-    fn get(&self, i: usize) -> (u32, u32) {
+    /// Random-access read of record `i`'s key (used by the splitter
+    /// binary search — O(log len) such reads per splitter, negligible
+    /// next to streaming).
+    fn key(&self, i: usize) -> u64 {
         debug_assert!(i < self.len);
         let mut rec = [0u8; 8];
         self.file
             .read_exact_at(&mut rec, i as u64 * 8)
             .expect("spill read failed");
-        (
-            u32::from_le_bytes(rec[0..4].try_into().unwrap()),
-            u32::from_le_bytes(rec[4..8].try_into().unwrap()),
-        )
+        record_key(&rec)
     }
 
-    /// Bulk read of records `[start, end)` into `out` (appended).
-    fn read_range_into(&self, start: usize, end: usize, out: &mut Vec<(u32, u32)>) {
+    /// Bulk read of records `[start, end)` into `bytes` (replacing its
+    /// contents).
+    fn read_into(&self, start: usize, end: usize, bytes: &mut Vec<u8>) {
         debug_assert!(start <= end && end <= self.len);
-        let n = end - start;
-        let mut bytes = vec![0u8; n * 8];
+        bytes.resize((end - start) * 8, 0);
         self.file
-            .read_exact_at(&mut bytes, start as u64 * 8)
+            .read_exact_at(bytes, start as u64 * 8)
             .expect("spill read failed");
-        out.reserve(n);
-        for rec in bytes.chunks_exact(8) {
-            out.push((
-                u32::from_le_bytes(rec[0..4].try_into().unwrap()),
-                u32::from_le_bytes(rec[4..8].try_into().unwrap()),
-            ));
-        }
     }
 
     fn to_vec(&self) -> Vec<(u32, u32)> {
-        let mut out = Vec::new();
-        self.read_range_into(0, self.len, &mut out);
-        out
+        let mut bytes = Vec::new();
+        self.read_into(0, self.len, &mut bytes);
+        bytes
+            .chunks_exact(8)
+            .map(|rec| unpack(record_key(rec)))
+            .collect()
     }
 }
 
@@ -200,38 +248,6 @@ enum SealedRun {
     File(FileRun),
 }
 
-impl SealedRun {
-    fn len(&self) -> usize {
-        match self {
-            SealedRun::Mem(v) => v.len(),
-            SealedRun::File(f) => f.len,
-        }
-    }
-
-    /// Record `i` (random access; cheap for memory, one pread for files).
-    fn get(&self, i: usize) -> (u32, u32) {
-        match self {
-            SealedRun::Mem(v) => v[i],
-            SealedRun::File(f) => f.get(i),
-        }
-    }
-
-    /// First index whose record is ≥ `key` (the `partition_point` of the
-    /// run under `< key`), by binary search over [`SealedRun::get`].
-    fn lower_bound(&self, key: (u32, u32)) -> usize {
-        let (mut lo, mut hi) = (0usize, self.len());
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-            if self.get(mid) < key {
-                lo = mid + 1;
-            } else {
-                hi = mid;
-            }
-        }
-        lo
-    }
-}
-
 /// Bounded-buffer store of canonicalized edges as sorted deduplicated
 /// runs. See the module docs for the memory discipline.
 #[derive(Debug)]
@@ -244,8 +260,8 @@ pub struct EdgeRunStore {
     run_capacity: usize,
     /// Spill directory (`None` = sealed runs stay in memory).
     spill: Option<PathBuf>,
-    /// The open (unsorted) buffer.
-    buf: Vec<(u32, u32)>,
+    /// The open (unsorted) buffer, as packed keys.
+    buf: Vec<u64>,
     /// Sealed runs: each sorted and duplicate-free.
     runs: Vec<SealedRun>,
     /// Loop-surviving pushes (pre-dedup), for `raw_edge_count` semantics.
@@ -311,6 +327,13 @@ impl EdgeRunStore {
         }
     }
 
+    /// Pre-size the open buffer for about `m` edges, capped at the run
+    /// capacity: the buffer is reused across seals, so it never needs
+    /// more.
+    pub fn reserve(&mut self, m: usize) {
+        self.buf.reserve_exact(m.min(self.run_capacity));
+    }
+
     /// Set (or clear) the spill directory programmatically, overriding
     /// the [`RUN_SPILL_ENV`] default. Affects runs sealed *after* the
     /// call; already-sealed runs keep their representation (mixing is
@@ -351,7 +374,7 @@ impl EdgeRunStore {
             // First edge: size the buffer lazily so empty stores stay free.
             self.buf.reserve(self.run_capacity.min(1 << 10));
         }
-        self.buf.push((u.min(v), u.max(v)));
+        self.buf.push(pack(u.min(v), u.max(v)));
         if self.buf.len() >= self.run_capacity {
             self.seal();
         }
@@ -369,26 +392,21 @@ impl EdgeRunStore {
     }
 
     /// Sort + dedup the open buffer into a sealed run (spilled to disk
-    /// when a spill directory is set — the buffer is then reused for the
-    /// next run instead of being given away).
+    /// when a spill directory is set), then clear the buffer for the next
+    /// run.
     fn seal(&mut self) {
         if self.buf.is_empty() {
             return;
         }
-        self.buf.sort_unstable();
-        self.buf.dedup();
+        let run = sort_dedup(&mut self.buf);
+        self.buf.clear();
         match &self.spill {
             Some(dir) => {
-                let fr = FileRun::write(&self.buf, dir);
+                let fr = FileRun::write(&run, dir);
                 self.spill_bytes += fr.len as u64 * 8;
                 self.runs.push(SealedRun::File(fr));
-                self.buf.clear();
             }
-            None => {
-                let mut run = std::mem::take(&mut self.buf);
-                run.shrink_to_fit();
-                self.runs.push(SealedRun::Mem(run));
-            }
+            None => self.runs.push(SealedRun::Mem(run)),
         }
     }
 
@@ -396,26 +414,61 @@ impl EdgeRunStore {
     /// edge list.
     pub fn into_sorted_edges(mut self) -> Vec<(u32, u32)> {
         self.seal();
-        if self.runs.len() == 1 {
-            return match self.runs.pop().unwrap() {
-                SealedRun::Mem(v) => v,
-                SealedRun::File(f) => f.to_vec(),
-            };
+        // Free the open buffer before the merge allocates its output.
+        self.buf = Vec::new();
+        if let [SealedRun::Mem(run)] = self.runs.as_mut_slice() {
+            return std::mem::take(run);
         }
-        if self.runs.iter().all(|r| matches!(r, SealedRun::Mem(_))) {
-            // Pure in-memory path, unchanged from PR 8.
-            let slices: Vec<&[(u32, u32)]> = self
-                .runs
-                .iter()
-                .map(|r| match r {
-                    SealedRun::Mem(v) => v.as_slice(),
-                    SealedRun::File(_) => unreachable!(),
-                })
-                .collect();
-            return merge_sorted_runs(&slices);
+        // Runs that never spilled merge as plain slices. Routing them
+        // through `RunCursor` merges as fast, but in 3 of 8 measured
+        // 10⁷-vertex grid builds it left a malloc heap on which every
+        // later `unionfind_cc` call took 9 764 extra minor faults.
+        let mem: Option<Vec<&[(u32, u32)]>> = self
+            .runs
+            .iter()
+            .map(|r| match r {
+                SealedRun::Mem(v) => Some(v.as_slice()),
+                SealedRun::File(_) => None,
+            })
+            .collect();
+        match mem {
+            Some(slices) => merge_sorted_runs(&slices),
+            None => merge_runs(&self.runs.iter().collect::<Vec<_>>()),
         }
-        merge_sealed_runs(&self.runs)
     }
+}
+
+/// Sort and dedup `keys` in place — on the pool, one contiguous piece per
+/// thread, when the pool has more than one thread and there are at least
+/// [`MIN_PARALLEL_MERGE`] keys; in one piece otherwise — then merge the
+/// pieces into a fresh sorted duplicate-free run of edges.
+fn sort_dedup(keys: &mut [u64]) -> Vec<(u32, u32)> {
+    let pieces = if keys.len() < MIN_PARALLEL_MERGE {
+        1
+    } else {
+        rayon::current_num_threads()
+    };
+    let pieces: Vec<&[u64]> = keys
+        .chunks_mut(keys.len().div_ceil(pieces))
+        .collect::<Vec<_>>()
+        .into_par_iter()
+        .map(sort_dedup_piece)
+        .collect();
+    merge_runs(&pieces)
+}
+
+/// Sort `piece` and dedup it in place, returning its duplicate-free
+/// prefix.
+fn sort_dedup_piece(piece: &mut [u64]) -> &[u64] {
+    piece.sort_unstable();
+    let mut len = usize::from(!piece.is_empty());
+    for i in 1..piece.len() {
+        if piece[i] != piece[len - 1] {
+            piece[len] = piece[i];
+            len += 1;
+        }
+    }
+    &piece[..len]
 }
 
 /// Merge sorted duplicate-free edge runs into one sorted duplicate-free
@@ -427,276 +480,346 @@ impl EdgeRunStore {
 /// output is produced by exactly one task; equal keys cannot straddle a
 /// chunk boundary, which is what makes per-chunk dedup exact.
 pub fn merge_sorted_runs(runs: &[&[(u32, u32)]]) -> Vec<(u32, u32)> {
-    let live: Vec<&[(u32, u32)]> = runs.iter().copied().filter(|r| !r.is_empty()).collect();
-    match live.len() {
-        0 => return Vec::new(),
-        1 => return live[0].to_vec(),
-        _ => {}
+    merge_runs(runs)
+}
+
+/// An element of an in-memory run: an edge, or an already packed key.
+trait Key: Copy + Sync {
+    fn key(self) -> u64;
+}
+
+impl Key for u64 {
+    #[inline]
+    fn key(self) -> u64 {
+        self
     }
-    let total: usize = live.iter().map(|r| r.len()).sum();
-    let nthreads = rayon::current_num_threads();
-    if nthreads <= 1 || total < MIN_PARALLEL_MERGE {
-        return merge_range(&live);
+}
+
+impl Key for (u32, u32) {
+    #[inline]
+    fn key(self) -> u64 {
+        pack(self.0, self.1)
     }
+}
+
+/// A sorted duplicate-free run as the merge reads it: random access to
+/// its keys for the splitter search, and cursors streaming the keys of a
+/// sub-range for the chunk merges.
+trait KeyRun: Sync {
+    /// Cursor over the keys of a sub-range.
+    type Cursor: Iterator<Item = u64> + Send;
+
+    fn len(&self) -> usize;
+
+    /// Key of element `i` (random access).
+    fn key(&self, i: usize) -> u64;
+
+    /// Cursor over the keys of elements `[start, end)`.
+    fn cursor(&self, start: usize, end: usize) -> Self::Cursor;
+
+    /// First index whose key is ≥ `key`, by binary search over
+    /// [`KeyRun::key`].
+    fn lower_bound(&self, key: u64) -> usize {
+        let (mut lo, mut hi) = (0usize, self.len());
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if self.key(mid) < key {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        lo
+    }
+}
+
+/// Cursor over the keys of an in-memory (sub-)slice.
+struct SliceKeys<'a, T>(std::slice::Iter<'a, T>);
+
+impl<T: Key> Iterator for SliceKeys<'_, T> {
+    type Item = u64;
+
+    #[inline]
+    fn next(&mut self) -> Option<u64> {
+        self.0.next().map(|&e| e.key())
+    }
+}
+
+impl<'a, T: Key> KeyRun for &'a [T] {
+    type Cursor = SliceKeys<'a, T>;
+
+    fn len(&self) -> usize {
+        <[T]>::len(self)
+    }
+
+    fn key(&self, i: usize) -> u64 {
+        self[i].key()
+    }
+
+    fn cursor(&self, start: usize, end: usize) -> SliceKeys<'a, T> {
+        let run: &'a [T] = self;
+        SliceKeys(run[start..end].iter())
+    }
+}
+
+impl<'a> KeyRun for &'a SealedRun {
+    type Cursor = RunCursor<'a>;
+
+    fn len(&self) -> usize {
+        match self {
+            SealedRun::Mem(v) => v.len(),
+            SealedRun::File(f) => f.len,
+        }
+    }
+
+    fn key(&self, i: usize) -> u64 {
+        match self {
+            SealedRun::Mem(v) => v[i].key(),
+            SealedRun::File(f) => f.key(i),
+        }
+    }
+
+    fn cursor(&self, start: usize, end: usize) -> RunCursor<'a> {
+        match *self {
+            SealedRun::Mem(v) => RunCursor::Mem(SliceKeys(v[start..end].iter())),
+            SealedRun::File(run) => RunCursor::File {
+                run,
+                next: start,
+                end,
+                bytes: Vec::new(),
+                pos: 0,
+            },
+        }
+    }
+}
+
+/// Cursor over a sub-range of a sealed run: memory ranges borrow the
+/// slice, file ranges refill a bounded buffer.
+enum RunCursor<'a> {
+    Mem(SliceKeys<'a, (u32, u32)>),
+    File {
+        run: &'a FileRun,
+        /// Next record to read into `bytes`.
+        next: usize,
+        end: usize,
+        /// The records read last (at most [`FILE_BUF_PAIRS`]), allocated
+        /// on first read.
+        bytes: Vec<u8>,
+        /// Byte offset of the next record to yield within `bytes`.
+        pos: usize,
+    },
+}
+
+impl Iterator for RunCursor<'_> {
+    type Item = u64;
+
+    fn next(&mut self) -> Option<u64> {
+        match self {
+            RunCursor::Mem(keys) => keys.next(),
+            RunCursor::File {
+                run,
+                next,
+                end,
+                bytes,
+                pos,
+            } => {
+                if *pos == bytes.len() {
+                    if next == end {
+                        return None;
+                    }
+                    let upto = (*end).min(*next + FILE_BUF_PAIRS);
+                    run.read_into(*next, upto, bytes);
+                    *next = upto;
+                    *pos = 0;
+                }
+                *pos += 8;
+                Some(record_key(&bytes[*pos - 8..*pos]))
+            }
+        }
+    }
+}
+
+/// The one k-way merge, for every run representation: the sorted set
+/// union of `runs` (each sorted and duplicate-free), as edges.
+///
+/// Splitters sampled from the largest run cut the key space into up to
+/// `threads × 4` chunks (one with a 1-thread pool or under
+/// [`MIN_PARALLEL_MERGE`] keys), every run is cut at each splitter by
+/// binary search, and each chunk merges its sub-ranges straight into its
+/// own slice of the output on the pool (see [`ChunkMerge`]).
+fn merge_runs<R: KeyRun>(runs: &[R]) -> Vec<(u32, u32)> {
+    let runs: Vec<&R> = runs.iter().filter(|r| r.len() > 0).collect();
+    let total: usize = runs.iter().map(|r| r.len()).sum();
+    let threads = rayon::current_num_threads();
+    let nchunks = if threads <= 1 || total < MIN_PARALLEL_MERGE {
+        1
+    } else {
+        (threads * 4).min(total / (MIN_PARALLEL_MERGE / 4))
+    };
 
     // Sample chunk splitters from the largest run (it holds ≥ total/k of
     // the mass, so its quantiles balance the chunks well enough).
-    let nchunks = (nthreads * 4).min(total / (MIN_PARALLEL_MERGE / 4)).max(1);
-    let largest = live.iter().max_by_key(|r| r.len()).unwrap();
-    let mut splitters: Vec<(u32, u32)> = (1..nchunks)
-        .map(|c| largest[c * largest.len() / nchunks])
-        .collect();
+    let mut splitters: Vec<u64> = match runs.iter().max_by_key(|r| r.len()) {
+        Some(largest) => (1..nchunks)
+            .map(|c| largest.key(c * largest.len() / nchunks))
+            .collect(),
+        None => Vec::new(),
+    };
     splitters.dedup();
+    let nchunks = splitters.len() + 1;
 
     // cuts[r] = the nchunks+1 boundaries of run r (binary-searched once
     // per splitter), so chunk c of run r is r[cuts[r][c]..cuts[r][c+1]].
-    let cuts: Vec<Vec<usize>> = live
+    let cuts: Vec<Vec<usize>> = runs
         .iter()
         .map(|r| {
-            let mut c = Vec::with_capacity(splitters.len() + 2);
+            let mut c = Vec::with_capacity(nchunks + 1);
             c.push(0);
-            for s in &splitters {
-                c.push(r.partition_point(|e| e < s));
-            }
+            c.extend(splitters.iter().map(|&s| r.lower_bound(s)));
             c.push(r.len());
             c
         })
         .collect();
-    let nchunks = splitters.len() + 1;
 
-    let parts: Vec<Vec<(u32, u32)>> = (0..nchunks)
-        .into_par_iter()
-        .map(|c| {
-            let subs: Vec<&[(u32, u32)]> = live
-                .iter()
-                .zip(&cuts)
-                .map(|(r, cut)| &r[cut[c]..cut[c + 1]])
-                .filter(|s| !s.is_empty())
-                .collect();
-            merge_range(&subs)
-        })
-        .collect();
-    let mut out = Vec::with_capacity(parts.iter().map(|p| p.len()).sum());
-    for p in parts {
-        out.extend_from_slice(&p);
+    // One output for all chunks, allocated here: chunk c owns the next
+    // Σ_r |chunk c of run r| slots, and everything it needs is built on
+    // this thread, so no pool worker allocates (see the module docs).
+    let mut out = vec![(0u32, 0u32); total];
+    let mut sizes = Vec::with_capacity(nchunks);
+    let mut merges = Vec::with_capacity(nchunks);
+    let mut rest = out.as_mut_slice();
+    for c in 0..nchunks {
+        let cursors: Vec<R::Cursor> = runs
+            .iter()
+            .zip(&cuts)
+            .filter(|(_, cut)| cut[c] < cut[c + 1])
+            .map(|(r, cut)| r.cursor(cut[c], cut[c + 1]))
+            .collect();
+        let size: usize = cuts.iter().map(|cut| cut[c + 1] - cut[c]).sum();
+        let (slice, tail) = std::mem::take(&mut rest).split_at_mut(size);
+        rest = tail;
+        sizes.push(size);
+        merges.push(ChunkMerge::new(cursors, slice));
     }
-    out
-}
+    let written: Vec<usize> = merges.into_par_iter().map(ChunkMerge::run).collect();
 
-/// Merge sealed runs of any representation (memory and/or spilled) into
-/// the sorted duplicate-free set union — the out-of-core counterpart of
-/// [`merge_sorted_runs`], sharing its key-space partitioning scheme so
-/// the output is bit-identical to what the in-memory merge produces for
-/// the same union, at any thread count. File runs are streamed through
-/// bounded buffers ([`FILE_BUF_PAIRS`] pairs per cursor); per-record
-/// random access happens only in the O(k · log) splitter search.
-fn merge_sealed_runs(runs: &[SealedRun]) -> Vec<(u32, u32)> {
-    let live: Vec<&SealedRun> = runs.iter().filter(|r| r.len() > 0).collect();
-    match live.len() {
-        0 => return Vec::new(),
-        1 => {
-            return match live[0] {
-                SealedRun::Mem(v) => v.clone(),
-                SealedRun::File(f) => f.to_vec(),
-            }
+    // Close the gaps the chunks' dropped duplicates left: slide each
+    // chunk down onto the end of the one before it.
+    let (mut len, mut start) = (0, 0);
+    for (size, n) in sizes.into_iter().zip(written) {
+        if start != len {
+            out.copy_within(start..start + n, len);
         }
-        _ => {}
+        len += n;
+        start += size;
     }
-    let total: usize = live.iter().map(|r| r.len()).sum();
-    let nthreads = rayon::current_num_threads();
-    if nthreads <= 1 || total < MIN_PARALLEL_MERGE {
-        let cursors = live.iter().map(|r| RunCursor::new(r, 0, r.len())).collect();
-        return merge_cursors(cursors, total);
-    }
-
-    // Same splitter scheme as merge_sorted_runs: quantiles of the largest
-    // run partition the key space; every run is cut at each splitter.
-    let nchunks = (nthreads * 4).min(total / (MIN_PARALLEL_MERGE / 4)).max(1);
-    let largest = live.iter().max_by_key(|r| r.len()).unwrap();
-    let mut splitters: Vec<(u32, u32)> = (1..nchunks)
-        .map(|c| largest.get(c * largest.len() / nchunks))
-        .collect();
-    splitters.dedup();
-    let cuts: Vec<Vec<usize>> = live
-        .iter()
-        .map(|r| {
-            let mut c = Vec::with_capacity(splitters.len() + 2);
-            c.push(0);
-            for &s in &splitters {
-                c.push(r.lower_bound(s));
-            }
-            c.push(r.len());
-            c
-        })
-        .collect();
-    let nchunks = splitters.len() + 1;
-
-    let parts: Vec<Vec<(u32, u32)>> = (0..nchunks)
-        .into_par_iter()
-        .map(|c| {
-            let mut size = 0usize;
-            let cursors: Vec<RunCursor> = live
-                .iter()
-                .zip(&cuts)
-                .filter(|(_, cut)| cut[c] < cut[c + 1])
-                .map(|(r, cut)| {
-                    size += cut[c + 1] - cut[c];
-                    RunCursor::new(r, cut[c], cut[c + 1])
-                })
-                .collect();
-            merge_cursors(cursors, size)
-        })
-        .collect();
-    let mut out = Vec::with_capacity(parts.iter().map(|p| p.len()).sum());
-    for p in parts {
-        out.extend_from_slice(&p);
+    if len < total {
+        out.truncate(len);
+        out.shrink_to_fit();
     }
     out
 }
 
-/// Streaming cursor over a `[start, end)` range of a sealed run: memory
-/// ranges borrow the slice, file ranges refill a bounded buffer.
-struct RunCursor<'a> {
-    run: &'a SealedRun,
-    /// Next absolute index to buffer from (file runs).
-    next: usize,
-    end: usize,
-    /// Buffered window (file runs; memory runs use the slice directly).
-    buf: Vec<(u32, u32)>,
-    /// Position within `buf` / within the memory slice.
-    pos: usize,
+/// One key-range chunk of a merge: cursors over its runs' sub-ranges,
+/// the output slice they fill, and the loser tree's storage — all built
+/// on the calling thread, so the worker that runs it allocates nothing
+/// but a spilled cursor's read buffer.
+struct ChunkMerge<'o, I> {
+    cursors: Vec<I>,
+    /// Each cursor's head key; `u64::MAX` once it is exhausted.
+    heads: Vec<u64>,
+    /// `tree[0]` is the winning cursor, `tree[1..k]` the loser at each
+    /// internal node; cursor `i` is leaf `k + i`.
+    tree: Vec<usize>,
+    /// Exactly as long as the cursors' ranges together.
+    out: &'o mut [(u32, u32)],
 }
 
-impl<'a> RunCursor<'a> {
-    fn new(run: &'a SealedRun, start: usize, end: usize) -> Self {
-        let mut c = RunCursor {
-            run,
-            next: start,
-            end,
-            buf: Vec::new(),
-            pos: start,
+impl<'o, I: Iterator<Item = u64>> ChunkMerge<'o, I> {
+    fn new(cursors: Vec<I>, out: &'o mut [(u32, u32)]) -> Self {
+        let k = cursors.len();
+        ChunkMerge {
+            cursors,
+            heads: vec![u64::MAX; k],
+            tree: vec![0; k],
+            out,
+        }
+    }
+
+    /// Merge the cursors into `out`, dropping duplicates; returns how
+    /// many edges were written (a prefix of `out`).
+    fn run(mut self) -> usize {
+        let k = self.cursors.len();
+        if k <= 1 {
+            // One run is already sorted and duplicate-free.
+            for (slot, key) in self.out.iter_mut().zip(self.cursors.iter_mut().flatten()) {
+                *slot = unpack(key);
+            }
+            return self.out.len();
+        }
+        for (head, cursor) in self.heads.iter_mut().zip(&mut self.cursors) {
+            *head = cursor.next().unwrap_or(u64::MAX);
+        }
+        self.tree[0] = self.play(1);
+
+        let ChunkMerge {
+            mut cursors,
+            mut heads,
+            mut tree,
+            out,
+        } = self;
+        let (mut len, mut taken) = (0, 0);
+        let mut last = !heads[tree[0]];
+        loop {
+            let w = tree[0];
+            let key = heads[w];
+            if key == u64::MAX {
+                break;
+            }
+            // Write unconditionally; keep the slot only for a new key.
+            out[len] = unpack(key);
+            len += usize::from(key != last);
+            last = key;
+            taken += 1;
+            heads[w] = cursors[w].next().unwrap_or(u64::MAX);
+            // Replay w's path: at each node the smaller head goes on up.
+            // Selects, not branches: the comparisons are unpredictable.
+            let mut winner = w;
+            let mut node = (w + k) / 2;
+            while node > 0 {
+                let loser = tree[node];
+                let up = heads[loser] < heads[winner];
+                tree[node] = if up { winner } else { loser };
+                winner = if up { loser } else { winner };
+                node /= 2;
+            }
+            tree[0] = winner;
+        }
+        // Every head is u64::MAX: keys not yet taken are the edge
+        // (u32::MAX, u32::MAX), the last of their runs; write it once.
+        if taken < out.len() {
+            out[len] = (u32::MAX, u32::MAX);
+            len += 1;
+        }
+        len
+    }
+
+    /// Play the subtree under `node` from the current heads: record each
+    /// internal node's loser and return the subtree's winner.
+    fn play(&mut self, node: usize) -> usize {
+        let k = self.cursors.len();
+        if node >= k {
+            return node - k;
+        }
+        let (a, b) = (self.play(2 * node), self.play(2 * node + 1));
+        let (winner, loser) = if self.heads[b] < self.heads[a] {
+            (b, a)
+        } else {
+            (a, b)
         };
-        if let SealedRun::File(_) = run {
-            c.pos = 0;
-            c.refill();
-        }
-        c
+        self.tree[node] = loser;
+        winner
     }
-
-    fn refill(&mut self) {
-        if let SealedRun::File(f) = self.run {
-            self.buf.clear();
-            self.pos = 0;
-            let upto = self.end.min(self.next + FILE_BUF_PAIRS);
-            if self.next < upto {
-                f.read_range_into(self.next, upto, &mut self.buf);
-                self.next = upto;
-            }
-        }
-    }
-
-    /// The current head edge, or `None` when the range is exhausted.
-    fn head(&self) -> Option<(u32, u32)> {
-        match self.run {
-            SealedRun::Mem(v) => (self.pos < self.end).then(|| v[self.pos]),
-            SealedRun::File(_) => self.buf.get(self.pos).copied(),
-        }
-    }
-
-    fn advance(&mut self) {
-        self.pos += 1;
-        if let SealedRun::File(_) = self.run {
-            if self.pos >= self.buf.len() && self.next < self.end {
-                self.refill();
-            }
-        }
-    }
-}
-
-/// K-way tournament over cursors with streamwise dedup — the same merge
-/// order (heap keyed on head edge, ties by cursor index) as
-/// [`merge_range`], so the output is the identical sorted set union.
-fn merge_cursors(mut cursors: Vec<RunCursor>, size_hint: usize) -> Vec<(u32, u32)> {
-    use std::cmp::Reverse;
-    use std::collections::BinaryHeap;
-    let mut out = Vec::with_capacity(size_hint);
-    let mut heap: BinaryHeap<Reverse<((u32, u32), usize)>> = cursors
-        .iter()
-        .enumerate()
-        .filter_map(|(i, c)| c.head().map(|e| Reverse((e, i))))
-        .collect();
-    while let Some(Reverse((e, i))) = heap.pop() {
-        if out.last() != Some(&e) {
-            out.push(e);
-        }
-        cursors[i].advance();
-        if let Some(next) = cursors[i].head() {
-            heap.push(Reverse((next, i)));
-        }
-    }
-    out
-}
-
-/// Sequential k-way merge with dedup via a tournament over run heads
-/// (binary heap keyed on the head edge, ties broken by run index so the
-/// pop order is deterministic).
-fn merge_range(subs: &[&[(u32, u32)]]) -> Vec<(u32, u32)> {
-    use std::cmp::Reverse;
-    use std::collections::BinaryHeap;
-    match subs.len() {
-        0 => return Vec::new(),
-        1 => return subs[0].to_vec(),
-        2 => return merge2(subs[0], subs[1]),
-        _ => {}
-    }
-    let mut out = Vec::with_capacity(subs.iter().map(|s| s.len()).sum());
-    let mut heap: BinaryHeap<Reverse<((u32, u32), usize)>> = subs
-        .iter()
-        .enumerate()
-        .map(|(i, s)| Reverse((s[0], i)))
-        .collect();
-    let mut cursor = vec![0usize; subs.len()];
-    while let Some(Reverse((e, i))) = heap.pop() {
-        if out.last() != Some(&e) {
-            out.push(e);
-        }
-        cursor[i] += 1;
-        if cursor[i] < subs[i].len() {
-            heap.push(Reverse((subs[i][cursor[i]], i)));
-        }
-    }
-    out
-}
-
-/// Two-way sorted merge with dedup (the common fan-in: an incremental
-/// fold merges one base list with one fresh list).
-fn merge2(a: &[(u32, u32)], b: &[(u32, u32)]) -> Vec<(u32, u32)> {
-    let mut out = Vec::with_capacity(a.len() + b.len());
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        let e = match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => {
-                let e = a[i];
-                i += 1;
-                e
-            }
-            std::cmp::Ordering::Greater => {
-                let e = b[j];
-                j += 1;
-                e
-            }
-            std::cmp::Ordering::Equal => {
-                let e = a[i];
-                i += 1;
-                j += 1;
-                e
-            }
-        };
-        out.push(e);
-    }
-    out.extend_from_slice(&a[i..]);
-    out.extend_from_slice(&b[j..]);
-    out
 }
 
 #[cfg(test)]
@@ -755,6 +878,21 @@ mod tests {
     }
 
     #[test]
+    fn open_buffer_is_reserved_once_and_reused() {
+        let mut store = EdgeRunStore::with_run_capacity(Some(100), 64);
+        store.reserve(1000);
+        assert_eq!(store.buf.capacity(), 64, "reserve caps at the run capacity");
+        for u in 0..99u32 {
+            store.push(u, u + 1);
+            store.push(u + 1, u);
+        }
+        assert_eq!(store.runs.len(), 198 / 64);
+        assert_eq!(store.buf.capacity(), 64, "seals reuse the open buffer");
+        let want: Vec<(u32, u32)> = (0..99).map(|u| (u, u + 1)).collect();
+        assert_eq!(store.into_sorted_edges(), want);
+    }
+
+    #[test]
     fn unbounded_mode_tracks_max_id() {
         let mut store = EdgeRunStore::unbounded();
         assert_eq!(store.max_id(), None);
@@ -781,7 +919,7 @@ mod tests {
 
     #[test]
     fn merge_many_overlapping_runs() {
-        // 5 runs with heavy overlap, exercising the heap path.
+        // 5 runs with heavy overlap, exercising the loser tree.
         let runs: Vec<Vec<(u32, u32)>> = (0..5u32)
             .map(|r| (0..50u32).map(|i| (i + r, i + r + 1)).collect())
             .collect();

@@ -1,9 +1,10 @@
 //! Property tests pinning the streaming chunked builder to the canonical
 //! [`Graph::from_canonical_edges`] contract: for any stream and any run
 //! size the built graph is bit-identical to the reference sort+dedup
-//! build. Run under `RAYON_NUM_THREADS` ∈ {1, 2, 8} by the CI thread
-//! matrix — the merge output must be independent of both the run
-//! boundaries and the pool size.
+//! build. CI runs this file with `RAYON_NUM_THREADS` = 1, 2 and 8 — a
+//! sequential seal, two pieces per seal and eight — and the merge output
+//! must be independent of the run boundaries, the seal pieces and the
+//! pool size.
 
 use cc_graph::runs::{merge_sorted_runs, EdgeRunStore};
 use cc_graph::Graph;
@@ -157,4 +158,119 @@ fn large_stream_crosses_parallel_threshold() {
             "spilled cap {cap}"
         );
     }
+}
+
+/// A sorted duplicate-free list of `m` random canonical edges on `0..n`.
+fn sorted_edges(n: u32, m: usize, seed: u64) -> Vec<(u32, u32)> {
+    let mut rng = cc_graph::Rng::new(seed);
+    let mut edges: Vec<(u32, u32)> = (0..m)
+        .map(|_| {
+            let u = (rng.next_u64() % n as u64) as u32;
+            let v = (rng.next_u64() % n as u64) as u32;
+            (u.min(v), u.max(v))
+        })
+        .filter(|&(u, v)| u != v)
+        .collect();
+    edges.sort_unstable();
+    edges.dedup();
+    edges
+}
+
+/// Sort + dedup of the concatenated runs: what every merge must return.
+fn union(runs: &[&[(u32, u32)]]) -> Vec<(u32, u32)> {
+    let mut all = runs.concat();
+    all.sort_unstable();
+    all.dedup();
+    all
+}
+
+/// Cross-run duplicates in every chunk of a parallel merge: `a` appears
+/// twice and is large enough (> 4 · 2^15 edges) that the chunked merge
+/// splits the key space at more than one thread, so every chunk drops
+/// duplicates and the gaps they leave must be closed exactly.
+#[test]
+fn merge_closes_the_gap_every_chunk_leaves() {
+    let a = sorted_edges(1 << 20, 150_000, 0xA11CE);
+    assert!(a.len() > 4 << 15, "a has {} edges", a.len());
+    // b shares every 7th edge of a and adds fresh ones.
+    let mut b: Vec<(u32, u32)> = a.iter().copied().step_by(7).collect();
+    b.extend(sorted_edges(1 << 20, 40_000, 0xB0B));
+    b.sort_unstable();
+    b.dedup();
+    let want = union(&[&a, &b]);
+    let got = merge_sorted_runs(&[&a, &a, &b]);
+    assert_eq!(got.len(), want.len());
+    assert_eq!(got, want);
+    assert_eq!(got.capacity(), got.len(), "gap-closed output not shrunk");
+    // Duplicates only: the output is a itself.
+    assert_eq!(merge_sorted_runs(&[&a, &a, &a]), a);
+}
+
+/// Duplicates inside one open buffer, split across its seal pieces: each
+/// buffer of 2^16 edges holds 2^15 edges pushed twice — once in the
+/// first half, reversed in the second — with self-loops in between, so
+/// at 2 or 8 threads every duplicate pair lies in two different pieces
+/// and only the merge of the pieces can drop it.
+#[test]
+fn seal_drops_duplicates_that_cross_its_pieces() {
+    let n = 1usize << 16;
+    let cap = 1usize << 16;
+    let mut stream = Vec::new();
+    for buffer in 0..3u64 {
+        let mut rng = cc_graph::Rng::new(0x5EA1 + buffer);
+        let mut half = Vec::with_capacity(cap / 2);
+        while half.len() < cap / 2 {
+            let u = (rng.next_u64() % n as u64) as u32;
+            let v = (rng.next_u64() % n as u64) as u32;
+            if u != v {
+                half.push((u, v));
+            }
+        }
+        for (i, &(u, v)) in half.iter().enumerate() {
+            stream.push((u, v));
+            if i % 64 == 0 {
+                stream.push((v, v)); // self-loop: dropped before the buffer
+            }
+        }
+        stream.extend(half.iter().map(|&(u, v)| (v, u)));
+    }
+    let want = reference_graph(n, &stream);
+    assert!(
+        want.m() < stream.len() / 2,
+        "stream should be half duplicates"
+    );
+    assert_eq!(streamed_graph(n, &stream, cap), want);
+    assert_eq!(streamed_graph_spill(n, &stream, cap, true), want);
+}
+
+/// The largest edge, `(u32::MAX, u32::MAX)`, packs to the key the merge
+/// uses to mark an exhausted run; as the last edge of some runs it must
+/// still come out exactly once, in order.
+#[test]
+fn merge_keeps_the_largest_edge() {
+    const TOP: (u32, u32) = (u32::MAX, u32::MAX);
+    let a = [(0u32, 1u32), (5, u32::MAX), TOP];
+    let b = [(2u32, 3u32), TOP];
+    let c = [(u32::MAX - 1, u32::MAX)];
+    for runs in [
+        vec![&a[..], &b[..], &c[..]],
+        vec![&c[..], &b[..]],
+        vec![&b[1..], &b[1..]],
+        vec![&a[2..]],
+        vec![&c[..], &a[2..], &[][..]],
+    ] {
+        assert_eq!(merge_sorted_runs(&runs), union(&runs), "runs {runs:?}");
+    }
+
+    // Parallel-sized: three runs end in TOP, one does not.
+    let mut runs: Vec<Vec<(u32, u32)>> = (0..4u64)
+        .map(|r| sorted_edges(u32::MAX, 30_000, 0x70F + r))
+        .collect();
+    for run in &mut runs[..3] {
+        run.push(TOP);
+    }
+    let slices: Vec<&[(u32, u32)]> = runs.iter().map(|r| r.as_slice()).collect();
+    let got = merge_sorted_runs(&slices);
+    assert_eq!(got.last(), Some(&TOP));
+    assert_eq!(got, union(&slices));
 }
