@@ -27,10 +27,9 @@
 //! enqueue the batched write stream concurrently (each keeping `--window`
 //! tickets outstanding) while `--readers` threads hammer `query_latest`,
 //! and the report — `BENCH_PR6.json` by default — records enqueue vs
-//! commit latency and query latency during pipelined-rebuild windows. Each
-//! row asserts `verified`, the enqueue budget (p50 < 1/10 of the PR 4
-//! synchronous batch p50), and no reader stall beyond one batch commit
-//! during a rebuild.
+//! commit latency and query latency under contention. Each row asserts
+//! `verified`, the enqueue budget (p50 < 1/10 of the PR 4 synchronous
+//! batch p50), and that the per-stage histograms explain the commit span.
 //!
 //! `--durable DIR` switches to the PR 7 durability scenario: stores are
 //! created under `DIR` (one subdirectory per row, wiped first), the write
@@ -220,12 +219,6 @@ fn main() {
                 out.workload, out.enqueue_p50_us
             );
             assert!(
-                out.rebuild_stall_ok,
-                "svc_driver --mt: {}: query p99 during rebuild ({:.1} µs) exceeded \
-                 one batch commit ({:.1} µs)",
-                out.workload, out.rebuild_query_p99_us, out.commit_p50_us
-            );
-            assert!(
                 out.pipeline_sum_ok,
                 "svc_driver --mt: {}: per-stage histograms do not explain the commit \
                  span (stage p50 sum {:.1} µs vs span p50 {:.1} µs, coverage {:.2})",
@@ -236,8 +229,7 @@ fn main() {
             );
             eprintln!(
                 "svc_driver --mt: [{}] enqueue p50/p99 {:.1}/{:.1} µs, commit p50/p99 \
-                 {:.0}/{:.0} µs, query p50/p99 {:.1}/{:.1} µs ({} during-rebuild samples, \
-                 p99 {:.1} µs), {} rebuilds, {} swaps, verified",
+                 {:.0}/{:.0} µs, query p50/p99 {:.1}/{:.1} µs, {} rebuilds, verified",
                 out.workload,
                 out.enqueue_p50_us,
                 out.enqueue_p99_us,
@@ -245,10 +237,7 @@ fn main() {
                 out.commit_p99_us,
                 out.query_p50_us,
                 out.query_p99_us,
-                out.rebuild_samples,
-                out.rebuild_query_p99_us,
-                out.rebuilds,
-                out.overlay_swaps
+                out.rebuilds
             );
             outcomes.push(out);
         }

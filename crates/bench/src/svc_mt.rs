@@ -13,16 +13,12 @@
 //!   and **commit latency** (enqueue → ticket fulfilled) are recorded
 //!   separately.
 //! * `R` reader threads hammer `query_latest` on Zipfian endpoints the
-//!   whole time; each sample is tagged with whether a pipelined rebuild
-//!   was in flight when it was taken, so the report can show query latency
-//!   *during* rebuild windows next to the overall distribution.
+//!   whole time, so the report shows query latency under contention.
 //!
 //! Acceptance (recorded per row in `BENCH_PR6.json`):
 //!
 //! * `enqueue_ok` — enqueue p50 under [`ENQUEUE_BUDGET_US`] (1/10 of the
 //!   PR 4 synchronous batch p50 at batch = 128);
-//! * `rebuild_stall_ok` — query p99 during rebuild windows no worse than
-//!   one batch commit (pipelined rebuilds must not stall readers);
 //! * `pipeline_sum_ok` — the service registry's per-stage commit
 //!   histograms (dedup / WAL append / fsync / absorb / cross-drain /
 //!   publish) explain the writer's `svc_commit_ns` span: stage p50 sum
@@ -149,23 +145,12 @@ pub struct MtOutcome {
     pub query_p50_us: f64,
     /// Query latency p99 over all reader samples, µs.
     pub query_p99_us: f64,
-    /// Query samples taken while a pipelined rebuild was in flight.
-    pub rebuild_samples: usize,
-    /// Query latency p99 restricted to rebuild-in-flight samples, µs.
-    pub rebuild_query_p99_us: f64,
-    /// Worst query latency observed during a rebuild window, µs.
-    pub rebuild_query_max_us: f64,
     /// Folds the writer performed.
     pub rebuilds: u64,
-    /// Background recomputes that swapped in.
-    pub overlay_swaps: u64,
     /// Components in the final maintained partition.
     pub components: usize,
     /// `enqueue_p50_us < ENQUEUE_BUDGET_US`.
     pub enqueue_ok: bool,
-    /// Query p99 during rebuild windows ≤ one batch commit (vacuously true
-    /// when no query landed inside a rebuild window).
-    pub rebuild_stall_ok: bool,
     /// Sum of the per-commit stage p50s (`svc_dedup_ns` + WAL append +
     /// fsync + absorb + cross-drain + publish), µs — the registry's own
     /// account of where a median commit goes.
@@ -202,9 +187,7 @@ impl MtOutcome {
              \"enqueue_p50_us\":{:.3},\"enqueue_p90_us\":{:.3},\"enqueue_p99_us\":{:.3},\
              \"commit_p50_us\":{:.3},\"commit_p90_us\":{:.3},\"commit_p99_us\":{:.3},\
              \"query_p50_us\":{:.3},\"query_p99_us\":{:.3},\
-             \"rebuild_samples\":{},\"rebuild_query_p99_us\":{:.3},\"rebuild_query_max_us\":{:.3},\
-             \"rebuilds\":{},\"overlay_swaps\":{},\"components\":{},\
-             \"enqueue_ok\":{},\"rebuild_stall_ok\":{},\
+             \"rebuilds\":{},\"components\":{},\"enqueue_ok\":{},\
              \"pipeline_p50_sum_us\":{:.3},\"commit_span_p50_us\":{:.3},\
              \"pipeline_coverage\":{:.3},\"pipeline_sum_ok\":{},\
              \"verified\":{},\"obs\":{}}}",
@@ -232,14 +215,9 @@ impl MtOutcome {
             self.commit_p99_us,
             self.query_p50_us,
             self.query_p99_us,
-            self.rebuild_samples,
-            self.rebuild_query_p99_us,
-            self.rebuild_query_max_us,
             self.rebuilds,
-            self.overlay_swaps,
             self.components,
             self.enqueue_ok,
-            self.rebuild_stall_ok,
             self.pipeline_p50_sum_us,
             self.commit_span_p50_us,
             self.pipeline_coverage,
@@ -288,7 +266,6 @@ struct WriterLog {
 struct ReaderLog {
     queries: u64,
     all_ns: Vec<u64>,
-    rebuild_ns: Vec<u64>,
 }
 
 /// Await the oldest outstanding ticket and record its enqueue→fulfilled
@@ -369,20 +346,15 @@ pub fn run_mt_trace(cfg: &MtConfig) -> MtOutcome {
                     let mut log = ReaderLog {
                         queries: 0,
                         all_ns: Vec::new(),
-                        rebuild_ns: Vec::new(),
                     };
                     while !stop.load(Ordering::Relaxed) {
                         let (u, v) = (zipf.sample(&mut rng), zipf.sample(&mut rng));
-                        let in_rebuild = svc.rebuild_in_flight();
                         let tq = Instant::now();
                         std::hint::black_box(svc.query_latest(u, v));
                         let ns = tq.elapsed().as_nanos() as u64;
                         log.queries += 1;
                         if log.all_ns.len() < READER_SAMPLE_CAP {
                             log.all_ns.push(ns);
-                            if in_rebuild {
-                                log.rebuild_ns.push(ns);
-                            }
                         }
                     }
                     log
@@ -479,21 +451,13 @@ pub fn run_mt_trace(cfg: &MtConfig) -> MtOutcome {
         .flat_map(|l| &l.all_ns)
         .copied()
         .collect();
-    let mut rebuild_ns: Vec<u64> = reader_logs
-        .iter()
-        .flat_map(|l| &l.rebuild_ns)
-        .copied()
-        .collect();
     enqueue_ns.sort_unstable();
     commit_ns.sort_unstable();
     all_query_ns.sort_unstable();
-    rebuild_ns.sort_unstable();
     let reads: u64 = reader_logs.iter().map(|l| l.queries).sum();
 
     let enqueue_p50_us = percentile_us(&enqueue_ns, 0.50);
     let commit_p50_us = percentile_us(&commit_ns, 0.50);
-    let rebuild_query_p99_us = percentile_us(&rebuild_ns, 0.99);
-    let rebuild_query_max_us = percentile_us(&rebuild_ns, 1.0);
     let spectrum = svc.spectrum();
     MtOutcome {
         workload: format!("{}/{}", t.family, t.n),
@@ -520,14 +484,9 @@ pub fn run_mt_trace(cfg: &MtConfig) -> MtOutcome {
         commit_p99_us: percentile_us(&commit_ns, 0.99),
         query_p50_us: percentile_us(&all_query_ns, 0.50),
         query_p99_us: percentile_us(&all_query_ns, 0.99),
-        rebuild_samples: rebuild_ns.len(),
-        rebuild_query_p99_us,
-        rebuild_query_max_us,
         rebuilds: spectrum.rebuilds,
-        overlay_swaps: svc.overlay_swaps(),
         components: spectrum.components,
         enqueue_ok: enqueue_p50_us < ENQUEUE_BUDGET_US,
-        rebuild_stall_ok: rebuild_ns.is_empty() || rebuild_query_p99_us <= commit_p50_us,
         pipeline_p50_sum_us,
         commit_span_p50_us,
         pipeline_coverage,
@@ -643,8 +602,6 @@ mod tests {
         for key in [
             "enqueue_p50_us",
             "commit_p50_us",
-            "rebuild_query_p99_us",
-            "rebuild_stall_ok",
             "enqueue_ok",
             "pipeline_p50_sum_us",
             "pipeline_sum_ok",

@@ -3,31 +3,22 @@
 //!
 //! Nothing on the commit path walks adjacency. Dedup only asks "is
 //! `(u, v)` in the base?", which the row index answers by a binary search
-//! inside `u`'s row; durable snapshots stream the edge list; the rebuild
-//! worker reads it directly (and copies it into a CSR of its own only for
-//! the simulated backend). So with the default backend the service holds
-//! exactly one copy of its edges, shared by `Arc` with the worker while a
-//! recompute runs. A fold that lands while the worker still holds the
-//! list does not copy it: the folded edges wait in a small sorted
-//! *pending* run beside it and are merged in place once the worker lets
-//! go.
+//! inside `u`'s row; durable snapshots stream the edge list. So the
+//! service holds exactly one copy of its edges, and a fold merges into it
+//! in place.
 
 use crate::Edge;
 use cc_graph::builder::dedup_new_edges_by;
 use pram_kit::PairSet;
-use std::sync::Arc;
 
 /// The base edge list (each undirected edge once as `(u, v)` with
 /// `u < v`, sorted, duplicate-free) with its row-start index.
 pub(crate) struct BaseEdges {
     n: usize,
-    edges: Arc<Vec<Edge>>,
+    edges: Vec<Edge>,
     /// `rows[u]..rows[u + 1]` is the run of `edges` whose smaller
     /// endpoint is `u`; rebuilt whenever `edges` changes.
     rows: Vec<u32>,
-    /// Folded edges not yet merged into `edges` because a rebuild job
-    /// still shares it: sorted, and disjoint from `edges`.
-    pending: Vec<Edge>,
 }
 
 impl BaseEdges {
@@ -35,12 +26,7 @@ impl BaseEdges {
     pub(crate) fn new(n: usize, edges: Vec<Edge>) -> Self {
         debug_assert!(is_canonical(&edges, n), "base edge list not canonical");
         let rows = row_index(n, &edges);
-        BaseEdges {
-            n,
-            edges: Arc::new(edges),
-            rows,
-            pending: Vec::new(),
-        }
+        BaseEdges { n, edges, rows }
     }
 
     /// Vertex count.
@@ -48,37 +34,21 @@ impl BaseEdges {
         self.n
     }
 
-    /// Edge count (pending edges included).
+    /// Edge count.
     pub(crate) fn m(&self) -> usize {
-        self.edges.len() + self.pending.len()
+        self.edges.len()
     }
 
-    /// The canonical edge list, in order (pending edges merged in on the
-    /// fly).
-    pub(crate) fn iter(&self) -> impl Iterator<Item = Edge> + '_ {
-        let (mut a, mut b) = (self.edges.iter().peekable(), self.pending.iter().peekable());
-        std::iter::from_fn(move || match (a.peek(), b.peek()) {
-            (Some(x), Some(y)) if y < x => b.next().copied(),
-            (Some(_), _) => a.next().copied(),
-            (None, _) => b.next().copied(),
-        })
-    }
-
-    /// A shared handle on the complete edge list — what a rebuild job
-    /// carries. Merges the pending run first, so call it only when no
-    /// other job holds the list.
-    pub(crate) fn shared(&mut self) -> Arc<Vec<Edge>> {
-        self.merge_pending();
-        assert!(self.pending.is_empty(), "base edge list still shared");
-        Arc::clone(&self.edges)
+    /// The canonical edge list, in order.
+    pub(crate) fn edges(&self) -> &[Edge] {
+        &self.edges
     }
 
     /// Whether the canonical edge `(u, v)`, `u < v`, is in the base: a
-    /// binary search of `u`'s row (and of the pending run, if any).
+    /// binary search of `u`'s row.
     fn contains(&self, (u, v): Edge) -> bool {
         let row = &self.edges[self.rows[u as usize] as usize..self.rows[u as usize + 1] as usize];
         row.binary_search_by_key(&v, |&(_, w)| w).is_ok()
-            || (!self.pending.is_empty() && self.pending.binary_search(&(u, v)).is_ok())
     }
 
     /// Batch normalization against this base and the caller's dedup set:
@@ -98,25 +68,11 @@ impl BaseEdges {
     }
 
     /// Fold a delta list (distinct, disjoint from the base; sorted here)
-    /// into the base. The merge runs in place when no rebuild job shares
-    /// the edge list; otherwise the delta joins the pending run until one
-    /// of the next folds or [`shared`](BaseEdges::shared) finds the list
-    /// free. The edge list is never copied.
+    /// into the base, in place: the edge list is never copied.
     pub(crate) fn fold(&mut self, delta: &mut [Edge]) {
         delta.sort_unstable();
-        merge_in_place(&mut self.pending, delta);
-        self.merge_pending();
-    }
-
-    fn merge_pending(&mut self) {
-        if self.pending.is_empty() {
-            return;
-        }
-        if let Some(edges) = Arc::get_mut(&mut self.edges) {
-            merge_in_place(edges, &self.pending);
-            self.pending.clear();
-            self.rows = row_index(self.n, &self.edges);
-        }
+        merge_in_place(&mut self.edges, delta);
+        self.rows = row_index(self.n, &self.edges);
     }
 }
 
@@ -176,7 +132,7 @@ mod tests {
     }
 
     #[test]
-    fn fold_merges_in_place_or_defers_beside_a_shared_list() {
+    fn fold_merges_in_place() {
         let g = gen::gnm(200, 500, 8);
         let extra = gen::gnm(200, 300, 9);
         let want = Graph::from_csr_plus_edges(&g, extra.edges());
@@ -184,33 +140,11 @@ mod tests {
             let mut seen = PairSet::with_capacity(2, 16);
             base.dedup_new_edges(edges, &mut seen)
         };
-        let (first, second) = extra.edges().split_at(150);
-        // Unshared: in place.
         let mut base = BaseEdges::new(g.n(), g.edges().to_vec());
         let mut delta = fresh(&base, extra.edges());
         base.fold(&mut delta);
-        assert_eq!(base.iter().collect::<Vec<_>>(), want.edges());
-        assert_eq!(&base.edges[..], want.edges());
-        // Shared with a (pretend) rebuild job: both folds wait in the
-        // pending run, the job's list is untouched, and dedup and the
-        // ordered view already see every folded edge.
-        let mut base = BaseEdges::new(g.n(), g.edges().to_vec());
-        let job = base.shared();
-        for part in [first, second] {
-            let mut delta = fresh(&base, part);
-            base.fold(&mut delta);
-        }
-        assert!(!base.pending.is_empty());
-        assert!(Arc::ptr_eq(&job, &base.edges));
-        assert_eq!(&job[..], g.edges());
+        assert_eq!(base.edges(), want.edges());
         assert_eq!(base.m(), want.m());
-        assert_eq!(base.iter().collect::<Vec<_>>(), want.edges());
-        assert!(fresh(&base, extra.edges()).is_empty());
-        // Once the job lets go, the next handle merges in place.
-        drop(job);
-        let again = base.shared();
-        assert!(base.pending.is_empty());
-        assert_eq!(&again[..], want.edges());
         assert!(fresh(&base, extra.edges()).is_empty());
     }
 

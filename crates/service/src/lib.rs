@@ -6,7 +6,7 @@
 //! stream of batched edge insertions and answers connectivity queries
 //! against published, immutable snapshots.
 //!
-//! Since PR 6 the service is **sharded and pipelined** — three moving
+//! Since PR 6 the service is **sharded and asynchronous** — three moving
 //! parts behind one controller handle (full contract: `ARCHITECTURE.md`):
 //!
 //! * **A dedicated writer thread** owns the state. [`apply_batch`] only
@@ -24,12 +24,11 @@
 //!   commit. Shard count is a pure performance knob: published labels are
 //!   canonical min-vertex representatives, identical for every shard and
 //!   thread count.
-//! * **Pipelined rebuilds**: when [`SvcParams::rebuild_threshold`]
-//!   distinct new edges have accumulated, the commit *folds* them into
-//!   the base edge list synchronously (an in-place merge, deterministic
-//!   trigger), but the full recompute on the [`RebuildBackend`] runs on a
-//!   background worker and is checked against the fold between commits.
-//!   Neither queries nor commits ever stall behind a recompute.
+//! * **Folds**: when [`SvcParams::rebuild_threshold`] distinct new edges
+//!   have accumulated, the commit *folds* them into the base edge list
+//!   (an in-place merge at a deterministic commit) and makes the current
+//!   labels the new snapshot base. The fold is the whole rebuild; no
+//!   labeling is ever recomputed from scratch on the commit path.
 //!
 //! Queries stay wait-free throughout: every commit publishes an immutable
 //! [`Snapshot`] (canonical labels plus a [`Spectrum`] of component
@@ -41,8 +40,7 @@
 //!
 //! Label canonicalization makes the service deterministic: for a fixed
 //! replay (initial graph + batch sequence from one caller), every epoch's
-//! labels are identical at any thread count, for any shard count, and for
-//! either rebuild backend.
+//! labels are identical at any thread count and for any shard count.
 //!
 //! Since PR 7 the service can also be **durable**: opened on a
 //! directory ([`ConnectivityService::create`] /
@@ -100,34 +98,12 @@ pub type Edge = (u32, u32);
 /// graph). Epochs are assigned by the writer thread in dequeue order.
 pub type Epoch = u64;
 
-/// Which full-recompute algorithm a background rebuild runs once the
-/// delta overlay exceeds its threshold.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum RebuildBackend {
-    /// The practical lock-free concurrent union–find
-    /// ([`logdiam_par::unionfind::unionfind_cc`]): the fast default.
-    UnionFind,
-    /// The paper's Theorem-3 EXPAND–MAXLINK algorithm (`faster_cc`) on a
-    /// seeded-ARBITRARY simulated CRCW PRAM — orders of magnitude slower
-    /// per rebuild, but routes the service's maintenance path through the
-    /// reproduction itself. The recompute runs off the commit path, and
-    /// its result must equal the labels the writer materialized at that
-    /// fold, so a diverging simulation aborts loudly instead of
-    /// corrupting state.
-    FasterSim {
-        /// Seed for the simulated machine and the algorithm's hash draws.
-        seed: u64,
-    },
-}
-
 /// Tuning knobs for [`ConnectivityService`].
 #[derive(Clone, Copy, Debug)]
 pub struct SvcParams {
-    /// Rebuild backend (default: [`RebuildBackend::UnionFind`]).
-    pub backend: RebuildBackend,
     /// Distinct new (not in the base graph, not previously absorbed)
     /// edges the delta overlay may accumulate before a commit folds them
-    /// into the base edge list and schedules a background recompute.
+    /// into the base edge list (default 4096).
     pub rebuild_threshold: usize,
     /// How many recent epoch snapshots stay addressable by
     /// [`ConnectivityService::query`]; older epochs are evicted
@@ -164,7 +140,6 @@ pub struct SvcParams {
 impl Default for SvcParams {
     fn default() -> Self {
         SvcParams {
-            backend: RebuildBackend::UnionFind,
             rebuild_threshold: 4096,
             snapshot_history: 8,
             shard_count: 8,

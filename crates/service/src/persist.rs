@@ -181,7 +181,7 @@ pub(crate) struct Recovered {
     pub(crate) base: BaseEdges,
     pub(crate) delta: Vec<Edge>,
     /// `None` when recovery fell all the way back to genesis — the
-    /// caller recomputes the initial labeling with its backend.
+    /// caller computes the initial labeling from scratch.
     pub(crate) labels: Option<Vec<u32>>,
     pub(crate) epoch: Epoch,
     pub(crate) rebuilds: u64,
@@ -503,7 +503,7 @@ pub(crate) fn write_snapshot(
         w.u64(head.cross_unions)?;
         w.u32(labels.len() as u32)?;
         w.u64(base.m() as u64)?;
-        w.edges(base.iter())?;
+        w.edges(base.edges().iter().copied())?;
         w.u64(delta.len() as u64)?;
         w.edges(delta.iter().copied())?;
         w.words(labels)

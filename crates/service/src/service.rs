@@ -13,7 +13,6 @@ use crate::{Edge, Epoch, EpochError, FsyncPolicy, PersistError, Snapshot, SvcPar
 use cc_graph::Graph;
 use std::collections::VecDeque;
 use std::path::Path;
-use std::sync::atomic::Ordering;
 use std::sync::{mpsc, Arc, RwLock};
 
 /// A connectivity service over a mutable graph: batched edge insertions
@@ -29,11 +28,11 @@ use std::sync::{mpsc, Arc, RwLock};
 /// assignment is totally ordered no matter how many threads enqueue.
 /// Queries ([`query`](ConnectivityService::query) and friends) read the
 /// published snapshot ring under a brief read lock — they never wait on a
-/// committing batch, a fold, or a background rebuild.
+/// committing batch or a fold.
 ///
 /// Dropping the handle shuts the service down: already-enqueued batches
 /// are drained, committed, and their tickets fulfilled; then the writer
-/// joins its rebuild worker and exits. No thread outlives the handle.
+/// exits. No thread outlives the handle.
 pub struct ConnectivityService {
     n: usize,
     /// `Some` until Drop; taken there so the channel closes before join.
@@ -45,9 +44,8 @@ pub struct ConnectivityService {
 
 impl ConnectivityService {
     /// Start a **memory-only** service over an initial graph. The initial
-    /// labeling is computed synchronously with the configured rebuild
-    /// backend and published as epoch 0 before this returns; the writer
-    /// thread and its background rebuild worker are running when it does.
+    /// labeling is computed synchronously and published as epoch 0 before
+    /// this returns; the writer thread is running when it does.
     /// Nothing is persisted — use [`create`](ConnectivityService::create)
     /// / [`open`](ConnectivityService::open) for a durable service.
     pub fn new(initial: Graph, params: SvcParams) -> Self {
@@ -196,11 +194,9 @@ impl ConnectivityService {
         EpochTicket::new(cell)
     }
 
-    /// Block until every batch enqueued before this call has committed.
-    /// Does **not** wait for an in-flight background rebuild — rebuild
-    /// completion is a representation change invisible to queries (see
-    /// [`rebuild_in_flight`](ConnectivityService::rebuild_in_flight)).
-    /// Errors instead of hanging when the writer thread has died.
+    /// Block until every batch enqueued before this call has committed
+    /// (folds included: a fold completes inside its commit). Errors
+    /// instead of hanging when the writer thread has died.
     pub fn flush(&self) -> Result<(), WriterDead> {
         let (done_tx, done_rx) = mpsc::sync_channel(1);
         self.send(Cmd::Flush(done_tx));
@@ -232,30 +228,16 @@ impl ConnectivityService {
             .expect("service writer gone");
     }
 
-    /// Whether a background rebuild (fold already published, recompute
-    /// queued, running, or not yet checked by the writer) is currently in
-    /// flight.
-    /// Observability only: the value depends on worker timing and is
-    /// *not* part of the deterministic per-epoch surface.
+    /// Always `false`: a rebuild is a fold, which completes inside its
+    /// commit, so none is ever in flight between commits. Kept for
+    /// callers written against the background recompute this replaced.
     pub fn rebuild_in_flight(&self) -> bool {
-        self.stats.rebuild_in_flight.load(Ordering::Acquire)
-    }
-
-    /// Background recomputes that landed on their own fold and matched
-    /// its labels so far (observability only, timing-dependent).
-    pub fn overlay_swaps(&self) -> u64 {
-        self.stats.overlay_swaps.get()
-    }
-
-    /// Background recomputes discarded because their base was re-folded
-    /// while they ran (observability only, timing-dependent).
-    pub fn stale_rebuilds(&self) -> u64 {
-        self.stats.stale_rebuilds.get()
+        false
     }
 
     /// The service's observability registry: commit-pipeline span
     /// histograms, WAL counters, and the structured event ring (e.g.
-    /// `stale_rebuild`, `replay_progress`). Metric names and the event
+    /// `replay_progress`). Metric names and the event
     /// schema are the contract in `docs/obs-schema.md`. Everything here
     /// is host-timing telemetry — never part of the deterministic
     /// per-epoch surface.
@@ -335,8 +317,8 @@ impl ConnectivityService {
 impl Drop for ConnectivityService {
     fn drop(&mut self) {
         // Closing the channel ends the writer's drain loop *after* every
-        // buffered command is processed; join so shutdown is clean even
-        // when a rebuild was mid-flight.
+        // buffered command is processed; join so no thread outlives the
+        // handle.
         drop(self.tx.take());
         if let Some(writer) = self.writer.take() {
             writer.join().expect("service writer panicked");
@@ -347,8 +329,8 @@ impl Drop for ConnectivityService {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{RebuildBackend, SvcParams};
-    use cc_graph::seq::{components, same_partition};
+    use crate::SvcParams;
+    use cc_graph::seq::{canonical_labels, components, same_partition};
     use cc_graph::{gen, GraphBuilder};
 
     fn svc(initial: Graph, threshold: usize) -> ConnectivityService {
@@ -420,8 +402,7 @@ mod tests {
         assert_eq!(svc.spectrum().base_m, 0);
         assert_eq!(svc.spectrum().delta_edges, 2);
         // Third distinct edge crosses the threshold: the fold happens
-        // synchronously at that commit (deterministically), even though
-        // the recompute itself is pipelined onto the background worker.
+        // synchronously at that commit (deterministically).
         svc.apply_batch(&[(4, 5)]).wait().unwrap();
         let sp = svc.spectrum();
         assert_eq!(sp.rebuilds, 1);
@@ -464,28 +445,24 @@ mod tests {
     }
 
     #[test]
-    fn faster_sim_backend_agrees_with_unionfind_backend() {
+    fn final_labels_equal_theorem3_on_the_union_graph() {
         let initial = gen::gnm(120, 150, 5);
         let stream = gen::gnm(120, 90, 17);
-        let mk = |backend| {
-            ConnectivityService::new(
-                initial.clone(),
-                SvcParams {
-                    backend,
-                    rebuild_threshold: 40,
-                    ..SvcParams::default()
-                },
-            )
-        };
-        let a = mk(RebuildBackend::UnionFind);
-        let b = mk(RebuildBackend::FasterSim { seed: 11 });
+        let svc = svc(initial.clone(), 40);
         for chunk in stream.edges().chunks(25) {
-            a.apply_batch(chunk).wait().unwrap();
-            b.apply_batch(chunk).wait().unwrap();
+            svc.apply_batch(chunk).wait().unwrap();
         }
-        // Canonical labels are *identical*, not just partition-equal.
-        assert_eq!(a.latest().labels(), b.latest().labels());
-        assert!(a.spectrum().rebuilds >= 1);
+        assert!(svc.spectrum().rebuilds >= 1);
+        // The paper's algorithm on a simulated PRAM is the oracle; its
+        // canonicalized labels are *identical*, not just partition-equal.
+        let union = Graph::from_csr_plus_edges(&initial, stream.edges());
+        let mut pram = pram_sim::Pram::new(pram_sim::WritePolicy::ArbitrarySeeded(11));
+        let params = logdiam_cc::theorem3::FasterParams::default();
+        let report = logdiam_cc::theorem3::faster_cc(&mut pram, &union, 11, &params);
+        assert_eq!(
+            svc.latest().labels(),
+            &canonical_labels(&report.run.labels)[..]
+        );
     }
 
     #[test]

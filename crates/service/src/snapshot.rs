@@ -48,10 +48,8 @@ pub struct Spectrum {
     /// Number of isolated vertices (components of size 1).
     pub isolated_vertices: usize,
     /// Rebuild folds triggered over the service's lifetime (a fold
-    /// synchronously merges the deltas into the base edge list; the
-    /// recompute it schedules runs on the background worker and is not
-    /// observable here — see `ARCHITECTURE.md` on why the deterministic
-    /// surface must not depend on worker timing).
+    /// synchronously merges the deltas into the base edge list and makes
+    /// the current labels the new snapshot base).
     pub rebuilds: u64,
     /// Vertex-range shards the delta overlay partitions batches over.
     pub shards: usize,

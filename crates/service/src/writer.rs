@@ -1,5 +1,4 @@
-//! The dedicated writer thread that owns all mutable service state, and
-//! the background rebuild worker it pipelines full recomputes onto.
+//! The dedicated writer thread that owns all mutable service state.
 //!
 //! # Commit path
 //!
@@ -15,24 +14,18 @@
 //! the surviving edges touch, absorbs them into the sharded overlay
 //! ([`ShardedOverlay::absorb`]), settles the merges into the component
 //! counts and the remap ([`Labeling::settle`]), folds the delta list into
-//! the base when the rebuild threshold is crossed (the *fold* is
-//! synchronous and deterministic; only the *recompute* is pipelined),
-//! seals and publishes the epoch's [`Snapshot`], and then — and only
-//! then — fulfills the caller's ticket. Nothing on this path is O(n)
-//! except the fold's label materialization.
+//! the base when the rebuild threshold is crossed, seals and publishes
+//! the epoch's [`Snapshot`], and then — and only then — fulfills the
+//! caller's ticket. Nothing on this path is O(n) except the fold's label
+//! materialization.
 //!
-//! # Pipelined rebuilds
+//! # Folds
 //!
-//! A threshold crossing sends the freshly folded edge list to the
-//! rebuild worker and keeps committing. When the worker's labeling comes
-//! back, the writer checks it against the labels it materialized at that
-//! fold — an O(n) comparison between two commits, never a stall across
-//! one. A recompute whose base was re-folded while it ran is discarded
-//! and the newest fold is resubmitted, so the worker always converges to
-//! the current base. The recompute is an independent cross-check of the
-//! overlay: a disagreeing backend (this is also what keeps the
-//! [`RebuildBackend::FasterSim`] route honest) aborts the writer instead
-//! of silently publishing a wrong partition.
+//! A fold is the whole rebuild: synchronous, deterministic, and at the
+//! exact commit that crosses the threshold. It merges the delta list into
+//! the base edge list in place and makes the overlay's current labels the
+//! new snapshot base. Debug builds check those labels against a
+//! from-scratch `unionfind_cc_edges` over the folded base at every fold.
 
 use crate::base::BaseEdges;
 use crate::persist::{self, SnapshotHead};
@@ -40,16 +33,14 @@ use crate::shard::ShardedOverlay;
 use crate::snapshot::Labeling;
 use crate::ticket::TicketCell;
 use crate::wal::{Wal, WalRecord};
-use crate::{Edge, Epoch, FsyncPolicy, RebuildBackend, Snapshot, SvcParams, WriterDead};
+use crate::{Edge, Epoch, FsyncPolicy, Snapshot, SvcParams, WriterDead};
 use cc_graph::Graph;
 use logdiam_obs::{Counter, Event, Histogram, Registry};
 use logdiam_par::unionfind::unionfind_cc_edges;
-use logdiam_par::UnionFind;
 use pram_kit::PairSet;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex, RwLock};
 use std::time::Instant;
 
@@ -82,11 +73,10 @@ pub(crate) enum Cmd {
     Crash,
 }
 
-/// Writer state shared with the handles: the observability registry plus
-/// the two pieces of *load-bearing* synchronization that are **not**
-/// metrics. Deliberately *not* part of
-/// [`Snapshot`]/[`Spectrum`](crate::Spectrum): everything here depends on
-/// rebuild-worker timing, which the deterministic surface must not.
+/// Writer state shared with the handles: the observability registry and
+/// the writer's cause of death. Deliberately *not* part of
+/// [`Snapshot`]/[`Spectrum`](crate::Spectrum): none of it is on the
+/// deterministic surface.
 ///
 /// # Memory-ordering contract (the one place it is documented)
 ///
@@ -97,66 +87,26 @@ pub(crate) enum Cmd {
 /// increment is ever lost. Nothing may synchronize-with a metric, and no
 /// algorithm reads one back.
 ///
-/// [`rebuild_in_flight`](SharedStats::rebuild_in_flight) is the
-/// deliberate exception: it is **Acquire/Release and load-bearing**, not
-/// a metric. The writer `store(true, Release)`s it after handing a fold
-/// to the rebuild worker and `store(false, Release)`s it only once the
-/// pipeline is empty, so a handle that observes `false` with `Acquire`
-/// sees every landed recompute that made it false. Tests (and callers such as
-/// drain loops) rely on exactly that edge; do not demote it to Relaxed.
-///
-/// [`dead`](SharedStats::dead) is a mutex for the same reason: the first
-/// panic's payload must be published once, fully formed, to every handle.
+/// [`dead`](SharedStats::dead) is the one piece of load-bearing
+/// synchronization, and it is a mutex: the first panic's payload must be
+/// published once, fully formed, to every handle.
 pub(crate) struct SharedStats {
-    // --- Load-bearing synchronization (NOT metrics; see above) ---
-    /// True between a fold queueing its recompute and that (or a
-    /// successor's) recompute landing. Acquire/Release.
-    pub(crate) rebuild_in_flight: AtomicBool,
     /// Set (once) when the writer thread dies; handles fast-fail new
     /// batches against it and `flush` reports it.
     pub(crate) dead: Mutex<Option<WriterDead>>,
-    // --- Relaxed, approximate observability ---
     /// The service's metrics registry: every commit-pipeline span,
     /// counter, and event lands here. Exposed as
     /// [`ConnectivityService::obs`](crate::ConnectivityService::obs).
     pub(crate) obs: Registry,
-    /// Background recomputes that landed on their own fold and matched
-    /// its labels (`svc_overlay_swaps_total`).
-    pub(crate) overlay_swaps: Counter,
-    /// Background recomputes discarded because their base was re-folded
-    /// while they ran (`svc_stale_rebuilds_total`).
-    pub(crate) stale_rebuilds: Counter,
 }
 
 impl SharedStats {
     pub(crate) fn new() -> Self {
-        let obs = Registry::new();
         SharedStats {
-            rebuild_in_flight: AtomicBool::new(false),
             dead: Mutex::new(None),
-            overlay_swaps: obs.counter("svc_overlay_swaps_total"),
-            stale_rebuilds: obs.counter("svc_stale_rebuilds_total"),
-            obs,
+            obs: Registry::new(),
         }
     }
-}
-
-/// A fold shipped to the rebuild worker: the folded base edge list
-/// (shared, not copied) and the fold generation (= the writer's
-/// `rebuilds` counter at fold time).
-struct RebuildJob {
-    generation: u64,
-    n: usize,
-    edges: Arc<Vec<Edge>>,
-}
-
-/// The worker's reply: the recomputed labeling for `generation`'s base,
-/// plus how long the backend took (observed into `svc_recompute_ns` by
-/// the writer — the worker has no registry handle of its own).
-struct RebuildDone {
-    generation: u64,
-    labels: Vec<u32>,
-    recompute: std::time::Duration,
 }
 
 /// Pre-registered registry handles for the writer's hot path, so a commit
@@ -169,7 +119,6 @@ struct ObsHandles {
     absorb_intra_ns: Histogram,
     cross_drain_ns: Histogram,
     snapshot_publish_ns: Histogram,
-    recompute_ns: Histogram,
     commits: Counter,
     folds: Counter,
     cross_unions: Counter,
@@ -190,7 +139,6 @@ impl ObsHandles {
             "svc_wal_append_ns",
             "svc_fsync_ns",
             "svc_fold_ns",
-            "svc_swap_ns",
             "svc_durable_snapshot_ns",
         ] {
             let _ = reg.histogram(span_hist);
@@ -201,7 +149,6 @@ impl ObsHandles {
             absorb_intra_ns: reg.histogram("svc_absorb_ns"),
             cross_drain_ns: reg.histogram("svc_cross_drain_ns"),
             snapshot_publish_ns: reg.histogram("svc_snapshot_publish_ns"),
-            recompute_ns: reg.histogram("svc_recompute_ns"),
             commits: reg.counter("svc_commits_total"),
             folds: reg.counter("svc_folds_total"),
             cross_unions: reg.counter("svc_cross_unions_total"),
@@ -238,8 +185,8 @@ impl Durable {
 pub(crate) struct WriterSeed {
     pub(crate) base: BaseEdges,
     pub(crate) delta: Vec<Edge>,
-    /// `None` ⇒ compute the initial labeling with the backend (fresh
-    /// start or genesis-only recovery).
+    /// `None` ⇒ compute the initial labeling from scratch (fresh start or
+    /// genesis-only recovery).
     pub(crate) labels: Option<Vec<u32>>,
     pub(crate) epoch: Epoch,
     pub(crate) rebuilds: u64,
@@ -281,18 +228,6 @@ pub(crate) struct Writer {
     cross_unions: u64,
     published: Arc<Ring>,
     stats: Arc<SharedStats>,
-    rb_tx: mpsc::SyncSender<RebuildJob>,
-    rb_rx: mpsc::Receiver<RebuildDone>,
-    rb_worker: Option<std::thread::JoinHandle<()>>,
-    /// Generation currently on the worker, if any.
-    inflight: Option<u64>,
-    /// A fold is waiting for the worker slot. Its job is built only at
-    /// dispatch, from the newest base — only the latest fold is worth
-    /// recomputing, and an undispatched job must not pin the edge list.
-    queued: bool,
-    /// Set while [`replay`](Writer::replay) runs: its folds only queue
-    /// their job, since they arrive faster than any recompute.
-    replaying: bool,
     /// Durable WAL + snapshot state; `None` for memory-only services.
     durable: Option<Durable>,
     /// Pre-registered handles into `stats.obs` for the commit path.
@@ -301,19 +236,18 @@ pub(crate) struct Writer {
 
 impl Writer {
     /// Build the initial state (the seed epoch published synchronously)
-    /// and the rebuild worker, before the writer thread starts. A
-    /// recovered seed carries its labels; a fresh one computes them with
-    /// the configured backend.
+    /// before the writer thread starts. A recovered seed carries its
+    /// labels; a fresh one computes them with `unionfind_cc_edges`.
     pub(crate) fn start(
         seed: WriterSeed,
         params: SvcParams,
         published: Arc<Ring>,
         stats: Arc<SharedStats>,
     ) -> Self {
-        let mut base = seed.base;
+        let base = seed.base;
         let labels = seed
             .labels
-            .unwrap_or_else(|| run_backend(params.backend, base.n(), &base.shared()));
+            .unwrap_or_else(|| unionfind_cc_edges(base.n(), base.edges()));
         let overlay = ShardedOverlay::from_labels(&labels, params.shard_count);
         // Rebuild the delta dedup set exactly as the original run left it:
         // the stored delta edges are distinct and absent from the (same)
@@ -335,13 +269,6 @@ impl Writer {
             .write()
             .expect("snapshot ring poisoned")
             .push_back(snapshot);
-        let (rb_tx, job_rx) = mpsc::sync_channel::<RebuildJob>(1);
-        let (done_tx, rb_rx) = mpsc::sync_channel::<RebuildDone>(1);
-        let backend = params.backend;
-        let rb_worker = std::thread::Builder::new()
-            .name("logdiam-svc-rebuild".into())
-            .spawn(move || rebuild_worker(job_rx, done_tx, backend))
-            .expect("cannot spawn rebuild worker");
         let obs = ObsHandles::new(&stats.obs);
         Writer {
             obs,
@@ -356,12 +283,6 @@ impl Writer {
             cross_unions: seed.cross_unions,
             published,
             stats,
-            rb_tx,
-            rb_rx,
-            rb_worker: Some(rb_worker),
-            inflight: None,
-            queued: false,
-            replaying: false,
             durable: seed.durable,
         }
     }
@@ -377,7 +298,6 @@ impl Writer {
         /// without flooding the ring.
         const PROGRESS_EVERY: usize = 256;
         let total = records.len();
-        self.replaying = true;
         for (i, rec) in records.iter().enumerate() {
             debug_assert_eq!(rec.epoch, self.epoch + 1, "replay records not dense");
             self.commit(&rec.edges);
@@ -391,18 +311,16 @@ impl Writer {
                 );
             }
         }
-        self.replaying = false;
-        self.dispatch_rebuild();
         if !records.is_empty() {
             self.snapshot_now();
         }
     }
 
     /// The writer thread's main loop: drain commands until every handle
-    /// has dropped, then shut the rebuild pipeline down and exit. All
-    /// commands buffered at handle-drop time are still drained and their
-    /// tickets fulfilled (std mpsc delivers queued messages before
-    /// reporting disconnection).
+    /// has dropped, then sync the WAL and exit. All commands buffered at
+    /// handle-drop time are still drained and their tickets fulfilled
+    /// (std mpsc delivers queued messages before reporting
+    /// disconnection).
     ///
     /// # Panic containment
     ///
@@ -428,7 +346,6 @@ impl Writer {
                         let commit = catch_unwind(AssertUnwindSafe(move || {
                             let mut w = w;
                             w.obs.enqueue_wait_ns.observe_duration(enqueued.elapsed());
-                            w.poll_rebuild();
                             let span =
                                 logdiam_obs::span!(w.stats.obs, "svc_commit_ns", m = edges.len());
                             // Durability first: the batch must be in the
@@ -473,20 +390,13 @@ impl Writer {
         }
     }
 
-    /// Clean shutdown: close the job channel, let an in-flight recompute
-    /// finish (its result is simply dropped), and join the worker so no
-    /// thread outlives the service. Durable state syncs its WAL so a
-    /// clean drop loses nothing even under [`FsyncPolicy::Batch`]/`Off`.
+    /// Clean shutdown: durable state syncs its WAL so a clean drop loses
+    /// nothing even under [`FsyncPolicy::Batch`]/`Off`.
     fn shutdown(mut self) {
         if let Some(d) = self.durable.as_mut() {
             if d.wal.unsynced() > 0 {
                 let _ = d.wal.sync();
             }
-        }
-        drop(self.rb_tx);
-        drop(self.rb_rx);
-        if let Some(worker) = self.rb_worker.take() {
-            worker.join().expect("rebuild worker panicked");
         }
     }
 
@@ -615,88 +525,26 @@ impl Writer {
         self.epoch
     }
 
-    /// The synchronous, deterministic half of a rebuild: merge the delta
-    /// list into the base edge list, materialize the current labels as
-    /// the new shared snapshot base (the only O(n) step of the commit
-    /// path, once per `rebuild_threshold` distinct edges), reset the
-    /// delta segment, and hand the recompute to the worker (or queue it
-    /// behind an in-flight one).
-    ///
-    /// Memory: the merge runs in place, or — while the worker still
-    /// reads the previous fold's list — waits in a pending run beside it
-    /// ([`BaseEdges::fold`]); the service never holds two copies of its
-    /// edges.
+    /// The rebuild: merge the delta list into the base edge list in
+    /// place, materialize the current labels as the new shared snapshot
+    /// base (the only O(n) step of the commit path, once per
+    /// `rebuild_threshold` distinct edges), and reset the delta segment
+    /// and its dedup set. The service never holds two copies of its edges.
     fn fold(&mut self) {
         let _fold = logdiam_obs::span!(self.stats.obs, "svc_fold_ns", delta = self.delta.len());
         self.obs.folds.inc();
         self.base.fold(&mut self.delta);
         self.labeling.rebase(self.overlay.labels());
+        debug_assert!(
+            self.labeling.base() == unionfind_cc_edges(self.base.n(), self.base.edges()),
+            "fold-time labels disagree with a from-scratch recompute"
+        );
         self.delta.clear();
         self.rebuilds += 1;
         self.seen = PairSet::with_capacity(
             DELTA_DEDUP_SEED ^ self.rebuilds,
             self.params.rebuild_threshold,
         );
-        self.queued = true;
-        self.stats.rebuild_in_flight.store(true, Ordering::Release);
-        if !self.replaying {
-            self.dispatch_rebuild();
-        }
-    }
-
-    /// If a fold is queued and the worker is idle (so it no longer holds
-    /// the edge list), send it the current base — its pending run merged
-    /// in place first.
-    fn dispatch_rebuild(&mut self) {
-        if self.queued && self.inflight.is_none() {
-            self.queued = false;
-            self.inflight = Some(self.rebuilds);
-            let job = RebuildJob {
-                generation: self.rebuilds,
-                n: self.base.n(),
-                edges: self.base.shared(),
-            };
-            self.rb_tx.send(job).expect("rebuild worker gone");
-        }
-    }
-
-    /// Apply any finished background recompute. Called between commands;
-    /// never blocks.
-    fn poll_rebuild(&mut self) {
-        while let Ok(done) = self.rb_rx.try_recv() {
-            debug_assert_eq!(Some(done.generation), self.inflight);
-            self.inflight = None;
-            self.obs.recompute_ns.observe_duration(done.recompute);
-            if done.generation == self.rebuilds {
-                self.land_rebuild(&done.labels);
-            } else {
-                // The base was re-folded while this recompute ran: its
-                // labeling describes a stale graph. Discard it.
-                self.stats.stale_rebuilds.inc();
-                self.stats.obs.event(
-                    Event::new("stale_rebuild")
-                        .with("generation", done.generation)
-                        .with("current", self.rebuilds),
-                );
-            }
-            self.dispatch_rebuild();
-        }
-        if self.inflight.is_none() && !self.queued {
-            self.stats.rebuild_in_flight.store(false, Ordering::Release);
-        }
-    }
-
-    /// A recompute of the current fold landed: its labels must be exactly
-    /// the ones the writer materialized at that fold (both are canonical
-    /// minima of the same edge list), which is asserted. Nothing is
-    /// replaced — the check is what the recompute is for.
-    fn land_rebuild(&mut self, labels: &[u32]) {
-        let _swap = self.stats.obs.span("svc_swap_ns");
-        assert!(
-            labels == self.labeling.base(),
-            "background rebuild disagrees with the fold-time labels"
-        );
-        self.stats.overlay_swaps.inc();
     }
 }
 
@@ -725,57 +573,4 @@ fn dead_error(stats: &SharedStats) -> WriterDead {
         .expect("dead flag poisoned")
         .clone()
         .unwrap_or_else(|| WriterDead::new("writer thread terminated".into()))
-}
-
-/// The rebuild worker thread: full recomputes, one at a time, off the
-/// commit path. Exits when the writer closes the job channel.
-fn rebuild_worker(
-    jobs: mpsc::Receiver<RebuildJob>,
-    done: mpsc::SyncSender<RebuildDone>,
-    backend: RebuildBackend,
-) {
-    while let Ok(RebuildJob {
-        generation,
-        n,
-        edges,
-    }) = jobs.recv()
-    {
-        let started = Instant::now();
-        let labels = run_backend(backend, n, &edges);
-        // Release the shared edge list before replying, so the writer's
-        // next fold can merge in place.
-        drop(edges);
-        if done
-            .send(RebuildDone {
-                generation,
-                labels,
-                recompute: started.elapsed(),
-            })
-            .is_err()
-        {
-            return; // writer shut down mid-recompute
-        }
-    }
-}
-
-/// Full recompute with the selected backend over a canonical edge list;
-/// always returns canonical min-vertex labels (the `FasterSim` labeling
-/// is canonicalized through [`UnionFind::from_labels`]), so every epoch's
-/// published labels are backend- and thread-count-independent. Only the
-/// simulated backend builds a CSR, and only for the duration of its run.
-pub(crate) fn run_backend(backend: RebuildBackend, n: usize, edges: &[Edge]) -> Vec<u32> {
-    match backend {
-        RebuildBackend::UnionFind => unionfind_cc_edges(n, edges),
-        RebuildBackend::FasterSim { seed } => {
-            let g = Graph::from_canonical_edges(n as u32, edges.to_vec());
-            let mut pram = pram_sim::Pram::new(pram_sim::WritePolicy::ArbitrarySeeded(seed));
-            let report = logdiam_cc::theorem3::faster_cc(
-                &mut pram,
-                &g,
-                seed,
-                &logdiam_cc::theorem3::FasterParams::default(),
-            );
-            UnionFind::from_labels(&report.run.labels).labels()
-        }
-    }
 }

@@ -1,25 +1,11 @@
 //! Edge cases of the async writer split: handle drop with commands in
-//! flight, tickets outliving their snapshots, concurrent enqueuers, and
-//! the pipelined-rebuild swap.
+//! flight, tickets outliving their snapshots, backpressure, and
+//! concurrent enqueuers.
 
 use cc_graph::seq::{components, same_partition};
 use cc_graph::{gen, Graph, GraphBuilder};
 use logdiam_svc::{ConnectivityService, EpochError, SvcParams};
 use proptest::prelude::*;
-use std::time::{Duration, Instant};
-
-/// Spin until `cond` holds or a generous cap elapses (background rebuild
-/// completion is timing-dependent; its *effects* are not).
-fn eventually(mut cond: impl FnMut() -> bool) -> bool {
-    let deadline = Instant::now() + Duration::from_secs(10);
-    while Instant::now() < deadline {
-        if cond() {
-            return true;
-        }
-        std::thread::sleep(Duration::from_millis(2));
-    }
-    false
-}
 
 #[test]
 fn dropping_the_handle_mid_commit_drains_and_fulfills_every_ticket() {
@@ -95,37 +81,6 @@ fn tiny_command_queue_applies_backpressure_without_deadlock() {
     svc.flush().unwrap();
     assert_eq!(svc.epoch(), tickets.len() as u64);
     assert!(same_partition(svc.latest().labels(), &components(&g)));
-}
-
-#[test]
-fn pipelined_rebuild_swap_lands_without_changing_labels() {
-    let g = gen::gnm(800, 1600, 11);
-    let svc = ConnectivityService::new(
-        GraphBuilder::new(g.n()).build(),
-        SvcParams {
-            rebuild_threshold: 200,
-            ..SvcParams::default()
-        },
-    );
-    for chunk in g.edges().chunks(43) {
-        svc.apply_batch(chunk).wait().unwrap();
-    }
-    assert!(svc.spectrum().rebuilds >= 1);
-    let before = svc.latest().labels().to_vec();
-    // The background recompute eventually swaps in (an empty commit gives
-    // the writer a turn to poll its result channel); the swap is a pure
-    // representation change, so the published labels cannot move.
-    assert!(
-        eventually(|| {
-            svc.apply_batch(&[]).wait().unwrap();
-            !svc.rebuild_in_flight()
-        }),
-        "background rebuild never completed"
-    );
-    assert!(svc.overlay_swaps() >= 1);
-    svc.apply_batch(&[]).wait().unwrap();
-    assert_eq!(svc.latest().labels(), &before[..]);
-    assert!(same_partition(&before, &components(&g)));
 }
 
 /// Concurrent enqueuers: every caller's tickets resolve in its own

@@ -3,9 +3,8 @@
 //! `replay_progress` events a recovery emits.
 //!
 //! The in-memory half of the contract (absorb / publish histograms,
-//! fold spans, the `stale_rebuild` path) is asserted by the service's
-//! unit tests and `proptest_svc`; this file owns everything that needs a
-//! directory.
+//! fold spans) is asserted by the service's unit tests and
+//! `proptest_svc`; this file owns everything that needs a directory.
 
 use cc_graph::gen;
 use logdiam_svc::{ConnectivityService, FsyncPolicy, SvcParams};

@@ -5,19 +5,22 @@
 //! (including out-of-stream duplicate edges and self-loops), and a random
 //! interleaving of `apply_batch` calls (batch boundaries, interposed
 //! empty batches, re-sent batches) with a small rebuild threshold so both
-//! the overlay path and the fold-and-rebuild path are exercised; after
-//! every commit the published partition must equal sequential ground
-//! truth on the union graph so far.
+//! the overlay path and the fold path are exercised; after every commit
+//! the published partition must equal sequential ground truth on the
+//! union graph so far. A thinner sweep also holds the labels to the
+//! paper's Theorem-3 algorithm on the same graph.
 //!
 //! A second property pins the O(batch) snapshot model: every epoch's
 //! labels, point queries, and spectrum equal a from-scratch BFS plus an
-//! O(n) recount — at several shard counts, across folds, background
-//! rebuilds, and a durable restart — and snapshots share their fold-time
-//! base with a remap bounded by the rebuild threshold.
+//! O(n) recount — at several shard counts, across folds and a durable
+//! restart — and snapshots share their fold-time base with a remap
+//! bounded by the rebuild threshold.
 
 use cc_graph::seq::{canonical_labels, components, components_bfs, same_partition};
 use cc_graph::{gen, Graph, GraphBuilder};
-use logdiam_svc::{ConnectivityService, FsyncPolicy, RebuildBackend, Snapshot, SvcParams};
+use logdiam_cc::theorem3::{faster_cc, FasterParams};
+use logdiam_svc::{ConnectivityService, FsyncPolicy, Snapshot, SvcParams};
+use pram_sim::{Pram, WritePolicy};
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -79,14 +82,22 @@ fn initial_graph(s: &Scenario) -> Graph {
     b.build()
 }
 
+/// The paper's Theorem-3 algorithm as an oracle: `faster_cc` on a
+/// seeded-ARBITRARY simulated PRAM, canonicalized to min-vertex labels.
+fn theorem3_labels(g: &Graph, seed: u64) -> Vec<u32> {
+    let mut pram = Pram::new(WritePolicy::ArbitrarySeeded(seed));
+    let report = faster_cc(&mut pram, g, seed, &FasterParams::default());
+    canonical_labels(&report.run.labels)
+}
+
 /// Run a scenario; after every batch, compare the service partition to a
-/// one-shot recompute on the union of everything applied so far.
-fn check_replay(s: &Scenario, backend: RebuildBackend) {
+/// one-shot recompute on the union of everything applied so far, and —
+/// given a seed — its labels to [`theorem3_labels`] on that union.
+fn check_replay(s: &Scenario, theorem3_seed: Option<u64>) {
     let initial = initial_graph(s);
     let svc = ConnectivityService::new(
         initial.clone(),
         SvcParams {
-            backend,
             rebuild_threshold: s.rebuild_threshold,
             snapshot_history: 4,
             // Prime-ish shard count so cross-shard buffering is exercised
@@ -113,6 +124,14 @@ fn check_replay(s: &Scenario, backend: RebuildBackend) {
             "partition diverged after batch {i} (epoch {})",
             snap.epoch()
         );
+        if let Some(seed) = theorem3_seed {
+            assert_eq!(
+                snap.labels(),
+                &theorem3_labels(&union, seed)[..],
+                "Theorem 3 disagrees after batch {i} (epoch {})",
+                snap.epoch()
+            );
+        }
         // component_of is the same canonical labeling queries see.
         for v in 0..s.n as u32 {
             assert_eq!(svc.component_of(v), snap.labels()[v as usize]);
@@ -148,21 +167,21 @@ fn check_replay(s: &Scenario, backend: RebuildBackend) {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 40, ..ProptestConfig::default() })]
 
-    /// The workhorse: random interleavings against the practical backend.
+    /// The workhorse: random interleavings against sequential truth.
     #[test]
     fn replay_equals_one_shot_unionfind(s in arb_scenario()) {
-        check_replay(&s, RebuildBackend::UnionFind);
+        check_replay(&s, None);
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 6, ..ProptestConfig::default() })]
 
-    /// A thinner sweep through the simulated Theorem-3 rebuild backend
-    /// (each rebuild is a full PRAM simulation, so fewer cases).
+    /// A thinner sweep against the simulated Theorem-3 algorithm (a
+    /// full PRAM simulation per batch, so fewer cases).
     #[test]
     fn replay_equals_one_shot_faster_sim(s in arb_scenario(), seed in any::<u64>()) {
-        check_replay(&s, RebuildBackend::FasterSim { seed });
+        check_replay(&s, Some(seed));
     }
 }
 
@@ -306,17 +325,6 @@ fn check_epochs_against_recount(s: &Scenario, shard_count: usize, cut: u64) {
         );
         prev = snap;
     }
-    // Let any background recompute land (empty commits give the writer a
-    // turn to check it) — the published answers must not move.
-    let want = truth(&initial, &applied);
-    for _ in 0..200 {
-        let epoch = svc.apply_batch(&[]).wait().unwrap();
-        check_snapshot(&svc.latest(), &want, epoch, shard_count);
-        if !svc.rebuild_in_flight() {
-            break;
-        }
-        std::thread::sleep(std::time::Duration::from_millis(2));
-    }
     drop(svc);
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -325,8 +333,8 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 16, ..ProptestConfig::default() })]
 
     /// O(batch) publishing is exact: every epoch's reads equal a BFS plus
-    /// an O(n) recount, at shard counts 1/3/8, across folds, background
-    /// rebuilds, and a drop + `open()` mid-stream.
+    /// an O(n) recount, at shard counts 1/3/8, across folds and a drop +
+    /// `open()` mid-stream.
     #[test]
     fn every_epoch_equals_bfs_and_recount(s in arb_scenario(), cut in any::<u64>()) {
         for shard_count in [1, 3, 8] {

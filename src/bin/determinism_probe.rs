@@ -83,11 +83,11 @@ fn main() {
     }
 
     // `svc` replays a batched edge stream through the connectivity
-    // service (small rebuild threshold so the fold-and-pipelined-rebuild
-    // path runs mid-trace) once per shard count, and fingerprints every
-    // epoch's published labels plus the deterministic spectrum counters —
-    // the whole maintained history must be identical at any thread count
-    // AND for every shard count (the async split's core invariant: epoch
+    // service (small rebuild threshold so the fold path runs mid-trace)
+    // once per shard count, and fingerprints every epoch's published
+    // labels plus the deterministic spectrum counters — the whole
+    // maintained history must be identical at any thread count AND for
+    // every shard count (the async split's core invariant: epoch
     // assignment is totally ordered by the writer, labels are canonical).
     if algo == "svc" {
         use logdiam::service::{ConnectivityService, SvcParams};

@@ -55,7 +55,7 @@ pub mod prelude {
     pub use crate::algorithms::theorem3::{faster_cc, FasterParams};
     pub use crate::algorithms::verify::{check_labels, check_spanning_forest};
     pub use crate::pram::{Pram, WritePolicy};
-    pub use crate::service::{ConnectivityService, EpochTicket, RebuildBackend, SvcParams};
+    pub use crate::service::{ConnectivityService, EpochTicket, SvcParams};
 }
 
 use graph::Graph;

@@ -142,14 +142,13 @@ proptest! {
         }
     }
 
-    /// The connectivity service: a batched replay (with mid-trace folds,
-    /// pipelined background rebuilds, and an empty commit) must publish
-    /// identical labels at every epoch regardless of thread count — and
-    /// the probe replays the trace at shard counts 1/3/8, so the
-    /// fingerprint also pins shard-count invariance. The sharded overlay
-    /// union–find races internally and the rebuild worker swaps in at
-    /// arbitrary times, but canonical min-vertex labeling and
-    /// writer-ordered epoch assignment erase both.
+    /// The connectivity service: a batched replay (with mid-trace folds
+    /// and an empty commit) must publish identical labels at every epoch
+    /// regardless of thread count — and the probe replays the trace at
+    /// shard counts 1/3/8, so the fingerprint also pins shard-count
+    /// invariance. The sharded overlay union–find races internally, but
+    /// canonical min-vertex labeling and writer-ordered epoch assignment
+    /// erase the races.
     #[test]
     fn svc_replay_is_thread_invariant(
         family in family_strategy(),
