@@ -34,8 +34,7 @@
 //! Usage:
 //!
 //! ```text
-//! bench_report [--smoke | --xl] [--out PATH] [--svc-out PATH] [--mt-out PATH]
-//!              [--durable-out PATH] [--sim-max-n N]
+//! bench_report [--smoke | --xl] [--out PATH] [--svc-out PATH] [--sim-max-n N]
 //! ```
 //!
 //! `--xl` switches to the 1e8 tier (see `BENCH_PR10.json`): path and
@@ -59,23 +58,20 @@
 //! recording (spans on, per-round events, gauge bridges) and asserted to
 //! cost ≤ 5% over the plain run; that `theorem3_sim_obs` row embeds the
 //! final registry dump under `"obs"` (the `docs/obs-schema.md` object),
-//! which CI's smoke validation parses and cross-checks. Smoke
-//! mode also replays the connectivity-service smoke trace (the
-//! `svc_driver` workload, capped at 5 s and verified against a
-//! from-scratch recompute) and writes its `BENCH_PR4.json`-schema report
-//! to `--svc-out` (default `BENCH_PR4_SMOKE.json`), then the contended
-//! multi-writer/multi-reader scenario (`svc_driver --mt` workload, same
-//! cap, enqueue budget asserted) to `--mt-out` (default
-//! `BENCH_PR6_SMOKE.json`), then the durable-store smoke (one short
-//! crash-safe trace per fsync policy, recovered and verified against a
-//! from-scratch recompute) to `--durable-out` (default
-//! `BENCH_PR7_SMOKE.json`). `--out` overrides the output path (default
-//! `BENCH_PR8.json`); `--sim-max-n` raises (or lowers) the largest n the
-//! full Theorem-3 simulation runs at.
+//! which the child validates before emitting the row. Smoke mode also
+//! runs the connectivity-service smoke (`logdiam_bench::svc::run_smoke`:
+//! one trace shape in memory and under each fsync policy, every row
+//! checked) and writes its report to `--svc-out` (default
+//! `BENCH_SVC_SMOKE.json`). Every row is asserted in-process before it is
+//! emitted, so a written report needs no external validation. `--out`
+//! overrides the output path (default `BENCH_PR8.json`); `--sim-max-n`
+//! raises (or lowers) the largest n the full Theorem-3 simulation runs at.
 
 use cc_graph::runs::spill_counters;
 use cc_graph::seq::{components, same_partition};
 use cc_graph::{gen, EdgeRunStore, Graph, Rng};
+use logdiam_bench::check_obs_dump;
+use logdiam_bench::svc::{family_graph, run_smoke};
 use logdiam_cc::theorem1::{connected_components, Theorem1Params};
 use logdiam_cc::theorem2::spanning_forest;
 use logdiam_cc::theorem3::{faster_cc, faster_cc_with, FasterParams, FasterWorkspace};
@@ -160,10 +156,7 @@ fn pram_step_workload(n: usize) {
 }
 
 fn usage() -> ! {
-    eprintln!(
-        "usage: bench_report [--smoke | --xl] [--out PATH] [--svc-out PATH] [--mt-out PATH] \
-         [--durable-out PATH] [--sim-max-n N]"
-    );
+    eprintln!("usage: bench_report [--smoke | --xl] [--out PATH] [--svc-out PATH] [--sim-max-n N]");
     std::process::exit(2);
 }
 
@@ -171,9 +164,7 @@ fn main() {
     let mut smoke = false;
     let mut xl = false;
     let mut out_path: Option<String> = None;
-    let mut svc_out_path = "BENCH_PR4_SMOKE.json".to_string();
-    let mut mt_out_path = "BENCH_PR6_SMOKE.json".to_string();
-    let mut durable_out_path = "BENCH_PR7_SMOKE.json".to_string();
+    let mut svc_out_path = "BENCH_SVC_SMOKE.json".to_string();
     let mut sim_max_n = DEFAULT_SIM_MAX_N;
     let mut child = false;
     let mut args = std::env::args().skip(1);
@@ -184,8 +175,6 @@ fn main() {
             "--child" => child = true,
             "--out" => out_path = Some(args.next().unwrap_or_else(|| usage())),
             "--svc-out" => svc_out_path = args.next().unwrap_or_else(|| usage()),
-            "--mt-out" => mt_out_path = args.next().unwrap_or_else(|| usage()),
-            "--durable-out" => durable_out_path = args.next().unwrap_or_else(|| usage()),
             "--sim-max-n" => {
                 sim_max_n = args
                     .next()
@@ -209,15 +198,7 @@ fn main() {
     if child {
         run_child(smoke, xl, sim_max_n);
     } else {
-        run_parent(
-            smoke,
-            xl,
-            &out_path,
-            &svc_out_path,
-            &mt_out_path,
-            &durable_out_path,
-            sim_max_n,
-        );
+        run_parent(smoke, xl, &out_path, &svc_out_path, sim_max_n);
     }
 }
 
@@ -233,7 +214,7 @@ fn sizes(smoke: bool) -> Vec<usize> {
 const FAMILIES: [&str; 4] = ["path", "grid", "powerlaw", "mixture"];
 
 /// Workload names, cheap to enumerate; graphs are built one at a time by
-/// [`build_graph`] and dropped before the next workload, so a 1e6 graph's
+/// [`family_graph`] and dropped before the next workload, so a 1e6 graph's
 /// footprint never sits resident while an unrelated simulation runs
 /// (keeping RSS flat keeps the measurements independent). Beyond 1e6 only
 /// path and grid run — the diameter-stress shapes the 1e7 target names —
@@ -259,27 +240,6 @@ fn workload_names(smoke: bool, xl: bool) -> Vec<(String, &'static str, usize)> {
     out
 }
 
-fn build_graph(family: &str, n: usize) -> Graph {
-    match family {
-        // Long path: the d ≈ n stress case the paper's log d bound targets.
-        "path" => gen::path(n),
-        // Square-ish grid: d ≈ 2√n, m/n ≈ 2.
-        "grid" => {
-            let rows = (n as f64).sqrt().round() as usize;
-            gen::grid(rows, n / rows)
-        }
-        // Power-law: preferential attachment, low diameter, skewed degrees.
-        "powerlaw" => gen::preferential_attachment(n, 4, SEED),
-        // Mixture: dense random + long path + giant star in one graph.
-        "mixture" => gen::union_all(&[
-            gen::gnm(n / 2, 2 * n, SEED ^ 1),
-            gen::path(n / 4),
-            gen::star(n / 4),
-        ]),
-        other => unreachable!("unknown workload family {other}"),
-    }
-}
-
 /// Simulation telemetry attached to `theorem3_sim` rows.
 struct SimCost {
     rounds: u64,
@@ -289,8 +249,8 @@ struct SimCost {
 
 /// One measurement row, serialized as a JSON object. A median is only a
 /// median with ≥ 3 reps; single-rep rows are labeled `ms` instead of
-/// `median_ms` so the JSON never overstates its statistics (CI's smoke
-/// validation asserts every `theorem3_sim` row carries a real median).
+/// `median_ms` so the JSON never overstates its statistics.
+#[derive(Default)]
 struct Row {
     workload: String,
     n: usize,
@@ -380,14 +340,19 @@ fn reset_peak_rss() {
 }
 
 /// Peak RSS in kB since the last [`reset_peak_rss`] (`VmHWM` from
-/// `/proc/self/status`), if the proc interface is readable.
-fn peak_rss_kb() -> Option<u64> {
-    let status = std::fs::read_to_string("/proc/self/status").ok()?;
-    status
-        .lines()
-        .find(|l| l.starts_with("VmHWM:"))
-        .and_then(|l| l.split_whitespace().nth(1))
-        .and_then(|v| v.parse().ok())
+/// `/proc/self/status`). Panics if the field is unreadable: the memory
+/// rows exist to carry it.
+fn peak_rss_kb() -> u64 {
+    std::fs::read_to_string("/proc/self/status")
+        .ok()
+        .and_then(|status| {
+            status
+                .lines()
+                .find(|l| l.starts_with("VmHWM:"))
+                .and_then(|l| l.split_whitespace().nth(1))
+                .and_then(|v| v.parse().ok())
+        })
+        .expect("bench_report: VmHWM unreadable in /proc/self/status")
 }
 
 /// One child-level proof that the streaming chunked builder is
@@ -444,15 +409,8 @@ fn builder_equivalence_row(threads: u64) -> Row {
         threads,
         reps: 1,
         ms,
-        sim: None,
-        peak_rss_kb: None,
-        csr_bytes: None,
         verified: Some(true),
-        obs: None,
-        cell_width: None,
-        spilled_runs: None,
-        spill_bytes: None,
-        arena_bytes: None,
+        ..Row::default()
     }
 }
 
@@ -513,23 +471,21 @@ fn run_child(smoke: bool, xl: bool, sim_max_n: usize) {
         reset_peak_rss();
         let (spill_runs0, spill_bytes0) = spill_counters();
         let t0 = std::time::Instant::now();
-        let g = build_graph(family, size);
+        let g = family_graph(family, size, SEED);
         let build_ms = t0.elapsed().as_secs_f64() * 1e3;
         let (spill_runs1, spill_bytes1) = spill_counters();
         let build_peak = peak_rss_kb();
         let csr_bytes = g.heap_bytes();
-        if let Some(peak) = build_peak {
-            // Only meaningful when the CSR dominates the process baseline
-            // (binary + rayon pool + allocator slack ≈ tens of MB): the
-            // 1e7 rows are the ones the contract is about.
-            if csr_bytes >= 100 * 1024 * 1024 {
-                assert!(
-                    peak.saturating_mul(1024) <= 2 * csr_bytes as u64,
-                    "streaming-build memory contract violated on {name}: \
-                     build peak RSS {peak} kB exceeds 2x the final CSR \
-                     footprint ({csr_bytes} bytes)"
-                );
-            }
+        // Only meaningful when the CSR dominates the process baseline
+        // (binary + rayon pool + allocator slack ≈ tens of MB): the 1e7
+        // rows are the ones the contract is about.
+        if csr_bytes >= 100 * 1024 * 1024 {
+            assert!(
+                build_peak.saturating_mul(1024) <= 2 * csr_bytes as u64,
+                "streaming-build memory contract violated on {name}: \
+                 build peak RSS {build_peak} kB exceeds 2x the final CSR \
+                 footprint ({csr_bytes} bytes)"
+            );
         }
         let truth = components(&g);
         let check = |labels: &[u32]| {
@@ -549,18 +505,11 @@ fn run_child(smoke: bool, xl: bool, sim_max_n: usize) {
                 reps,
                 ms,
                 sim,
-                peak_rss_kb: None,
-                csr_bytes: None,
-                verified: None,
-                obs: None,
-                cell_width: None,
-                spilled_runs: None,
-                spill_bytes: None,
-                arena_bytes: None,
+                ..Row::default()
             }
         };
         emit(Row {
-            peak_rss_kb: build_peak,
+            peak_rss_kb: Some(build_peak),
             csr_bytes: Some(csr_bytes),
             spilled_runs: Some(spill_runs1 - spill_runs0),
             spill_bytes: Some(spill_bytes1 - spill_bytes0),
@@ -591,7 +540,7 @@ fn run_child(smoke: bool, xl: bool, sim_max_n: usize) {
             });
             let sim_peak = peak_rss_kb();
             emit(Row {
-                peak_rss_kb: sim_peak,
+                peak_rss_kb: Some(sim_peak),
                 cell_width: Some(32),
                 arena_bytes: Some(pram.arena_backing_bytes() as u64),
                 ..row("theorem3_sim", sim_reps, ms, cost)
@@ -656,14 +605,7 @@ fn run_child(smoke: bool, xl: bool, sim_max_n: usize) {
             reps,
             ms,
             sim,
-            peak_rss_kb: None,
-            csr_bytes: None,
-            verified: None,
-            obs: None,
-            cell_width: None,
-            spilled_runs: None,
-            spill_bytes: None,
-            arena_bytes: None,
+            ..Row::default()
         };
 
         let mut guard_pram = Pram::new(WritePolicy::ArbitrarySeeded(SEED));
@@ -686,8 +628,8 @@ fn run_child(smoke: bool, xl: bool, sim_max_n: usize) {
         // `sim_commit_ns`), plus a per-round charged-work histogram. The
         // plain guard run above is the spans-off baseline; recording must
         // cost ≤ 5% of it (plus [`OBS_GUARD_SLACK_MS`] of scheduler
-        // noise). The row embeds the final registry dump, which CI's
-        // smoke validation parses.
+        // noise). The row embeds the final registry dump, checked here
+        // before the row is emitted.
         let off_ms = ms;
         let reg = Arc::new(Registry::new());
         reg.set_spans_enabled(true);
@@ -709,8 +651,17 @@ fn run_child(smoke: bool, xl: bool, sim_max_n: usize) {
              (allowed: 5% + {OBS_GUARD_SLACK_MS:.0} ms slack)"
         );
         let dump = reg.snapshot();
-        dump.validate()
-            .expect("obs guard registry snapshot failed validation");
+        check_obs_dump(&dump, "theorem3_sim_obs");
+        for counter in ["runs_total", "sim_step_run_ns", "sim_commit_ns"] {
+            assert!(
+                dump.counters.get(counter).is_some_and(|&v| v > 0),
+                "theorem3_sim_obs: registry recorded no {counter}"
+            );
+        }
+        assert!(
+            dump.histograms["sim_round_work"].count > 0,
+            "theorem3_sim_obs: registry recorded no per-round work"
+        );
         emit(Row {
             obs: Some(dump.to_json()),
             ..guard_row("theorem3_sim_obs", on_ms, None)
@@ -744,15 +695,7 @@ fn run_child(smoke: bool, xl: bool, sim_max_n: usize) {
 
 /// Parent mode: one child process per thread count, merged into the JSON
 /// report.
-fn run_parent(
-    smoke: bool,
-    xl: bool,
-    out_path: &str,
-    svc_out_path: &str,
-    mt_out_path: &str,
-    durable_out_path: &str,
-    sim_max_n: usize,
-) {
+fn run_parent(smoke: bool, xl: bool, out_path: &str, svc_out_path: &str, sim_max_n: usize) {
     let cores = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
@@ -807,18 +750,50 @@ fn run_parent(
         rows.len()
     );
     if smoke {
-        // Connectivity-service smoke: a short svc_driver trace (capped at
-        // 5 s, verified against a from-scratch recompute) emitting the
-        // BENCH_PR4.json schema — CI validates the written file.
-        logdiam_bench::svc::run_smoke("bench_report --smoke", svc_out_path);
-        // Contended-service smoke: writers enqueue concurrently against
-        // readers, emitting the BENCH_PR6.json schema (enqueue budget and
-        // verification asserted inside) — CI validates this file too.
-        logdiam_bench::svc_mt::run_mt_smoke("bench_report --smoke", mt_out_path);
-        // Durable-store smoke: one short crash-safe trace per fsync
-        // policy (always / batch / off), each reopened and verified
-        // against a from-scratch recompute, emitting the BENCH_PR7.json
-        // schema — CI validates this file too.
-        logdiam_bench::svc_durable::run_durable_smoke("bench_report --smoke", durable_out_path);
+        run_smoke("bench_report --smoke", svc_out_path);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn sim_row(reps: usize) -> Row {
+        Row {
+            workload: "path/8".into(),
+            n: 8,
+            m: 7,
+            algorithm: "theorem3_sim",
+            threads: 1,
+            reps,
+            ms: 1.5,
+            sim: Some(SimCost {
+                rounds: 3,
+                work: 42,
+                work_per_m_round: 2.0,
+            }),
+            peak_rss_kb: Some(100),
+            ..Row::default()
+        }
+    }
+
+    #[test]
+    fn row_json_claims_a_median_only_with_three_reps() {
+        for reps in 1..=4 {
+            let json = sim_row(reps).to_json();
+            assert_eq!(json.contains("\"median_ms\":1.500"), reps >= 3, "{json}");
+            assert_eq!(json.contains("\"ms\":1.500"), reps < 3, "{json}");
+            for field in [
+                "\"rounds\":3",
+                "\"work\":42",
+                "\"work_per_m_round\":2.000",
+                "\"peak_rss_kb\":100",
+            ] {
+                assert!(json.contains(field), "{field} missing from {json}");
+            }
+        }
+        // The smoke matrix stays where theorem3_sim takes 3 reps, so every
+        // smoke theorem3_sim row carries a real median.
+        assert!(sizes(true).iter().all(|&n| n <= SIM_MEDIAN_MAX_N));
     }
 }

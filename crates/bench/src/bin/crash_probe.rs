@@ -24,8 +24,7 @@
 //! Used by the CI recovery smoke and by `crates/bench/tests/crash_probe.rs`.
 
 use cc_graph::seq::{components, same_partition};
-use cc_graph::Graph;
-use logdiam_bench::svc_durable::{probe_batches, probe_initial};
+use cc_graph::{Graph, GraphBuilder, Rng};
 use logdiam_svc::{ConnectivityService, FsyncPolicy, SvcParams};
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -49,6 +48,23 @@ fn probe_params() -> SvcParams {
         rebuild_threshold: 64,
         ..SvcParams::default()
     }
+}
+
+/// The probe's write stream: `total` batches of `batch` seeded pairs each.
+/// Pure function of `(n, total, batch, seed)`: the child applies a prefix
+/// before aborting, and the parent (the same binary) replays the same
+/// prefix into a one-shot recompute to judge the recovered labels. The
+/// genesis graph is edgeless, so every component merge observed after
+/// recovery is attributable to a WAL record that survived the abort.
+fn probe_batches(n: usize, total: usize, batch: usize, seed: u64) -> Vec<Vec<(u32, u32)>> {
+    let mut rng = Rng::new(seed ^ 0xC4A5_4B0B);
+    (0..total)
+        .map(|_| {
+            (0..batch)
+                .map(|_| (rng.below(n as u64) as u32, rng.below(n as u64) as u32))
+                .collect()
+        })
+        .collect()
 }
 
 struct ProbeArgs {
@@ -92,7 +108,7 @@ fn parse_args() -> ProbeArgs {
 
 /// Child: create the store, commit `batches` acked batches, die hard.
 fn run_child(pa: &ProbeArgs) -> ! {
-    let svc = ConnectivityService::create(&pa.dir, probe_initial(pa.n), probe_params())
+    let svc = ConnectivityService::create(&pa.dir, GraphBuilder::new(pa.n).build(), probe_params())
         .expect("child: cannot create store");
     let stream = probe_batches(pa.n, pa.total, pa.batch, pa.seed);
     for chunk in stream.iter().take(pa.batches) {
@@ -105,7 +121,7 @@ fn run_child(pa: &ProbeArgs) -> ! {
 /// One-shot ground truth for a batch prefix.
 fn truth_for_prefix(n: usize, stream: &[Vec<(u32, u32)>], k: usize) -> Vec<u32> {
     let applied: Vec<(u32, u32)> = stream.iter().take(k).flatten().copied().collect();
-    let union = Graph::from_csr_plus_edges(&probe_initial(n), &applied);
+    let union = Graph::from_csr_plus_edges(&GraphBuilder::new(n).build(), &applied);
     components(&union)
 }
 
@@ -183,4 +199,22 @@ fn main() {
         pa.total,
         pa.batch
     );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn probe_workload_is_deterministic() {
+        let a = probe_batches(500, 6, 32, 42);
+        let b = probe_batches(500, 6, 32, 42);
+        assert_eq!(a, b);
+        assert_eq!(a.len(), 6);
+        assert!(a.iter().all(|c| c.len() == 32));
+        assert!(a
+            .iter()
+            .flatten()
+            .all(|&(u, v)| (u as usize) < 500 && (v as usize) < 500));
+    }
 }

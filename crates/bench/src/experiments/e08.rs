@@ -3,8 +3,7 @@
 //! The paper's practicality claim (§A.3) is that hashing-based CC avoids
 //! sorting and "should be preferable in practice". Measured: median
 //! wall-clock of each `logdiam-par` implementation plus the sequential
-//! union–find yardstick. Criterion benches (`benches/wallclock.rs`) repeat
-//! this with statistical rigor.
+//! union–find yardstick.
 
 use super::common::time_ms;
 use crate::table::{f, Table};

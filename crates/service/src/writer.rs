@@ -482,7 +482,7 @@ impl Writer {
         // individually timed (dedup / absorb / cross-drain / fold /
         // publish, plus WAL append + fsync before this call), so the
         // per-stage sums account for the span's total — perfbench and
-        // `svc_driver --mt` assert that coverage. Publish is two
+        // `svc_driver` assert that coverage. Publish is two
         // intervals: noting the batch's pre-absorb roots, and settling
         // the merges + sealing the snapshot + the ring push.
         let dedup = Instant::now();
