@@ -63,7 +63,7 @@
 //! one trace shape in memory and under each fsync policy, every row
 //! checked) and writes its report to `--svc-out` (default
 //! `BENCH_SVC_SMOKE.json`). Every row is asserted in-process before it is
-//! emitted, so a written report needs no external validation. `--out`
+//! emitted, so CI only checks that a written report parses. `--out`
 //! overrides the output path (default `BENCH_PR8.json`); `--sim-max-n`
 //! raises (or lowers) the largest n the full Theorem-3 simulation runs at.
 
