@@ -64,8 +64,11 @@
 //! checked) and writes its report to `--svc-out` (default
 //! `BENCH_SVC_SMOKE.json`). Every row is asserted in-process before it is
 //! emitted, so CI only checks that a written report parses. `--out`
-//! overrides the output path (default `BENCH_PR8.json`); `--sim-max-n`
-//! raises (or lowers) the largest n the full Theorem-3 simulation runs at.
+//! overrides the output path, which defaults to `BENCH_PR8.json` for the
+//! full matrix, `BENCH_PR10.json` for `--xl` and `BENCH_SMOKE.json` for
+//! `--smoke`, so a smoke run never overwrites a committed baseline;
+//! `--sim-max-n` raises (or lowers) the largest n the full Theorem-3
+//! simulation runs at.
 
 use cc_graph::runs::spill_counters;
 use cc_graph::seq::{components, same_partition};
@@ -156,8 +159,26 @@ fn pram_step_workload(n: usize) {
 }
 
 fn usage() -> ! {
-    eprintln!("usage: bench_report [--smoke | --xl] [--out PATH] [--svc-out PATH] [--sim-max-n N]");
+    eprintln!(
+        "usage: bench_report [--smoke | --xl] [--out PATH] [--svc-out PATH] [--sim-max-n N]\n\
+         --out defaults to {} (full), {} (--xl) or {} (--smoke)",
+        default_out_path(false, false),
+        default_out_path(false, true),
+        default_out_path(true, false)
+    );
     std::process::exit(2);
+}
+
+/// The report path without `--out`: each tier writes its own file, and
+/// only the full matrix writes the committed `BENCH_PR8.json` baseline.
+fn default_out_path(smoke: bool, xl: bool) -> &'static str {
+    if smoke {
+        "BENCH_SMOKE.json"
+    } else if xl {
+        "BENCH_PR10.json"
+    } else {
+        "BENCH_PR8.json"
+    }
 }
 
 fn main() {
@@ -187,14 +208,7 @@ fn main() {
     if smoke && xl {
         usage(); // the tiers are disjoint matrices
     }
-    let out_path = out_path.unwrap_or_else(|| {
-        (if xl {
-            "BENCH_PR10.json"
-        } else {
-            "BENCH_PR8.json"
-        })
-        .into()
-    });
+    let out_path = out_path.unwrap_or_else(|| default_out_path(smoke, xl).into());
     if child {
         run_child(smoke, xl, sim_max_n);
     } else {
@@ -795,5 +809,12 @@ mod tests {
         // The smoke matrix stays where theorem3_sim takes 3 reps, so every
         // smoke theorem3_sim row carries a real median.
         assert!(sizes(true).iter().all(|&n| n <= SIM_MEDIAN_MAX_N));
+    }
+
+    #[test]
+    fn only_the_full_matrix_defaults_to_the_committed_baseline() {
+        assert_eq!(default_out_path(true, false), "BENCH_SMOKE.json");
+        assert_eq!(default_out_path(false, true), "BENCH_PR10.json");
+        assert_eq!(default_out_path(false, false), "BENCH_PR8.json");
     }
 }

@@ -16,7 +16,7 @@
 //! svc_driver [--smoke] [--durable DIR] [--fsync always|batch[=N]|off]
 //!            [--out PATH] [--family F]... [--n N] [--batches N] [--batch N]
 //!            [--zipf S] [--seed S] [--rebuild-threshold N]
-//!            [--writers W] [--readers R] [--shards S] [--queue Q] [--window K]
+//!            [--writers W] [--readers R] [--queue Q] [--window K]
 //! ```
 //!
 //! With no flags the full matrix runs in memory: path/grid/powerlaw/mixture
@@ -44,7 +44,7 @@ fn usage() -> ! {
         "usage: svc_driver [--smoke] [--durable DIR] [--fsync always|batch[=N]|off] \
          [--out PATH] [--family F]... [--n N] [--batches N] [--batch N] \
          [--zipf S] [--seed S] [--rebuild-threshold N] \
-         [--writers W] [--readers R] [--shards S] [--queue Q] [--window K]"
+         [--writers W] [--readers R] [--queue Q] [--window K]"
     );
     std::process::exit(2);
 }
@@ -84,7 +84,6 @@ fn main() {
             "--rebuild-threshold" => shape.rebuild_threshold = parse(next("number")),
             "--writers" => shape.writers = parse(next("number")),
             "--readers" => shape.readers = parse(next("number")),
-            "--shards" => shape.shard_count = parse(next("number")),
             "--queue" => shape.command_queue = parse(next("number")),
             "--window" => shape.window = parse(next("number")),
             _ => usage(),

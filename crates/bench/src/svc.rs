@@ -10,10 +10,10 @@
 //! keeping `window` tickets outstanding, while `readers` threads query
 //! Zipfian endpoints until the writers drain. The Zipfian rank-to-vertex
 //! mapping is shuffled by the seed, so hot vertices are spread across the
-//! graph, and every writer draws from the same hot set, so cross-shard
-//! unions and CAS traffic concentrate. Commit *order* is a race; commit
-//! *content* is fixed, so the final partition is a pure function of the
-//! batches.
+//! graph, and every writer draws from the same hot set, so writes and
+//! reads concentrate on the same components. Commit *order* is a race;
+//! commit *content* is fixed, so the final partition is a pure function of
+//! the batches.
 //!
 //! With `fsync` set the trace is durable: the service is created in a
 //! store directory, and after the trace it is dropped (clean shutdown)
@@ -59,12 +59,11 @@ const READER_SAMPLE_CAP: usize = 2_000_000;
 /// [`FOLD_STAGE`] run at most once per commit; folds hit one commit in
 /// thousands, so they belong in the exact sum accounting but would wreck
 /// a median-commit p50 sum.
-const PIPELINE_STAGES: [&str; 7] = [
+const PIPELINE_STAGES: [&str; 6] = [
     "svc_wal_append_ns",
     "svc_fsync_ns",
     "svc_dedup_ns",
     "svc_absorb_ns",
-    "svc_cross_drain_ns",
     "svc_fold_ns",
     "svc_snapshot_publish_ns",
 ];
@@ -94,8 +93,6 @@ pub struct TraceConfig {
     pub window: usize,
     /// Service rebuild threshold (distinct delta edges).
     pub rebuild_threshold: usize,
-    /// Overlay shard count handed to the service.
-    pub shard_count: usize,
     /// Command-queue depth (bounded channel; blocking send = backpressure).
     pub command_queue: usize,
     /// WAL fsync policy. `Some` makes the trace durable; `None` keeps the
@@ -120,7 +117,6 @@ impl TraceConfig {
             readers: 4,
             window: 32,
             rebuild_threshold: 4096,
-            shard_count: 8,
             command_queue: 1024,
             fsync: None,
             snapshot_every: 64,
@@ -140,7 +136,6 @@ impl TraceConfig {
             readers: 2,
             window: 8,
             rebuild_threshold: 256,
-            shard_count: 4,
             command_queue: 64,
             fsync: None,
             snapshot_every: 16,
@@ -327,8 +322,8 @@ pub struct TraceRow {
     /// Components in the final maintained partition.
     pub components: usize,
     /// Sum of the per-commit stage p50s (WAL append, fsync, dedup, absorb,
-    /// cross-drain, publish), µs: the registry's own account of where a
-    /// median commit goes.
+    /// publish), µs: the registry's own account of where a median commit
+    /// goes.
     pub pipeline_p50_sum_us: f64,
     /// The writer's `svc_commit_ns` span p50, µs (the span opens after
     /// dequeue, so enqueue wait is excluded).
@@ -452,7 +447,7 @@ impl TraceRow {
         });
         format!(
             "{{\"workload\":\"{}/{}\",\"fsync\":\"{}\",\"n\":{},\"m_initial\":{},\"m_final\":{},\
-             \"writers\":{},\"readers\":{},\"window\":{},\"shard_count\":{},\
+             \"writers\":{},\"readers\":{},\"window\":{},\
              \"rebuild_threshold\":{},\"command_queue\":{},\"snapshot_every\":{},\"seed\":{},\
              \"batch\":{},\"zipf_s\":{:.3},\"writes\":{},\"batches\":{},\"reads\":{},\"threads\":{},\
              \"elapsed_ms\":{:.3},\"writes_per_s\":{:.1},\"queries_per_s\":{:.1},{},{},{},\
@@ -468,7 +463,6 @@ impl TraceRow {
             cfg.writers,
             cfg.readers,
             cfg.window,
-            cfg.shard_count,
             cfg.rebuild_threshold,
             cfg.command_queue,
             cfg.snapshot_every,
@@ -589,7 +583,6 @@ pub fn run_trace(cfg: &TraceConfig, root: &Path) -> TraceRow {
 
     let mut params = SvcParams {
         rebuild_threshold: cfg.rebuild_threshold,
-        shard_count: cfg.shard_count,
         command_queue: cfg.command_queue,
         snapshot_every: cfg.snapshot_every,
         ..SvcParams::default()

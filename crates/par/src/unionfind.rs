@@ -100,32 +100,16 @@ impl UnionFind {
     }
 
     /// [`absorb`](UnionFind::absorb) without the parallel fan-out: unions
-    /// run on the calling thread in slice order. This is the drain
-    /// primitive for callers that buffer edges and pay for them in one
-    /// deterministic pass (the `logdiam-svc` cross-shard pending lists);
-    /// it is also the right call for batches too small to amortize a
-    /// pool dispatch.
+    /// run on the calling thread in slice order, so the union schedule is
+    /// a pure function of the slice. This is the right call for batches
+    /// too small to amortize a pool dispatch: a pool of two or more
+    /// threads splits a slice of at most 4 × threads edges into one task
+    /// per edge. The `logdiam-svc` writer absorbs every commit's batch
+    /// this way.
     pub fn absorb_seq(&self, edges: &[(u32, u32)]) {
         for &(u, v) in edges {
             unite(&self.p, u, v);
         }
-    }
-
-    /// Shard-aware absorb: one parallel task per shard bucket, each
-    /// draining its bucket sequentially.
-    ///
-    /// Callers that partition a batch by vertex range (the `logdiam-svc`
-    /// sharded overlay) get per-shard cache locality and exactly
-    /// `buckets.len()` pool tasks instead of a per-edge fan-out. The
-    /// structure is a single global forest, so a shard task *may* still
-    /// CAS a parent slot outside its range when an earlier epoch already
-    /// merged components across shards — that is safe (all mutation is
-    /// CAS on the shared atomics) and does not affect the resulting
-    /// partition, which is interleaving-independent.
-    pub fn absorb_sharded(&self, buckets: &[Vec<(u32, u32)>]) {
-        buckets.par_iter().for_each(|bucket| {
-            self.absorb_seq(bucket);
-        });
     }
 
     /// The canonical (minimum-vertex) representative of `v`'s set.
@@ -263,23 +247,14 @@ mod tests {
     }
 
     #[test]
-    fn absorb_seq_and_sharded_match_parallel_absorb() {
+    fn absorb_seq_matches_parallel_absorb() {
         let g = gen::gnm(900, 2600, 13);
         let expected = unionfind_cc(&g);
-        // Sequential drain.
         let seq = UnionFind::new(g.n());
-        seq.absorb_seq(g.edges());
-        assert_eq!(seq.labels(), expected);
-        // Sharded drain: bucket edges by the smaller endpoint's range.
-        let shards = 7usize;
-        let size = g.n().div_ceil(shards);
-        let mut buckets = vec![Vec::new(); shards];
-        for &(u, v) in g.edges() {
-            buckets[(u.min(v) as usize) / size].push((u, v));
+        for chunk in g.edges().chunks(97) {
+            seq.absorb_seq(chunk);
         }
-        let sharded = UnionFind::new(g.n());
-        sharded.absorb_sharded(&buckets);
-        assert_eq!(sharded.labels(), expected);
+        assert_eq!(seq.labels(), expected);
     }
 
     #[test]

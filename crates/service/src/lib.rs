@@ -6,8 +6,8 @@
 //! stream of batched edge insertions and answers connectivity queries
 //! against published, immutable snapshots.
 //!
-//! Since PR 6 the service is **sharded and asynchronous** — three moving
-//! parts behind one controller handle (full contract: `ARCHITECTURE.md`):
+//! The service is **asynchronous** — three moving parts behind one
+//! controller handle (full contract: `ARCHITECTURE.md`):
 //!
 //! * **A dedicated writer thread** owns the state. [`apply_batch`] only
 //!   normalizes the batch, enqueues it on a bounded command channel
@@ -16,14 +16,14 @@
 //!   can [`wait`](EpochTicket::wait) or [`poll`](EpochTicket::poll).
 //!   The writer drains commands in FIFO order, so epoch assignment is
 //!   totally ordered however many threads enqueue concurrently.
-//! * **A sharded delta overlay** absorbs each batch: the resumable
-//!   concurrent union–find ([`logdiam_par::UnionFind`]) is partitioned by
-//!   vertex range into [`SvcParams::shard_count`] shards — intra-shard
-//!   edges are absorbed with one pool task per shard, cross-shard unions
-//!   are buffered per shard and drained by the writer in one pass per
-//!   commit. Shard count is a pure performance knob: published labels are
-//!   canonical min-vertex representatives, identical for every shard and
-//!   thread count.
+//! * **A delta overlay** absorbs each batch: one resumable union–find
+//!   ([`logdiam_par::UnionFind`]) that the writer feeds each deduped
+//!   batch on its own thread, in batch order
+//!   ([`UnionFind::absorb_seq`](logdiam_par::UnionFind::absorb_seq)). A
+//!   commit that does not fold never touches the rayon pool. The forest
+//!   only ever links a root under a smaller id, so published labels are
+//!   canonical min-vertex representatives, identical at every thread
+//!   count.
 //! * **Folds**: when [`SvcParams::rebuild_threshold`] distinct new edges
 //!   have accumulated, the commit *folds* them into the base edge list
 //!   (an in-place merge at a deterministic commit) and makes the current
@@ -40,7 +40,7 @@
 //!
 //! Label canonicalization makes the service deterministic: for a fixed
 //! replay (initial graph + batch sequence from one caller), every epoch's
-//! labels are identical at any thread count and for any shard count.
+//! labels and [`Spectrum`] are identical at any thread count.
 //!
 //! Since PR 7 the service can also be **durable**: opened on a
 //! directory ([`ConnectivityService::create`] /
@@ -72,7 +72,6 @@
 mod base;
 mod persist;
 mod service;
-mod shard;
 mod snapshot;
 mod ticket;
 mod wal;
@@ -110,12 +109,6 @@ pub struct SvcParams {
     /// ([`EpochError::Evicted`]). At least 1 (the latest snapshot is
     /// always kept).
     pub snapshot_history: usize,
-    /// Vertex-range shards the overlay partitions each batch over:
-    /// intra-shard absorption runs one pool task per shard; cross-shard
-    /// unions are buffered and drained once per commit. Purely a
-    /// performance knob — published labels are identical for any value
-    /// (default 8).
-    pub shard_count: usize,
     /// Capacity of the command channel between handles and the writer
     /// thread. [`ConnectivityService::apply_batch`] returns as soon as
     /// the batch is enqueued; once the writer falls this many commits
@@ -142,7 +135,6 @@ impl Default for SvcParams {
         SvcParams {
             rebuild_threshold: 4096,
             snapshot_history: 8,
-            shard_count: 8,
             command_queue: 1024,
             fsync: FsyncPolicy::Always,
             snapshot_every: 256,

@@ -159,7 +159,6 @@ pub(crate) struct SnapshotHead {
     /// from here replays on top of this state.
     pub(crate) wal_offset: u64,
     pub(crate) rebuilds: u64,
-    pub(crate) cross_unions: u64,
 }
 
 /// A decoded durable snapshot.
@@ -185,7 +184,6 @@ pub(crate) struct Recovered {
     pub(crate) labels: Option<Vec<u32>>,
     pub(crate) epoch: Epoch,
     pub(crate) rebuilds: u64,
-    pub(crate) cross_unions: u64,
     /// The open WAL, truncated to its valid prefix and positioned for
     /// appending.
     pub(crate) wal: Wal,
@@ -486,6 +484,11 @@ pub(crate) fn read_genesis(
 /// Stream a snapshot of the live writer state into `snap-<epoch>.bin`
 /// via temp file + atomic rename: the head, the base edge list, the
 /// delta, then the `n` current labels, checksummed on the way out.
+///
+/// The head is four `u64`s: epoch, WAL offset, folds, and a reserved
+/// slot. Stores written while the overlay was sharded kept their
+/// cross-shard union count there; it is now written as 0 and skipped on
+/// read, so those stores open unchanged under the same format version.
 pub(crate) fn write_snapshot(
     dir: &Path,
     head: &SnapshotHead,
@@ -500,7 +503,7 @@ pub(crate) fn write_snapshot(
         w.u64(head.epoch)?;
         w.u64(head.wal_offset)?;
         w.u64(head.rebuilds)?;
-        w.u64(head.cross_unions)?;
+        w.u64(0)?; // the reserved slot
         w.u32(labels.len() as u32)?;
         w.u64(base.m() as u64)?;
         w.edges(base.edges().iter().copied())?;
@@ -535,8 +538,8 @@ pub(crate) fn read_snapshot(
             epoch: r.u64()?,
             wal_offset: r.u64()?,
             rebuilds: r.u64()?,
-            cross_unions: r.u64()?,
         };
+        r.u64()?; // the reserved slot (see `write_snapshot`): any value
         if r.u32()? as usize != n {
             return Err(corrupt("n mismatch"));
         }
@@ -659,7 +662,6 @@ pub(crate) fn recover(dir: &Path) -> Result<Recovered, PersistError> {
             labels: Some(snap.labels),
             epoch: head.epoch,
             rebuilds: head.rebuilds,
-            cross_unions: head.cross_unions,
             wal,
             replay,
         });
@@ -693,7 +695,6 @@ fn genesis_replay(
         labels: None,
         epoch: 0,
         rebuilds: 0,
-        cross_unions: 0,
         wal,
         replay,
     })
@@ -717,7 +718,6 @@ mod tests {
             epoch,
             wal_offset,
             rebuilds: 1,
-            cross_unions: 2,
         }
     }
 
@@ -770,7 +770,7 @@ mod tests {
         )
         .unwrap();
         let mut payload = Vec::new();
-        for x in [9u64, 40, 1, 2] {
+        for x in [9u64, 40, 1, 0] {
             payload.extend_from_slice(&x.to_le_bytes());
         }
         payload.extend_from_slice(&5002u32.to_le_bytes());

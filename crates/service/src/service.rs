@@ -21,7 +21,7 @@ use std::sync::{mpsc, Arc, RwLock};
 /// for the architecture contract.
 ///
 /// This struct is only the **controller handle**. The state — base edge
-/// list, sharded delta overlay, delta list — is owned by a dedicated writer
+/// list, delta overlay, delta list — is owned by a dedicated writer
 /// thread; [`apply_batch`](ConnectivityService::apply_batch) enqueues a
 /// normalized batch on a bounded command channel and immediately returns
 /// an [`EpochTicket`]. The writer drains commands in FIFO order, so epoch
@@ -100,7 +100,6 @@ impl ConnectivityService {
             labels: rec.labels,
             epoch: rec.epoch,
             rebuilds: rec.rebuilds,
-            cross_unions: rec.cross_unions,
             durable: Some(Durable::new(dir.to_path_buf(), rec.wal)),
         };
         Ok(Self::launch(seed, params, &rec.replay))
@@ -112,7 +111,6 @@ impl ConnectivityService {
             "rebuild_threshold must be ≥ 1"
         );
         assert!(params.snapshot_history > 0, "snapshot_history must be ≥ 1");
-        assert!(params.shard_count > 0, "shard_count must be ≥ 1");
         assert!(params.command_queue > 0, "command_queue must be ≥ 1");
         assert!(params.snapshot_every > 0, "snapshot_every must be ≥ 1");
         assert!(params.snapshots_kept > 0, "snapshots_kept must be ≥ 1");
@@ -505,52 +503,6 @@ mod tests {
     }
 
     #[test]
-    fn shard_counts_do_not_change_published_labels() {
-        let initial = gen::gnm(300, 400, 2);
-        let stream = gen::gnm(300, 500, 4);
-        let replay = |shard_count| {
-            let svc = ConnectivityService::new(
-                initial.clone(),
-                SvcParams {
-                    shard_count,
-                    rebuild_threshold: 96,
-                    ..SvcParams::default()
-                },
-            );
-            let mut per_epoch = Vec::new();
-            for chunk in stream.edges().chunks(13) {
-                svc.apply_batch(chunk).wait().unwrap();
-                per_epoch.push(svc.latest().labels().to_vec());
-            }
-            per_epoch
-        };
-        let one = replay(1);
-        assert_eq!(one, replay(3));
-        assert_eq!(one, replay(8));
-        assert_eq!(one, replay(1024));
-    }
-
-    #[test]
-    fn cross_unions_accumulate_deterministically() {
-        // 2 shards of 2: (0,2) and (1,3) cross, (0,1) and (2,3) do not.
-        let mk = || {
-            let svc = ConnectivityService::new(
-                GraphBuilder::new(4).build(),
-                SvcParams {
-                    shard_count: 2,
-                    ..SvcParams::default()
-                },
-            );
-            svc.apply_batch(&[(0, 2), (0, 1)]).wait().unwrap();
-            svc.apply_batch(&[(1, 3), (2, 3)]).wait().unwrap();
-            let sp = svc.spectrum();
-            (sp.shards, sp.cross_unions)
-        };
-        assert_eq!(mk(), (2, 2));
-        assert_eq!(mk(), (2, 2));
-    }
-
-    #[test]
     fn metrics_populate_commit_pipeline_histograms_and_events() {
         let svc = svc(GraphBuilder::new(16).build(), 4);
         for i in 0..8u32 {
@@ -561,7 +513,6 @@ mod tests {
         assert_eq!(m.counters["svc_commits_total"], 8);
         assert_eq!(m.histograms["svc_dedup_ns"].count, 8);
         assert_eq!(m.histograms["svc_absorb_ns"].count, 8);
-        assert_eq!(m.histograms["svc_cross_drain_ns"].count, 8);
         assert_eq!(m.histograms["svc_snapshot_publish_ns"].count, 8);
         assert_eq!(m.histograms["svc_enqueue_wait_ns"].count, 8);
         // 8 distinct edges at threshold 4 → two folds, each counted and

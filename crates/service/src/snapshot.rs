@@ -20,8 +20,8 @@
 //! only merge components whose roots it touched, and a root that stops
 //! being a root has merged into the root `find` now returns.
 
-use crate::shard::ShardedOverlay;
 use crate::{Edge, Epoch};
+use logdiam_par::UnionFind;
 use std::sync::{Arc, OnceLock};
 
 /// Component-structure statistics for one epoch — the service's
@@ -51,12 +51,6 @@ pub struct Spectrum {
     /// synchronously merges the deltas into the base edge list and makes
     /// the current labels the new snapshot base).
     pub rebuilds: u64,
-    /// Vertex-range shards the delta overlay partitions batches over.
-    pub shards: usize,
-    /// Cumulative cross-shard unions drained by commits up to this epoch
-    /// (deterministic: counted at first absorption, a pure function of
-    /// the replay and the shard geometry).
-    pub cross_unions: u64,
 }
 
 /// Free-slot key: vertex ids are always `< u32::MAX`.
@@ -301,11 +295,11 @@ impl Labeling {
 
     /// Note the roots of a batch's endpoints before the overlay absorbs
     /// it: the only components the batch can merge.
-    pub(crate) fn note_roots(&mut self, overlay: &ShardedOverlay, edges: &[Edge]) {
+    pub(crate) fn note_roots(&mut self, overlay: &UnionFind, edges: &[Edge]) {
         self.roots.clear();
         for &(u, v) in edges {
-            self.roots.push(overlay.root(u));
-            self.roots.push(overlay.root(v));
+            self.roots.push(overlay.representative(u));
+            self.roots.push(overlay.representative(v));
         }
         self.roots.sort_unstable();
         self.roots.dedup();
@@ -315,10 +309,10 @@ impl Labeling {
     /// into the one `find` now returns — fold its size in, update the
     /// counts, and remap it. Entries that pointed at a root merged away
     /// this batch follow it to its new root.
-    pub(crate) fn settle(&mut self, overlay: &ShardedOverlay) {
+    pub(crate) fn settle(&mut self, overlay: &UnionFind) {
         let mut merged = false;
         for &r in &self.roots {
-            let t = overlay.root(r);
+            let t = overlay.representative(r);
             if t == r {
                 continue;
             }
@@ -333,7 +327,7 @@ impl Labeling {
             self.remap.insert(r, t);
         }
         if merged {
-            self.remap.update_values(|v| overlay.root(v));
+            self.remap.update_values(|v| overlay.representative(v));
             self.published = self.remap.view();
         }
     }
@@ -364,8 +358,6 @@ impl Labeling {
         base_m: usize,
         delta_edges: usize,
         rebuilds: u64,
-        shards: usize,
-        cross_unions: u64,
     ) -> Snapshot {
         Snapshot {
             base: Arc::clone(&self.base),
@@ -380,8 +372,6 @@ impl Labeling {
                 largest_component: self.largest as usize,
                 isolated_vertices: self.isolated,
                 rebuilds,
-                shards,
-                cross_unions,
             },
         }
     }
@@ -395,7 +385,7 @@ mod tests {
     fn spectrum_counts_components_sizes_and_isolates() {
         // {0,1,2}, {3}, {4,5} — labels are min-vertex canonical.
         let lab = Labeling::new(vec![0, 0, 0, 3, 4, 4]);
-        let s = lab.snapshot(7, 3, 1, 2, 4, 9);
+        let s = lab.snapshot(7, 3, 1, 2);
         let sp = s.spectrum();
         assert_eq!(sp.epoch, 7);
         assert_eq!(sp.n, 6);
@@ -405,8 +395,6 @@ mod tests {
         assert_eq!(sp.largest_component, 3);
         assert_eq!(sp.isolated_vertices, 1);
         assert_eq!(sp.rebuilds, 2);
-        assert_eq!(sp.shards, 4);
-        assert_eq!(sp.cross_unions, 9);
         assert!(s.connected(0, 2));
         assert!(!s.connected(2, 3));
         assert_eq!(s.component_of(5), 4);
@@ -414,7 +402,7 @@ mod tests {
 
     #[test]
     fn empty_snapshot_is_well_defined() {
-        let s = Labeling::new(vec![]).snapshot(0, 0, 0, 0, 1, 0);
+        let s = Labeling::new(vec![]).snapshot(0, 0, 0, 0);
         let sp = s.spectrum();
         assert_eq!(sp.components, 0);
         assert_eq!(sp.largest_component, 0);
@@ -426,13 +414,13 @@ mod tests {
     fn settle_tracks_merges_and_remaps_to_the_current_minimum() {
         // Six singletons; merge {4,5}, then {2,4}, then {0,2}: the remap
         // must follow each merged-away root to the newest minimum.
-        let mut ov = ShardedOverlay::from_labels(&[0, 1, 2, 3, 4, 5], 2);
+        let ov = UnionFind::new(6);
         let mut lab = Labeling::new((0..6).collect());
-        let mut step = |lab: &mut Labeling, batch: &[Edge]| {
+        let step = |lab: &mut Labeling, batch: &[Edge]| {
             lab.note_roots(&ov, batch);
-            ov.absorb(batch);
+            ov.absorb_seq(batch);
             lab.settle(&ov);
-            lab.snapshot(0, 0, 0, 0, 2, 0)
+            lab.snapshot(0, 0, 0, 0)
         };
         let s1 = step(&mut lab, &[(4, 5)]);
         assert_eq!(s1.labels(), &[0, 1, 2, 3, 4, 4]);
@@ -455,7 +443,7 @@ mod tests {
         assert!(Arc::ptr_eq(&s3.remap.slots, &s4.remap.slots));
         // A rebase folds the remap into fresh shared labels.
         lab.rebase(s4.labels().to_vec());
-        let s5 = lab.snapshot(0, 0, 0, 0, 2, 0);
+        let s5 = lab.snapshot(0, 0, 0, 0);
         assert_eq!(s5.remap_len(), 0);
         assert_eq!(s5.labels(), s4.labels());
         assert_eq!(s5.spectrum().components, 3);

@@ -11,13 +11,13 @@
 //!
 //! Per [`Cmd::Apply`] the writer: normalizes the batch against the base
 //! edge list (row index) and the persistent dedup set, notes the roots
-//! the surviving edges touch, absorbs them into the sharded overlay
-//! ([`ShardedOverlay::absorb`]), settles the merges into the component
-//! counts and the remap ([`Labeling::settle`]), folds the delta list into
-//! the base when the rebuild threshold is crossed, seals and publishes
-//! the epoch's [`Snapshot`], and then — and only then — fulfills the
-//! caller's ticket. Nothing on this path is O(n) except the fold's label
-//! materialization.
+//! the surviving edges touch, absorbs them into the overlay union–find on
+//! this thread in batch order ([`UnionFind::absorb_seq`]), settles the
+//! merges into the component counts and the remap ([`Labeling::settle`]),
+//! folds the delta list into the base when the rebuild threshold is
+//! crossed, seals and publishes the epoch's [`Snapshot`], and then — and
+//! only then — fulfills the caller's ticket. Nothing on this path is O(n)
+//! except the fold's label materialization.
 //!
 //! # Folds
 //!
@@ -29,7 +29,6 @@
 
 use crate::base::BaseEdges;
 use crate::persist::{self, SnapshotHead};
-use crate::shard::ShardedOverlay;
 use crate::snapshot::Labeling;
 use crate::ticket::TicketCell;
 use crate::wal::{Wal, WalRecord};
@@ -37,6 +36,7 @@ use crate::{Edge, Epoch, FsyncPolicy, Snapshot, SvcParams, WriterDead};
 use cc_graph::Graph;
 use logdiam_obs::{Counter, Event, Histogram, Registry};
 use logdiam_par::unionfind::unionfind_cc_edges;
+use logdiam_par::UnionFind;
 use pram_kit::PairSet;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -116,12 +116,10 @@ impl SharedStats {
 struct ObsHandles {
     enqueue_wait_ns: Histogram,
     dedup_ns: Histogram,
-    absorb_intra_ns: Histogram,
-    cross_drain_ns: Histogram,
+    absorb_ns: Histogram,
     snapshot_publish_ns: Histogram,
     commits: Counter,
     folds: Counter,
-    cross_unions: Counter,
     wal_bytes: Counter,
     wal_records: Counter,
     wal_fsyncs: Counter,
@@ -146,12 +144,10 @@ impl ObsHandles {
         ObsHandles {
             enqueue_wait_ns: reg.histogram("svc_enqueue_wait_ns"),
             dedup_ns: reg.histogram("svc_dedup_ns"),
-            absorb_intra_ns: reg.histogram("svc_absorb_ns"),
-            cross_drain_ns: reg.histogram("svc_cross_drain_ns"),
+            absorb_ns: reg.histogram("svc_absorb_ns"),
             snapshot_publish_ns: reg.histogram("svc_snapshot_publish_ns"),
             commits: reg.counter("svc_commits_total"),
             folds: reg.counter("svc_folds_total"),
-            cross_unions: reg.counter("svc_cross_unions_total"),
             wal_bytes: reg.counter("svc_wal_bytes_total"),
             wal_records: reg.counter("svc_wal_records_total"),
             wal_fsyncs: reg.counter("svc_wal_fsyncs_total"),
@@ -190,7 +186,6 @@ pub(crate) struct WriterSeed {
     pub(crate) labels: Option<Vec<u32>>,
     pub(crate) epoch: Epoch,
     pub(crate) rebuilds: u64,
-    pub(crate) cross_unions: u64,
     pub(crate) durable: Option<Durable>,
 }
 
@@ -202,7 +197,6 @@ impl WriterSeed {
             labels: None,
             epoch: 0,
             rebuilds: 0,
-            cross_unions: 0,
             durable: None,
         }
     }
@@ -212,7 +206,9 @@ impl WriterSeed {
 pub(crate) struct Writer {
     params: SvcParams,
     base: BaseEdges,
-    overlay: ShardedOverlay,
+    /// The delta overlay: one union–find over every edge committed so
+    /// far, resumed from the start-up labels.
+    overlay: UnionFind,
     /// Fold-time labels, remap, and component counts behind every
     /// published snapshot.
     labeling: Labeling,
@@ -223,9 +219,6 @@ pub(crate) struct Writer {
     epoch: Epoch,
     /// Folds triggered (deterministic: a pure function of the replay).
     rebuilds: u64,
-    /// Cross-shard unions drained, cumulative and deterministic (counted
-    /// at first absorption).
-    cross_unions: u64,
     published: Arc<Ring>,
     stats: Arc<SharedStats>,
     /// Durable WAL + snapshot state; `None` for memory-only services.
@@ -248,7 +241,7 @@ impl Writer {
         let labels = seed
             .labels
             .unwrap_or_else(|| unionfind_cc_edges(base.n(), base.edges()));
-        let overlay = ShardedOverlay::from_labels(&labels, params.shard_count);
+        let overlay = UnionFind::from_labels(&labels);
         // Rebuild the delta dedup set exactly as the original run left it:
         // the stored delta edges are distinct and absent from the (same)
         // folded base, so re-dedup re-inserts each of them.
@@ -257,14 +250,8 @@ impl Writer {
         let readded = base.dedup_new_edges(&seed.delta, &mut seen);
         debug_assert_eq!(readded, seed.delta, "recovered delta list not canonical");
         let labeling = Labeling::new(labels);
-        let snapshot = Arc::new(labeling.snapshot(
-            seed.epoch,
-            base.m(),
-            seed.delta.len(),
-            seed.rebuilds,
-            overlay.shard_count(),
-            seed.cross_unions,
-        ));
+        let snapshot =
+            Arc::new(labeling.snapshot(seed.epoch, base.m(), seed.delta.len(), seed.rebuilds));
         published
             .write()
             .expect("snapshot ring poisoned")
@@ -280,7 +267,6 @@ impl Writer {
             delta: seed.delta,
             epoch: seed.epoch,
             rebuilds: seed.rebuilds,
-            cross_unions: seed.cross_unions,
             published,
             stats,
             durable: seed.durable,
@@ -463,7 +449,6 @@ impl Writer {
             epoch: self.epoch,
             wal_offset: d.wal.len(),
             rebuilds: self.rebuilds,
-            cross_unions: self.cross_unions,
         };
         let labeling = &self.labeling;
         let labels = (0..self.base.n() as u32).map(|v| labeling.label(v));
@@ -479,23 +464,23 @@ impl Writer {
     /// order. Returns the assigned epoch.
     fn commit(&mut self, edges: &[Edge]) -> Epoch {
         // Every stage of substance inside the `svc_commit_ns` span is
-        // individually timed (dedup / absorb / cross-drain / fold /
-        // publish, plus WAL append + fsync before this call), so the
-        // per-stage sums account for the span's total — perfbench and
-        // `svc_driver` assert that coverage. Publish is two
-        // intervals: noting the batch's pre-absorb roots, and settling
-        // the merges + sealing the snapshot + the ring push.
+        // individually timed (dedup / absorb / fold / publish, plus WAL
+        // append + fsync before this call), so the per-stage sums account
+        // for the span's total — perfbench and `svc_driver` assert that
+        // coverage. Publish is two intervals: noting the batch's
+        // pre-absorb roots, and settling the merges + sealing the
+        // snapshot + the ring push.
         let dedup = Instant::now();
         let fresh = self.base.dedup_new_edges(edges, &mut self.seen);
         self.obs.dedup_ns.observe_duration(dedup.elapsed());
         let notes = Instant::now();
         self.labeling.note_roots(&self.overlay, &fresh);
         let mut publish = notes.elapsed();
-        let cross =
-            self.overlay
-                .absorb_timed(&fresh, &self.obs.absorb_intra_ns, &self.obs.cross_drain_ns);
-        self.cross_unions += cross;
-        self.obs.cross_unions.add(cross);
+        if !fresh.is_empty() {
+            let absorb = Instant::now();
+            self.overlay.absorb_seq(&fresh);
+            self.obs.absorb_ns.observe_duration(absorb.elapsed());
+        }
         let settle = Instant::now();
         self.labeling.settle(&self.overlay);
         publish += settle.elapsed();
@@ -510,8 +495,6 @@ impl Writer {
             self.base.m(),
             self.delta.len(),
             self.rebuilds,
-            self.overlay.shard_count(),
-            self.cross_unions,
         ));
         let mut ring = self.published.write().expect("snapshot ring poisoned");
         ring.push_back(snapshot);

@@ -95,7 +95,6 @@ fn check_concurrent_callers(n: usize, writers: usize, chunk: usize, seed: u64) {
         SvcParams {
             rebuild_threshold: (n / 2).max(8),   // rebuilds fire mid-replay
             snapshot_history: total_batches + 1, // retain every epoch
-            shard_count: 3,
             ..SvcParams::default()
         },
     );

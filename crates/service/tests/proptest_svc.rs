@@ -12,9 +12,9 @@
 //!
 //! A second property pins the O(batch) snapshot model: every epoch's
 //! labels, point queries, and spectrum equal a from-scratch BFS plus an
-//! O(n) recount — at several shard counts, across folds and a durable
-//! restart — and snapshots share their fold-time base with a remap
-//! bounded by the rebuild threshold.
+//! O(n) recount — across folds and a durable restart — and snapshots
+//! share their fold-time base with a remap bounded by the rebuild
+//! threshold.
 
 use cc_graph::seq::{canonical_labels, components, components_bfs, same_partition};
 use cc_graph::{gen, Graph, GraphBuilder};
@@ -100,9 +100,6 @@ fn check_replay(s: &Scenario, theorem3_seed: Option<u64>) {
         SvcParams {
             rebuild_threshold: s.rebuild_threshold,
             snapshot_history: 4,
-            // Prime-ish shard count so cross-shard buffering is exercised
-            // on every scenario size.
-            shard_count: 3,
             ..SvcParams::default()
         },
     );
@@ -155,13 +152,11 @@ fn check_replay(s: &Scenario, theorem3_seed: Option<u64>) {
     m.validate().unwrap();
     let commits = m.counters["svc_commits_total"];
     assert!(commits >= s.stream.chunks(s.batch.max(1)).count() as u64);
-    // Publish and enqueue-wait are observed once per commit; absorb and
-    // cross-drain only when the batch had surviving fresh edges.
+    // Publish and enqueue-wait are observed once per commit; absorb only
+    // when the batch had surviving fresh edges.
     assert_eq!(m.histograms["svc_snapshot_publish_ns"].count, commits);
     assert_eq!(m.histograms["svc_enqueue_wait_ns"].count, commits);
-    let absorbs = m.histograms["svc_absorb_ns"].count;
-    assert_eq!(m.histograms["svc_cross_drain_ns"].count, absorbs);
-    assert!(absorbs <= commits);
+    assert!(m.histograms["svc_absorb_ns"].count <= commits);
 }
 
 proptest! {
@@ -240,7 +235,7 @@ fn truth(initial: &Graph, applied: &[(u32, u32)]) -> Truth {
 }
 
 /// Every public read of one published snapshot against the truth.
-fn check_snapshot(snap: &Snapshot, want: &Truth, epoch: u64, shards: usize) {
+fn check_snapshot(snap: &Snapshot, want: &Truth, epoch: u64) {
     assert_eq!(snap.epoch(), epoch);
     assert_eq!(snap.labels(), &want.labels[..], "labels at epoch {epoch}");
     let n = want.labels.len() as u32;
@@ -255,8 +250,8 @@ fn check_snapshot(snap: &Snapshot, want: &Truth, epoch: u64, shards: usize) {
     }
     let sp = snap.spectrum();
     assert_eq!(
-        (sp.epoch, sp.n, sp.base_m + sp.delta_edges, sp.shards),
-        (epoch, n as usize, want.m, shards)
+        (sp.epoch, sp.n, sp.base_m + sp.delta_edges),
+        (epoch, n as usize, want.m)
     );
     assert_eq!(
         (sp.components, sp.largest_component, sp.isolated_vertices),
@@ -267,13 +262,13 @@ fn check_snapshot(snap: &Snapshot, want: &Truth, epoch: u64, shards: usize) {
 
 static STORE_SEQ: AtomicU64 = AtomicU64::new(0);
 
-/// Replay a scenario through a durable service at one shard count,
-/// dropping it and reopening the store mid-stream. After every commit the
+/// Replay a scenario through a durable service, dropping it and
+/// reopening the store mid-stream. After every commit the
 /// published snapshot must equal the from-scratch truth (labels,
 /// `component_of`, `connected`, spectrum), and the snapshot model must
 /// hold: epochs between two folds share one fold-time base, and no
 /// snapshot carries more remap entries than the rebuild threshold.
-fn check_epochs_against_recount(s: &Scenario, shard_count: usize, cut: u64) {
+fn check_epochs_against_recount(s: &Scenario, cut: u64) {
     // A sparse start and a descending chain after the random stream:
     // every chain batch merges a root that earlier batches already merged
     // into into a still smaller one, so remap entries must follow their
@@ -293,14 +288,13 @@ fn check_epochs_against_recount(s: &Scenario, shard_count: usize, cut: u64) {
     let params = SvcParams {
         rebuild_threshold: s.rebuild_threshold,
         snapshot_history: 4,
-        shard_count,
         fsync: FsyncPolicy::Off,
         snapshot_every: 3,
         snapshots_kept: 2,
         ..SvcParams::default()
     };
     let mut svc = ConnectivityService::create(&dir, initial.clone(), params).unwrap();
-    check_snapshot(&svc.latest(), &truth(&initial, &[]), 0, shard_count);
+    check_snapshot(&svc.latest(), &truth(&initial, &[]), 0);
     let mut prev = svc.latest();
     let mut applied: Vec<(u32, u32)> = Vec::new();
     for (i, chunk) in s.stream.chunks(s.batch.max(1)).enumerate() {
@@ -308,13 +302,13 @@ fn check_epochs_against_recount(s: &Scenario, shard_count: usize, cut: u64) {
             drop(svc);
             svc = ConnectivityService::open(&dir, params).unwrap();
             let snap = svc.latest();
-            check_snapshot(&snap, &truth(&initial, &applied), i as u64, shard_count);
+            check_snapshot(&snap, &truth(&initial, &applied), i as u64);
             prev = snap;
         }
         let epoch = svc.apply_batch(chunk).wait().unwrap();
         applied.extend_from_slice(chunk);
         let snap = svc.snapshot(epoch).unwrap();
-        check_snapshot(&snap, &truth(&initial, &applied), epoch, shard_count);
+        check_snapshot(&snap, &truth(&initial, &applied), epoch);
         assert!(snap.remap_len() <= s.rebuild_threshold);
         let same_fold = snap.spectrum().rebuilds == prev.spectrum().rebuilds;
         assert_eq!(
@@ -333,12 +327,9 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 16, ..ProptestConfig::default() })]
 
     /// O(batch) publishing is exact: every epoch's reads equal a BFS plus
-    /// an O(n) recount, at shard counts 1/3/8, across folds and a drop +
-    /// `open()` mid-stream.
+    /// an O(n) recount, across folds and a drop + `open()` mid-stream.
     #[test]
     fn every_epoch_equals_bfs_and_recount(s in arb_scenario(), cut in any::<u64>()) {
-        for shard_count in [1, 3, 8] {
-            check_epochs_against_recount(&s, shard_count, cut);
-        }
+        check_epochs_against_recount(&s, cut);
     }
 }

@@ -108,7 +108,6 @@ fn params_for(n: usize, batches: usize, snapshot_every: u64) -> SvcParams {
     SvcParams {
         rebuild_threshold: (n / 3).max(4),
         snapshot_history: batches + 2,
-        shard_count: 3,
         // In-process crash model: fsync only moves OS buffers to disk,
         // which file copies never observe — Off keeps the suite fast
         // with identical byte-level behavior.
@@ -459,25 +458,76 @@ type EdgePair = [[u8; 8]; 2];
 /// An in-place edit of those two edges.
 type Edit = fn(&mut EdgePair);
 
-/// Rewrite the first two base edges of a snapshot file with `edit` and
-/// re-seal its checksum, so only the semantic checks can reject it.
-/// Payload layout: epoch, wal_offset, rebuilds, cross_unions (u64 each),
-/// n (u32), base count (u64), then the base edges as (u32, u32).
-fn tamper_base_edges(path: &Path, edit: Edit) {
+/// Edit the payload of a snapshot file and re-seal its checksum, so only
+/// the semantic checks can reject it. The frame is magic (8 bytes),
+/// version (u32) and the payload's CRC-32 (u32). Payload layout: epoch,
+/// wal_offset, rebuilds and a reserved slot (u64 each), n (u32), base
+/// count (u64), then the base edges as (u32, u32).
+fn reseal(path: &Path, edit: impl FnOnce(&mut [u8])) {
     const FRAME: usize = 16;
-    const BASE_AT: usize = FRAME + 4 * 8 + 4 + 8;
     let mut bytes = std::fs::read(path).unwrap();
-    let count = u64::from_le_bytes(bytes[BASE_AT - 8..BASE_AT].try_into().unwrap());
-    assert!(count >= 2, "test needs a snapshot with two base edges");
-    let mut pair: EdgePair = [[0u8; 8]; 2];
-    pair[0].copy_from_slice(&bytes[BASE_AT..BASE_AT + 8]);
-    pair[1].copy_from_slice(&bytes[BASE_AT + 8..BASE_AT + 16]);
-    edit(&mut pair);
-    bytes[BASE_AT..BASE_AT + 8].copy_from_slice(&pair[0]);
-    bytes[BASE_AT + 8..BASE_AT + 16].copy_from_slice(&pair[1]);
+    edit(&mut bytes[FRAME..]);
     let crc = crc32(&bytes[FRAME..]);
     bytes[12..16].copy_from_slice(&crc.to_le_bytes());
     std::fs::write(path, &bytes).unwrap();
+}
+
+/// Rewrite the first two base edges of a snapshot file with `edit`.
+fn tamper_base_edges(path: &Path, edit: Edit) {
+    const BASE_AT: usize = 4 * 8 + 4 + 8;
+    reseal(path, |payload| {
+        let count = u64::from_le_bytes(payload[BASE_AT - 8..BASE_AT].try_into().unwrap());
+        assert!(count >= 2, "test needs a snapshot with two base edges");
+        let mut pair: EdgePair = [[0u8; 8]; 2];
+        pair[0].copy_from_slice(&payload[BASE_AT..BASE_AT + 8]);
+        pair[1].copy_from_slice(&payload[BASE_AT + 8..BASE_AT + 16]);
+        edit(&mut pair);
+        payload[BASE_AT..BASE_AT + 8].copy_from_slice(&pair[0]);
+        payload[BASE_AT + 8..BASE_AT + 16].copy_from_slice(&pair[1]);
+    });
+}
+
+/// Stores written while the service's overlay was sharded kept a
+/// cross-shard union count in the snapshot head's reserved slot. Every
+/// snapshot of a clean run re-sealed with such a count must still be
+/// trusted: `open()` recovers from the newest one, replays only the WAL
+/// tail past it, and lands on the exact epoch, labels and spectrum.
+#[test]
+fn snapshot_with_a_nonzero_reserved_slot_still_opens() {
+    const RESERVED_AT: usize = 3 * 8;
+    let initial = gen::gnm(40, 60, 8);
+    let stream = gen::gnm(40, 80, 9);
+    let batches: Vec<&[(u32, u32)]> = stream.edges().chunks(8).collect();
+    let params = params_for(40, batches.len(), 3);
+    let clean = clean_run(&initial, &batches, params, "reserved_clean");
+    let last = batches.len() as u64;
+    let snaps = snapshot_files(&clean.dir);
+    let newest = snaps.first().expect("clean run left no snapshot").0;
+    assert!(
+        newest < last,
+        "test needs a WAL tail past the newest snapshot"
+    );
+    for (epoch, path) in &snaps {
+        reseal(path, |payload| {
+            let slot = &mut payload[RESERVED_AT..RESERVED_AT + 8];
+            assert_eq!(slot, &[0; 8], "the writer leaves the slot at 0");
+            slot.copy_from_slice(&(17 * epoch + 5).to_le_bytes());
+        });
+    }
+    let svc = ConnectivityService::open(&clean.dir, params).unwrap();
+    assert_eq!(svc.epoch(), last);
+    assert_eq!(
+        svc.metrics().counters["svc_replayed_records_total"],
+        last - newest,
+        "the snapshot at epoch {newest} was not trusted"
+    );
+    assert_eq!(
+        svc.latest().labels(),
+        &clean.per_epoch_labels[last as usize][..]
+    );
+    assert_eq!(svc.spectrum(), clean.per_epoch_spectrum[last as usize]);
+    drop(svc);
+    let _ = std::fs::remove_dir_all(&clean.dir);
 }
 
 /// A snapshot whose checksum is valid but whose base edge list is not

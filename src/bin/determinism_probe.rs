@@ -84,10 +84,9 @@ fn main() {
 
     // `svc` replays a batched edge stream through the connectivity
     // service (small rebuild threshold so the fold path runs mid-trace)
-    // once per shard count, and fingerprints every epoch's published
-    // labels plus the deterministic spectrum counters — the whole
-    // maintained history must be identical at any thread count AND for
-    // every shard count (the async split's core invariant: epoch
+    // and fingerprints every published epoch: its labels and every
+    // `Spectrum` count. The whole maintained history must be identical at
+    // any thread count (the async split's core invariant: epoch
     // assignment is totally ordered by the writer, labels are canonical).
     if algo == "svc" {
         use logdiam::service::{ConnectivityService, SvcParams};
@@ -99,38 +98,43 @@ fn main() {
         for &(u, v) in initial_edges {
             b.add_edge(u, v);
         }
-        let initial = b.build();
-        let mut acc = 0u64;
-        let mut last = (0, 0, 0);
-        for shard_count in [1usize, 3, 8] {
-            let svc = ConnectivityService::new(
-                initial.clone(),
-                SvcParams {
-                    rebuild_threshold: 48,
-                    snapshot_history: 4,
-                    shard_count,
-                    ..SvcParams::default()
-                },
-            );
-            acc = acc
-                .rotate_left(7)
-                .wrapping_add(fnv1a(svc.latest().labels().iter().copied()));
-            for chunk in stream.chunks(17) {
-                svc.apply_batch(chunk).wait().unwrap();
-                acc = acc
-                    .rotate_left(1)
-                    .wrapping_add(fnv1a(svc.latest().labels().iter().copied()));
-            }
-            svc.apply_batch(&[]).wait().unwrap(); // empty commit must be deterministic too
-            let sp = svc.spectrum();
-            // cross_unions is shard-geometry-dependent but must be a pure
-            // function of (replay, shard_count): fold it in per shard run.
-            acc = acc.rotate_left(3).wrapping_add(sp.cross_unions);
-            last = (sp.epoch, sp.components, sp.rebuilds);
+        let svc = ConnectivityService::new(
+            b.build(),
+            SvcParams {
+                rebuild_threshold: 48,
+                snapshot_history: 4,
+                ..SvcParams::default()
+            },
+        );
+        let epoch_fingerprint = || {
+            let snap = svc.latest();
+            let sp = snap.spectrum();
+            let counts = [
+                sp.epoch,
+                sp.n as u64,
+                sp.base_m as u64,
+                sp.delta_edges as u64,
+                sp.components as u64,
+                sp.largest_component as u64,
+                sp.isolated_vertices as u64,
+                sp.rebuilds,
+            ];
+            let counts = counts
+                .into_iter()
+                .flat_map(|c| [c as u32, (c >> 32) as u32]);
+            fnv1a(snap.labels().iter().copied().chain(counts))
+        };
+        let mut acc = epoch_fingerprint();
+        for chunk in stream.chunks(17) {
+            svc.apply_batch(chunk).wait().unwrap();
+            acc = acc.rotate_left(1).wrapping_add(epoch_fingerprint());
         }
+        svc.apply_batch(&[]).wait().unwrap(); // empty commit must be deterministic too
+        acc = acc.rotate_left(1).wrapping_add(epoch_fingerprint());
+        let sp = svc.spectrum();
         println!(
             "{acc:016x} epoch={} components={} rebuilds={}",
-            last.0, last.1, last.2
+            sp.epoch, sp.components, sp.rebuilds
         );
         return;
     }

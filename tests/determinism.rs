@@ -143,12 +143,11 @@ proptest! {
     }
 
     /// The connectivity service: a batched replay (with mid-trace folds
-    /// and an empty commit) must publish identical labels at every epoch
-    /// regardless of thread count — and the probe replays the trace at
-    /// shard counts 1/3/8, so the fingerprint also pins shard-count
-    /// invariance. The sharded overlay union–find races internally, but
-    /// canonical min-vertex labeling and writer-ordered epoch assignment
-    /// erase the races.
+    /// and an empty commit) must publish identical labels and spectrum
+    /// counts at every epoch regardless of thread count — the probe
+    /// fingerprints the whole published history. The pool runs only the
+    /// start-up labeling and each fold's label pass; canonical min-vertex
+    /// labeling and writer-ordered epoch assignment erase their races.
     #[test]
     fn svc_replay_is_thread_invariant(
         family in family_strategy(),
