@@ -77,7 +77,7 @@ use logdiam_bench::check_obs_dump;
 use logdiam_bench::svc::{family_graph, run_smoke};
 use logdiam_cc::theorem1::{connected_components, Theorem1Params};
 use logdiam_cc::theorem2::spanning_forest;
-use logdiam_cc::theorem3::{faster_cc, faster_cc_with, FasterParams, FasterWorkspace};
+use logdiam_cc::theorem3::{faster_cc, FasterParams};
 use logdiam_obs::Registry;
 use logdiam_par::{
     contract::contract_cc, labelprop::labelprop_cc, sv::sv_cc, unionfind::unionfind_cc,
@@ -445,19 +445,16 @@ fn time_ms<T>(reps: usize, mut f: impl FnMut() -> T) -> f64 {
 
 /// One verified `faster_cc` run returning its charged-cost telemetry.
 ///
-/// The machine and workspace come from the caller and are reused across
-/// reps: [`Pram::reset_for_run`] rewinds the step counter and live image
-/// while keeping the arena's backing, free lists, and commit scratch, so
+/// The machine comes from the caller and is reused across reps:
+/// [`Pram::reset_for_run`] rewinds the step counter and live image while
+/// keeping the arena's backing, free lists, and commit scratch, so
 /// repeated reps replay bit-identically without re-mapping memory — the
-/// cross-run reuse path the 1e8 tier depends on, measured here.
-fn faster_run(
-    pram: &mut Pram,
-    ws: &mut FasterWorkspace,
-    g: &Graph,
-    check: &impl Fn(&[u32]),
-) -> SimCost {
+/// cross-run reuse path the 1e8 tier depends on, measured here. The
+/// driver's host-side buffers are sized by each run's renamed subproblem
+/// and allocated afresh.
+fn faster_run(pram: &mut Pram, g: &Graph, check: &impl Fn(&[u32])) -> SimCost {
     pram.reset_for_run();
-    let report = faster_cc_with(pram, g, SEED, &FasterParams::default(), ws);
+    let report = faster_cc(pram, g, SEED, &FasterParams::default());
     check(&report.run.labels);
     let work = report.run.stats.work;
     let rounds = report.run.rounds.max(1);
@@ -544,13 +541,12 @@ fn run_child(smoke: bool, xl: bool, sim_max_n: usize) {
             // cheap, and label the single-rep case honestly (see Row).
             let sim_reps = if g.n() <= SIM_MEDIAN_MAX_N { reps } else { 1 };
             let mut pram = Pram::new(WritePolicy::ArbitrarySeeded(SEED));
-            let mut ws = FasterWorkspace::new();
             let mut cost = None;
             reset_peak_rss();
             let ms = time_ms(sim_reps, || {
                 // Identical seed per rep → identical charged cost; keep the
                 // last rep's telemetry.
-                cost = Some(faster_run(&mut pram, &mut ws, &g, &check));
+                cost = Some(faster_run(&mut pram, &g, &check));
             });
             let sim_peak = peak_rss_kb();
             emit(Row {
@@ -623,10 +619,9 @@ fn run_child(smoke: bool, xl: bool, sim_max_n: usize) {
         };
 
         let mut guard_pram = Pram::new(WritePolicy::ArbitrarySeeded(SEED));
-        let mut guard_ws = FasterWorkspace::new();
         let mut cost = None;
         let ms = time_ms(reps, || {
-            cost = Some(faster_run(&mut guard_pram, &mut guard_ws, &g, &check));
+            cost = Some(faster_run(&mut guard_pram, &g, &check));
         });
         assert!(
             ms < GUARD_CAP_MS,

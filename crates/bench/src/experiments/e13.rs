@@ -11,7 +11,7 @@
 
 use crate::table::Table;
 use crate::Config;
-use pram_kit::compaction::{compact, CompactionMode};
+use pram_kit::compaction::compact;
 use pram_kit::prefix::compact_by_prefix_sum;
 use pram_sim::{Pram, WritePolicy};
 
@@ -21,8 +21,8 @@ pub(super) fn run(cfg: &Config) -> Vec<Table> {
         "Prefix-sum steps grow as 2·log₂ n exactly. Our hash-retry compaction \
          grows like log k in the worst case but stays well below the scan \
          (Goodrich's full algorithm reaches O(log* n), and with the n·log n \
-         processor slack of Lemma D.2 it is O(1) — the mode the Theorem-3 \
-         driver charges).",
+         processor slack of Lemma D.2 it is O(1) — the bound the simulated \
+         drivers' live-list compactions and renames are charged at).",
         &[
             "n",
             "k (distinguished)",
@@ -51,8 +51,7 @@ pub(super) fn run(cfg: &Config) -> Vec<Table> {
         for v in (0..n).step_by(5) {
             pram2.set(active2, v, 1);
         }
-        let res = compact(&mut pram2, active2, cfg.seed, CompactionMode::Measured)
-            .expect("hash compaction failed");
+        let res = compact(&mut pram2, active2, cfg.seed).expect("hash compaction failed");
         let hash_steps = 2 * res.rounds;
         t.row(vec![
             n.to_string(),

@@ -74,30 +74,7 @@ impl CcState {
     /// Read the labeling after host-side root chasing (valid even when
     /// trees are not flat; used by verifiers and by safety-capped exits).
     pub fn labels_rooted(&self, pram: &Pram) -> Vec<u32> {
-        let parent = pram.view(self.parent);
-        let n = self.n;
-        let mut out = vec![u32::MAX; n];
-        for v in 0..n {
-            if out[v] != u32::MAX {
-                continue;
-            }
-            // Chase to the root, then write it back along the path.
-            let mut path = vec![v];
-            let mut x = parent.get(v) as usize;
-            while parent.get(x) as usize != x && out[x] == u32::MAX {
-                path.push(x);
-                x = parent.get(x) as usize;
-            }
-            let root = if out[x] != u32::MAX {
-                out[x]
-            } else {
-                parent.get(x) as u32
-            };
-            for &p in &path {
-                out[p] = root;
-            }
-        }
-        out
+        rooted_labels(pram, self.parent)
     }
 
     /// Host count of roots (`v.p == v`). Controller bookkeeping, free.
@@ -133,6 +110,36 @@ impl CcState {
         pram.free(self.eu);
         pram.free(self.ev);
     }
+}
+
+/// Root-chased labels of the forest in `parent` (see
+/// [`CcState::labels_rooted`]); for drivers that keep a parent array
+/// without its arcs.
+pub(crate) fn rooted_labels(pram: &Pram, parent: Handle) -> Vec<u32> {
+    let parent = pram.view(parent);
+    let n = parent.len();
+    let mut out = vec![u32::MAX; n];
+    for v in 0..n {
+        if out[v] != u32::MAX {
+            continue;
+        }
+        // Chase to the root, then write it back along the path.
+        let mut path = vec![v];
+        let mut x = parent.get(v) as usize;
+        while parent.get(x) as usize != x && out[x] == u32::MAX {
+            path.push(x);
+            x = parent.get(x) as usize;
+        }
+        let root = if out[x] != u32::MAX {
+            out[x]
+        } else {
+            parent.get(x) as u32
+        };
+        for &p in &path {
+            out[p] = root;
+        }
+    }
+    out
 }
 
 #[cfg(test)]

@@ -7,9 +7,13 @@
 //! run the Theorem-1 algorithm on the remaining graph.
 //! ```
 //!
-//! * `COMPACT` (§D): Vanilla phases shrink the ongoing-vertex count, then
-//!   approximate compaction renames the survivors so every one of them can
-//!   own a level-1 block of size `b₁` (Assumption 3.1).
+//! * `COMPACT` (§D) is PREPARE plus a rename. PREPARE's Vanilla phases
+//!   shrink the ongoing-vertex count; the ongoing roots are then renamed
+//!   onto `[0, k)` (Lemma D.3; first-seen order here, where the paper
+//!   hashes), and every later round runs on that renamed subproblem. Its
+//!   `k` vertices are exactly the ongoing ones, so each starts at level 1
+//!   owning a `b₁`-sized block (Assumption 3.1), and every per-vertex
+//!   array of the rounds is `k` wide, not `n`.
 //! * Each round runs Steps (1)–(8) of `round` (EXPAND-MAXLINK): MAXLINK
 //!   toward higher levels, random and collision-triggered level raises,
 //!   same-budget table hashing, and table squaring. The level/budget
@@ -21,6 +25,13 @@
 //!   diameter ≤ 1 and the Theorem-1 postprocess finishes in
 //!   `O(log log_{m/n} n)`.
 //!
+//! Both renames — COMPACT's, and the postprocess's of the remaining root
+//! graph — are one primitive, `rename_solve_link`: it renames a list of
+//! root pairs onto `[0, k)`, deduplicates them, hands a `k`-vertex
+//! [`CcState`] to a solver (the rounds and their postprocess, or
+//! Theorem 1), and links every renamed root back onto its component's
+//! representative in one charged step.
+//!
 //! The driver's output is verified against ground truth in every test; a
 //! safety round cap (counted by E6, never silently ignored) falls through
 //! to the always-correct postprocess.
@@ -29,18 +40,17 @@ mod maxlink;
 mod round;
 mod tables;
 
-use crate::live::LiveSet;
+use crate::live::{extend_endpoints, LiveSet, NO_SLOT};
 use crate::metrics::{RoundMetrics, RunReport, StopReason};
-use crate::state::CcState;
+use crate::state::{rooted_labels, CcState};
 use crate::theorem1::{self, Theorem1Params};
 use crate::vanilla::vanilla_phase;
 use crate::verify;
 use cc_graph::Graph;
-use pram_kit::compaction::{compact, CompactionMode};
 use pram_kit::ops::{alter_over, shortcut_until_flat_over};
-use pram_sim::{Pram, NULL};
+use pram_kit::PairSet;
+use pram_sim::{Handle, Pram, NULL};
 use round::{expand_maxlink_round, FasterState, LiveIndex, RoundScratch};
-use std::collections::HashMap;
 use tables::TableHeap;
 
 /// Tunable parameters (paper values in brackets; see crate docs on
@@ -56,12 +66,8 @@ pub struct FasterParams {
     /// to the `~n²` ceiling, which is what keeps per-round work near `O(m)`
     /// (E9). κ = 2 and 4 are exercised by the E10 ablation].
     pub kappa: f64,
-    /// Budget ceiling (0 = auto) [paper: implicitly `poly(n)`].
-    pub max_budget: u64,
-    /// Step-2 sampling probability `min(sample_cap, sample_coeff /
-    /// b^sample_exp)` [paper: `10 log n / b^{0.1}`].
-    pub sample_coeff: f64,
-    /// Exponent in the sampling probability [paper: 0.1].
+    /// Exponent in the Step-2 sampling probability `min(sample_cap,
+    /// SAMPLE_COEFF / b^sample_exp)` [paper: 0.1].
     pub sample_exp: f64,
     /// Cap on the sampling probability.
     pub sample_cap: f64,
@@ -69,20 +75,6 @@ pub struct FasterParams {
     pub enable_sampling: bool,
     /// MAXLINK iterations per invocation [paper: 2] (E10 ablation).
     pub maxlink_iters: u32,
-    /// Density PREPARE inside COMPACT must reach (0 disables the Vanilla
-    /// prefix) [paper: `log^c n`].
-    pub compact_delta0: f64,
-    /// Round cap (0 = auto); hitting it is recorded, never hidden.
-    pub round_cap: u64,
-    /// Live-work scheduling: every `dedup_every` rounds the compacted
-    /// live-arc index is also deduplicated by endpoint pair (ALTER maps
-    /// many arcs onto the same root pair as components merge), so
-    /// simulated steps pay for *distinct* live arcs. 0 disables dedup;
-    /// loop filtering always runs. Purely a work/wall-clock knob — labels
-    /// are unaffected (duplicate arcs write identical candidates).
-    pub dedup_every: u64,
-    /// Parameters of the Theorem-1 postprocess.
-    pub postprocess: Theorem1Params,
 }
 
 impl Default for FasterParams {
@@ -90,19 +82,28 @@ impl Default for FasterParams {
         FasterParams {
             b1: 0,
             kappa: 1.5,
-            max_budget: 0,
-            sample_coeff: 1.0,
             sample_exp: 0.3,
             sample_cap: 0.15,
             enable_sampling: true,
             maxlink_iters: 2,
-            compact_delta0: 4.0,
-            round_cap: 0,
-            dedup_every: 4,
-            postprocess: Theorem1Params::default(),
         }
     }
 }
+
+/// Density `m / ongoing` at which PREPARE, the Vanilla prefix of
+/// COMPACT, stops [paper: `log^c n`].
+const PREPARE_DENSITY: f64 = 4.0;
+
+/// Coefficient of the Step-2 sampling probability `min(sample_cap,
+/// SAMPLE_COEFF / b^sample_exp)` [paper: `10 log n`].
+const SAMPLE_COEFF: f64 = 1.0;
+
+/// Live-work scheduling: every `DEDUP_CADENCE`-th round the live-arc
+/// index is also deduplicated by endpoint pair (ALTER maps many arcs onto
+/// the same root pair as components merge), so simulated steps pay for
+/// *distinct* live arcs. Labels are unaffected (duplicate arcs write
+/// identical candidates); loop filtering runs every round.
+const DEDUP_CADENCE: u64 = 4;
 
 /// Round a value up to a power of four.
 fn pow4_at_least(x: u64) -> u64 {
@@ -122,19 +123,14 @@ impl FasterParams {
             let density = (m.max(1) as u64 / ongoing.max(1) as u64).clamp(16, 256);
             pow4_at_least(density)
         };
-        let max_budget = if self.max_budget > 0 {
-            pow4_at_least(self.max_budget)
-        } else {
-            // Budget ceiling: the paper's design needs the top-level table
-            // `√b_L` to hold a whole component's root set (Lemma 3.19 gives
-            // `b_L ≥ n⁴`; here `b_L ≈ 4n²`, i.e. tables of ~2n cells),
-            // otherwise the §3.3 break condition can never fire on stubborn
-            // inputs. A hard memory lid of 4M words bounds the footprint on
-            // big inputs; if it ever binds the run falls through to the
-            // always-correct postprocess (counted by E6).
-            let cap = (4 * (n as u64) * (n as u64)).min(1 << 22);
-            pow4_at_least(cap.max(4 * b1))
-        };
+        // Budget ceiling: the paper's design needs the top-level table
+        // `√b_L` to hold a whole component's root set (Lemma 3.19 gives
+        // `b_L ≥ n⁴`; here `b_L ≈ 4n²`, i.e. tables of ~2n cells),
+        // otherwise the §3.3 break condition can never fire on stubborn
+        // inputs. A hard memory lid of 4M words bounds the footprint on
+        // big inputs; if it ever binds the run falls through to the
+        // always-correct postprocess (counted by E6).
+        let max_budget = pow4_at_least((4 * (n as u64) * (n as u64)).min(1 << 22).max(4 * b1));
         let mut budgets = vec![0, b1];
         loop {
             let last = *budgets.last().unwrap();
@@ -158,181 +154,208 @@ pub struct FasterReport {
     pub run: RunReport,
     /// The Theorem-1 postprocess report (labels empty).
     pub post: RunReport,
-    /// Retry rounds the initial approximate compaction needed.
+    /// Always 0. COMPACT's rename is a first-seen renumbering charged at
+    /// O(1) steps, not a hash-retry compaction, so it has no retry rounds;
+    /// the field stays because the benchmark's per-layer metrics read it.
     pub compaction_rounds: u64,
     /// Peak table-heap words over the run — the E4 measurement.
     pub table_peak_words: u64,
     /// Charged work of the whole postprocess (frontier flatten, final
-    /// ALTER, remaining-graph materialization/rename, and the Theorem-1
-    /// run on the renamed subproblem). With the postprocess folded onto
-    /// the live lists this is o(n + m) once the frontier has shrunk — the
+    /// ALTER, and the rename, Theorem-1 solve and link-back of the
+    /// remaining root graph). With the postprocess folded onto the live
+    /// lists this is o(n + m) once the frontier has shrunk — the
     /// regression guard in `tests/live_work.rs` pins it.
     pub post_work: u64,
 }
 
-/// Reusable host-side buffers for repeated [`faster_cc_with`] runs: the
-/// live-work index, the per-round scratch, and the persistent-table
-/// mirror survive between runs with their capacity intact, so a bench rep
-/// (or a service resolving many queries) re-fills warm vectors instead of
-/// re-growing them from nothing. Pairs with [`Pram::reset_for_run`] on the
-/// machine side; a fresh workspace behaves exactly like none at all.
-#[derive(Default)]
-pub struct FasterWorkspace {
-    live: Option<LiveIndex>,
-    scratch: Option<RoundScratch>,
-    host_tbl: Option<Vec<Option<(u64, u32)>>>,
-}
-
-impl FasterWorkspace {
-    /// An empty workspace (first run allocates, later runs reuse).
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
 /// Run Theorem 3's Faster Connected Components on `g`.
 pub fn faster_cc(pram: &mut Pram, g: &Graph, seed: u64, params: &FasterParams) -> FasterReport {
-    let mut ws = FasterWorkspace::new();
-    faster_cc_with(pram, g, seed, params, &mut ws)
-}
-
-/// [`faster_cc`] with caller-owned reusable buffers (see
-/// [`FasterWorkspace`]). Buffer reuse is capacity-only: results and
-/// charged costs are identical to a fresh-workspace run.
-pub fn faster_cc_with(
-    pram: &mut Pram,
-    g: &Graph,
-    seed: u64,
-    params: &FasterParams,
-    ws: &mut FasterWorkspace,
-) -> FasterReport {
     let st = CcState::init(pram, g);
-    let n = st.n;
-    let m = g.m();
-    let mut per_round = Vec::new();
+    let (n, m) = (st.n, g.m());
 
     // ------------------------------------------------------------ COMPACT
-    // Vanilla prefix until the density target (the paper's PREPARE inside
-    // COMPACT), then approximate compaction renames the ongoing vertices
-    // (providing the distinct ids of Assumption 3.1). The prefix runs on a
-    // LiveSet so its phases and its ongoing counts are charged at live
-    // sizes (the previous host count was an O(n + m) scan per phase).
+    // PREPARE: Vanilla phases until the density target, run on a LiveSet
+    // so its phases and ongoing counts are charged at live sizes. Every
+    // phase ends with SHORTCUT + ALTER, so each live arc joins two roots.
     let leader = pram.alloc(n);
-    let mut prefix_live = LiveSet::full(pram, &st);
+    let mut live = LiveSet::full(pram, &st);
     let mut prepare_rounds = 0;
     let prep_cap = 4 + 2 * ((n.max(4) as f64).log2().log2().ceil() as u64);
-    while params.compact_delta0 > 0.0 && prepare_rounds < prep_cap {
-        let ongoing = prefix_live.verts.len();
-        if ongoing == 0 || (m as f64) / (ongoing as f64) >= params.compact_delta0 {
+    while prepare_rounds < prep_cap {
+        let ongoing = live.verts.len();
+        if ongoing == 0 || (m as f64) / (ongoing as f64) >= PREPARE_DENSITY {
             break;
         }
         prepare_rounds += 1;
-        vanilla_phase(
-            pram,
-            &st,
-            &prefix_live,
-            leader,
-            seed ^ 0xC0_4AC7 ^ prepare_rounds,
-        );
-        prefix_live.refresh(pram, &st);
+        vanilla_phase(pram, &st, &live, leader, seed ^ 0xC0_4AC7 ^ prepare_rounds);
+        live.refresh(pram, &st);
     }
     pram.free(leader);
 
-    let ongoing_now = prefix_live.verts.len();
-    drop(prefix_live);
-    let compaction_rounds = {
-        // Rename ongoing vertices via approximate compaction (Lemma D.3).
-        let active = pram.alloc_filled(n, 0);
-        let eu = st.eu;
-        let ev = st.ev;
-        pram.step(st.arcs, |i, ctx| {
-            let i = i as usize;
-            let a = ctx.read(eu, i);
-            let b = ctx.read(ev, i);
-            if a != b {
-                ctx.write(active, a as usize, 1);
-                ctx.write(active, b as usize, 1);
-            }
-        });
-        let res = compact(pram, active, seed ^ 0xC0317AC7, CompactionMode::ChargedO1)
-            .expect("approximate compaction failed");
-        let rounds = res.rounds;
-        res.free(pram);
-        pram.free(active);
-        rounds
+    // The rename: the live arcs' root pairs are all the rounds need, so
+    // the input's arcs are freed and only `parent` stays on the machine.
+    let pairs: Vec<(u64, u64)> = {
+        let (eu, ev) = (pram.view(st.eu), pram.view(st.ev));
+        let pair = |&i: &u32| (eu.get(i as usize), ev.get(i as usize));
+        live.arcs.iter().map(pair).collect()
     };
+    drop(live);
+    let CcState { parent, eu, ev, .. } = st;
+    pram.free(eu);
+    pram.free(ev);
+    let solved = rename_solve_link(pram, parent, pairs, seed ^ 0x11FE_11FE, |pram, sub| {
+        solve_rounds(pram, sub, g, seed, params)
+    });
 
-    // ---------------------------------------------------- state init
-    let budgets = params.budget_schedule(n, m, ongoing_now.max(1));
-    let lmax = budgets.len() - 1;
-    let b1 = budgets[1];
-    let level = pram.alloc_filled(n, 0);
-    let budget = pram.alloc_filled(n, 0);
+    debug_assert!(
+        verify::forest_heights(&pram.read_vec(parent)).is_ok(),
+        "Theorem 3 produced a cyclic labeled digraph"
+    );
+    let labels = rooted_labels(pram, parent);
+    let stats = pram.stats();
+    pram.free(parent);
+
+    FasterReport {
+        run: RunReport {
+            labels,
+            rounds: solved.rounds,
+            prepare_rounds,
+            stop: solved.stop,
+            stats,
+            per_round: solved.per_round,
+        },
+        post: solved.post,
+        compaction_rounds: 0,
+        table_peak_words: solved.table_peak_words,
+        post_work: solved.post_work,
+    }
+}
+
+/// Rename, solve, link: the driver's one rename primitive, used by
+/// COMPACT (solver: the rounds and their postprocess) and by the
+/// postprocess (solver: Theorem 1).
+///
+/// `pairs` are arcs between roots of the forest in `parent`. Their
+/// endpoints are renamed onto `[0, k)` in first-seen order (the Lemma-D.3
+/// rename, charged at `k`), and the renamed arcs are deduplicated by one
+/// charged hashing pass: thousands of arcs can name the same root pair,
+/// and without the dedup the solver would re-iterate every duplicate.
+/// `solve` then runs on a fresh `k`-vertex [`CcState`] whose vertices are
+/// all roots. One charged step over the `k` renamed roots hooks each onto
+/// its component's representative, the renamed root whose sub-vertex
+/// `solve` left as that component's root. Representatives stay roots and
+/// no other vertex moves, so `parent` remains a forest. An empty list
+/// reaches `solve` as one vertex with a dummy loop arc, the way
+/// [`CcState::init`] builds an edgeless graph.
+fn rename_solve_link<R>(
+    pram: &mut Pram,
+    parent: Handle,
+    mut pairs: Vec<(u64, u64)>,
+    seed: u64,
+    solve: impl FnOnce(&mut Pram, &CcState) -> R,
+) -> R {
+    let emitted = pairs.len();
+    let mut reps: Vec<u32> = Vec::new();
     {
-        let eu = st.eu;
-        let ev = st.ev;
-        // Assumption 3.1: every ongoing vertex starts at level 1 with a
-        // b₁-sized block.
-        pram.step(st.arcs, move |i, ctx| {
-            let i = i as usize;
-            let a = ctx.read(eu, i);
-            let b = ctx.read(ev, i);
-            if a != b {
-                ctx.write(level, a as usize, 1);
-                ctx.write(level, b as usize, 1);
-                ctx.write(budget, a as usize, b1);
-                ctx.write(budget, b as usize, b1);
+        let mut slot = vec![NO_SLOT; parent.len()];
+        extend_endpoints(&mut slot, &mut reps, pairs.iter().copied());
+        for p in &mut pairs {
+            *p = (slot[p.0 as usize] as u64, slot[p.1 as usize] as u64);
+        }
+        let mut set = PairSet::with_capacity(seed, emitted);
+        pairs.retain(|&(a, b)| set.insert(a, b));
+    }
+    pram.charge(reps.len(), 4); // the rename
+    pram.charge(emitted, 1); // the materialization copy
+    pram.charge(emitted, 2); // the dedup hashing pass
+
+    let k = reps.len().max(1);
+    let arcs = pairs.len().max(1);
+    // Zero-filled arcs: an empty list leaves the loop arc (0, 0).
+    let sub = CcState {
+        n: k,
+        arcs,
+        parent: pram.alloc(k),
+        eu: pram.alloc(arcs),
+        ev: pram.alloc(arcs),
+    };
+    for v in 0..k {
+        pram.set(sub.parent, v, v as u64);
+    }
+    for (i, &(a, b)) in pairs.iter().enumerate() {
+        pram.set(sub.eu, i, a);
+        pram.set(sub.ev, i, b);
+    }
+    drop(pairs);
+    let out = solve(pram, &sub);
+
+    let labels = sub.labels_rooted(pram);
+    {
+        let (reps, labels) = (&reps, &labels);
+        pram.step_over(reps, move |i, &v, ctx| {
+            let r = labels[i as usize] as usize;
+            if r != i as usize {
+                ctx.write(parent, v as usize, reps[r] as u64);
             }
         });
     }
+    sub.free(pram);
+    out
+}
+
+/// What [`solve_rounds`] hands back to the driver.
+struct Rounds {
+    rounds: u64,
+    stop: StopReason,
+    per_round: Vec<RoundMetrics>,
+    post: RunReport,
+    post_work: u64,
+    table_peak_words: u64,
+}
+
+/// The EXPAND-MAXLINK rounds and their postprocess on COMPACT's renamed
+/// subproblem `st`, whose vertices are all ongoing roots. The input `g`'s
+/// sizes set the budget ceiling, the table heap and the round cap.
+fn solve_rounds(
+    pram: &mut Pram,
+    st: &CcState,
+    g: &Graph,
+    seed: u64,
+    params: &FasterParams,
+) -> Rounds {
+    let (k, n, m) = (st.n, g.n(), g.m());
+    let budgets = params.budget_schedule(n, m, k);
+    let lmax = budgets.len() - 1;
+    // Assumption 3.1: every ongoing vertex starts at level 1 with a
+    // b₁-sized block.
+    let level = pram.alloc_filled(k, 1);
+    let budget = pram.alloc_filled(k, budgets[1]);
     let heap = TableHeap::new(pram, (4 * m).max(1024));
     let mut fs = FasterState {
         st,
         level,
         budget,
-        eoff: pram.alloc_filled(n, NULL),
-        t3off: pram.alloc_filled(n, NULL),
-        t5off: pram.alloc_filled(n, NULL),
-        dormant: pram.alloc_filled(n, 0),
-        raised2: pram.alloc_filled(n, 0),
+        eoff: pram.alloc_filled(k, NULL),
+        t3off: pram.alloc_filled(k, NULL),
+        t5off: pram.alloc_filled(k, NULL),
+        dormant: pram.alloc_filled(k, 0),
+        raised2: pram.alloc_filled(k, 0),
         heap,
         lmax,
         budgets,
-        host_tbl: {
-            // Reuse the workspace mirror when present: clear + resize
-            // rewrites the same backing store instead of reallocating.
-            let mut tbl = ws.host_tbl.take().unwrap_or_default();
-            tbl.clear();
-            tbl.resize(n, None);
-            tbl
-        },
-        live: match ws.live.take() {
-            Some(mut live) => {
-                live.reset_for(n);
-                live
-            }
-            None => LiveIndex::new(n),
-        },
-        scratch: match ws.scratch.take() {
-            Some(mut scratch) => {
-                scratch.reset_for(n);
-                scratch
-            }
-            None => RoundScratch::new(n),
-        },
+        host_tbl: vec![None; k],
+        live: LiveIndex::new(k),
+        scratch: RoundScratch::new(k),
     };
-    // Seed the live-work index: the one O(m) pass; every per-round refresh
-    // scans only the surviving lists.
-    fs.live
-        .init_from_arcs(pram, &fs.st, params.dedup_every > 0, seed ^ 0x11FE_11FE);
+    // Seed the live-work index: the one pass over all of the subproblem's
+    // arcs; every per-round refresh scans only the surviving lists.
+    fs.live.init_from_arcs(pram, st);
     fs.live.max_level_seen = if fs.live.verts.is_empty() { 0 } else { 1 };
 
     // ------------------------------------------------- EXPAND-MAXLINK loop
-    let round_cap = if params.round_cap > 0 {
-        params.round_cap
-    } else {
-        48 + 4 * (n.max(2) as f64).log2().ceil() as u64
-    };
+    // Safety cap; hitting it is recorded (E6), never hidden.
+    let round_cap = 48 + 4 * (n.max(2) as f64).log2().ceil() as u64;
+    let mut per_round = Vec::new();
     let mut stop = StopReason::RoundCap;
     let mut rounds = 0;
     while rounds < round_cap {
@@ -342,8 +365,6 @@ pub fn faster_cc_with(
         let round_work = pram.stats().work - work_before;
         per_round.push(RoundMetrics {
             round: rounds,
-            // Ongoing roots from the live index — the previous full-parent
-            // host scan was the last per-round O(n) term.
             roots: fs.live.roots.len(),
             ongoing: outcome.ongoing,
             max_level: outcome.max_level,
@@ -363,51 +384,28 @@ pub fn faster_cc_with(
     }
 
     // ------------------------------------------------------- postprocess
-    // Folded into the final round's compacted state (the ROADMAP
-    // "postprocess cost" item): flattening, the final ALTER, and the
-    // remaining-graph materialization all run over the live lists, so
-    // post-convergence work is charged at the surviving frontier — o(n+m)
-    // once the main loop has shrunk it — never as full n/m sweeps.
-    // Finished vertices keep stale (possibly non-flat) parents; the final
-    // labeling chases roots host-side (`labels_rooted`), which is
-    // controller bookkeeping exactly like the paper's output convention.
+    // Folded into the final round's compacted state: flattening, the
+    // final ALTER, and the remaining-graph materialization all run over
+    // the live lists, so post-convergence work is charged at the
+    // surviving frontier — o(n+m) once the main loop has shrunk it —
+    // never as full sweeps. Finished vertices keep stale (possibly
+    // non-flat) parents; the final labeling chases roots host-side
+    // (`labels_rooted`), which is controller bookkeeping exactly like the
+    // paper's output convention.
     let post_work0 = pram.stats().work;
-    shortcut_until_flat_over(pram, fs.st.parent, &fs.live.verts);
-    alter_over(pram, fs.st.eu, fs.st.ev, fs.st.parent, &fs.live.arcs);
-    let post = postprocess_remaining(pram, &fs, seed, params);
+    shortcut_until_flat_over(pram, st.parent, &fs.live.verts);
+    alter_over(pram, st.eu, st.ev, st.parent, &fs.live.arcs);
+    let post = postprocess_remaining(pram, &fs, seed);
     let post_work = pram.stats().work - post_work0;
-
-    debug_assert!(
-        verify::forest_heights(&pram.read_vec(fs.st.parent)).is_ok(),
-        "Theorem 3 produced a cyclic labeled digraph"
-    );
-    let labels = fs.st.labels_rooted(pram);
-    let stats = pram.stats();
     let table_peak_words = fs.heap.peak_words() as u64;
-
-    // Tear down; the host-side buffers go back to the workspace.
-    let (p, e1, e2) = (fs.st.parent, fs.st.eu, fs.st.ev);
-    let (live, scratch, host_tbl) = fs.free(pram); // machine handles freed; CcState untouched
-    ws.live = Some(live);
-    ws.scratch = Some(scratch);
-    ws.host_tbl = Some(host_tbl);
-    pram.free(e1);
-    pram.free(e2);
-    pram.free(p);
-
-    FasterReport {
-        run: RunReport {
-            labels,
-            rounds,
-            prepare_rounds,
-            stop,
-            stats,
-            per_round,
-        },
+    fs.free(pram);
+    Rounds {
+        rounds,
+        stop,
+        per_round,
         post,
-        compaction_rounds,
-        table_peak_words,
         post_work,
+        table_peak_words,
     }
 }
 
@@ -419,19 +417,11 @@ pub fn faster_cc_with(
 /// loops to loops and duplicates to duplicates) and the live table cells
 /// (dropped cells had NULL/self values or endpoints that already shared a
 /// parent, i.e. were already connected). Both lists sit on roots after the
-/// frontier flatten + ALTER above, so the root graph they induce is
-/// renamed onto `[0, k)` (the Lemma-D.2 rename, charged at the root
-/// count), solved by Theorem 1 on a k-vertex state, and linked back with
-/// one charged step: each remaining root hooks onto its component's
-/// representative root. An empty frontier skips all of it.
-fn postprocess_remaining(
-    pram: &mut Pram,
-    fs: &FasterState,
-    seed: u64,
-    params: &FasterParams,
-) -> RunReport {
-    // Host mirror of the compacted remaining graph (charged below as the
-    // materialization copy).
+/// frontier flatten + ALTER above, so the root graph they induce goes
+/// through [`rename_solve_link`] with Theorem 1 as the solver.
+fn postprocess_remaining(pram: &mut Pram, fs: &FasterState, seed: u64) -> RunReport {
+    // Host mirror of the compacted remaining graph (charged by the
+    // primitive as the materialization copy).
     let mut pairs: Vec<(u64, u64)> = Vec::new();
     {
         let eu = pram.view(fs.st.eu);
@@ -463,96 +453,21 @@ fn postprocess_remaining(
             }
         }
     }
-    if pairs.is_empty() {
-        // Fully converged: nothing remains; the postprocess is free.
-        return RunReport {
-            labels: Vec::new(),
-            rounds: 0,
-            prepare_rounds: 0,
-            stop: StopReason::Converged,
-            stats: pram.stats(),
-            per_round: Vec::new(),
-        };
-    }
-
-    // Rename the remaining roots onto [0, k) — approximate compaction
-    // (Lemma D.2), charged at the root count; the map is deterministic
-    // first-seen order. Then deduplicate the renamed pairs (one charged
-    // hashing pass, the same discipline as the round dedup): thousands of
-    // live table cells can name the same root pair, and without this the
-    // postprocess would re-iterate every duplicate in every Theorem-1
-    // phase — the dedup is what keeps the whole postprocess an
-    // O(frontier) emission plus a solve on the (tiny) distinct root graph.
-    let mut rep_of: HashMap<u64, u32> = HashMap::with_capacity(pairs.len());
-    let mut reps: Vec<u64> = Vec::new();
-    let mut rename = |v: u64, reps: &mut Vec<u64>| -> u64 {
-        *rep_of.entry(v).or_insert_with(|| {
-            reps.push(v);
-            (reps.len() - 1) as u32
-        }) as u64
-    };
-    let n2 = {
-        let mut renamed = Vec::with_capacity(pairs.len());
-        for &(a, b) in &pairs {
-            renamed.push((rename(a, &mut reps), rename(b, &mut reps)));
-        }
-        pairs = renamed;
-        reps.len()
-    };
-    pram.charge(n2, 4); // the rename
-    pram.charge(pairs.len(), 1); // the materialization copy
-    {
-        let emitted = pairs.len();
-        let mut set = pram_kit::PairSet::with_capacity(seed ^ 0xDED0_9057, pairs.len());
-        pairs.retain(|&(a, b)| set.insert(a, b));
-        pram.charge(emitted, 2); // the dedup hashing pass
-    }
-
-    let sub_parent = pram.alloc(n2);
-    for v in 0..n2 {
-        pram.set(sub_parent, v, v as u64);
-    }
-    let eu2 = pram.alloc(pairs.len());
-    let ev2 = pram.alloc(pairs.len());
-    for (i, &(a, b)) in pairs.iter().enumerate() {
-        pram.set(eu2, i, a);
-        pram.set(ev2, i, b);
-    }
-    let post_state = CcState {
-        n: n2,
-        arcs: pairs.len(),
-        parent: sub_parent,
-        eu: eu2,
-        ev: ev2,
-    };
-    let post = theorem1::connected_components_on_state(
+    rename_solve_link(
         pram,
-        &post_state,
-        seed ^ 0x9057_9057,
-        &params.postprocess,
-        (pairs.len() / 2).max(1),
-    );
-
-    // Link every remaining root to its component's representative (one
-    // charged step over the k renamed roots). Representatives stay their
-    // own roots, so the labeled digraph remains a forest.
-    let sub_labels = post_state.labels_rooted(pram);
-    {
-        let parent = fs.st.parent;
-        let reps_ref: &[u64] = &reps;
-        let labels_ref: &[u32] = &sub_labels;
-        pram.step(n2, move |p, ctx| {
-            let i = p as usize;
-            let r = labels_ref[i] as usize;
-            if r != i {
-                ctx.write(parent, reps_ref[i] as usize, reps_ref[r]);
-            }
-        });
-    }
-    pram.free(sub_parent);
-    pram.free(eu2);
-    pram.free(ev2);
-    post
+        fs.st.parent,
+        pairs,
+        seed ^ 0xDED0_9057,
+        |pram, sub| {
+            theorem1::connected_components_on_state(
+                pram,
+                sub,
+                seed ^ 0x9057_9057,
+                &Theorem1Params::default(),
+                (sub.arcs / 2).max(1),
+            )
+        },
+    )
 }
 
 /// Lemma 3.2 / D.4 and digraph sanity, asserted per round in tests and
@@ -563,9 +478,7 @@ fn assert_invariants(pram: &Pram, fs: &FasterState) {
     let levels = pram.read_vec(fs.level);
     verify::forest_heights(&parents).expect("labeled digraph contains a cycle");
     for (v, (&p, &l)) in parents.iter().zip(&levels).enumerate() {
-        // §D.1: vertices of components finished during COMPACT (parent
-        // level 0) are ignored — their trees are inert.
-        if p != v as u64 && levels[p as usize] > 0 {
+        if p != v as u64 {
             assert!(
                 levels[p as usize] > l,
                 "Lemma 3.2 violated: non-root {v} level {l} parent {p} level {}",
@@ -615,18 +528,17 @@ mod tests {
     }
 
     #[test]
-    fn workspace_and_machine_reuse_replay_bit_identically() {
-        // One machine + one workspace across reps must equal fresh
-        // machine/workspace runs — the bench-loop reuse contract.
+    fn machine_reuse_replays_bit_identically() {
+        // One machine across reps must equal fresh-machine runs — the
+        // bench-loop reuse contract of `Pram::reset_for_run`.
         let params = FasterParams::default();
         let mut pram = Pram::new(WritePolicy::ArbitrarySeeded(21));
-        let mut ws = FasterWorkspace::new();
         let mut reused = Vec::new();
         for seed in 0..3u64 {
             // Different graphs per rep to exercise size-changing resets.
             let g = gen::gnm(200 + 40 * seed as usize, 800, seed);
             pram.reset_for_run();
-            let rep = faster_cc_with(&mut pram, &g, seed, &params, &mut ws);
+            let rep = faster_cc(&mut pram, &g, seed, &params);
             reused.push((rep.run.labels, rep.run.rounds, rep.run.stats));
         }
         for seed in 0..3u64 {
@@ -769,16 +681,71 @@ mod tests {
     }
 
     #[test]
-    fn budget_schedule_respects_overrides() {
+    fn budget_schedule_respects_b1_and_kappa() {
         let params = FasterParams {
             b1: 64,
-            max_budget: 4096,
             kappa: 2.0,
             ..Default::default()
         };
+        // 64 → 64² → the ceiling, min(4n², 4M words) rounded to 4^11.
         let budgets = params.budget_schedule(1000, 4000, 500);
-        assert_eq!(budgets[1], 64);
-        assert_eq!(*budgets.last().unwrap(), 4096);
+        assert_eq!(budgets, vec![0, 64, 4096, 1 << 22]);
+    }
+
+    #[test]
+    fn rename_solve_link_renames_dedups_and_links_back() {
+        // A hand-built forest: roots 0, 3, 5, 7, 9, 11; children 1, 2 → 0,
+        // 4 → 3, 6 → 5, 8 → 7, 10 → 9.
+        let before: Vec<u64> = vec![0, 0, 0, 3, 3, 5, 5, 7, 7, 9, 9, 11];
+        let mut pram = Pram::new(WritePolicy::ArbitrarySeeded(1));
+        let parent = pram.alloc(before.len());
+        for (v, &p) in before.iter().enumerate() {
+            pram.set(parent, v, p);
+        }
+        // Pairs over roots, duplicated in both orientations; 11 is in none.
+        let pairs = vec![
+            (3, 7),
+            (7, 3),
+            (5, 0),
+            (3, 7),
+            (9, 7),
+            (0, 5),
+            (7, 9),
+            (7, 3),
+        ];
+        let mut seen = None;
+        rename_solve_link(&mut pram, parent, pairs, 5, |pram, sub| {
+            let arcs: Vec<(u64, u64)> = (0..sub.arcs)
+                .map(|i| (pram.get(sub.eu, i), pram.get(sub.ev, i)))
+                .collect();
+            seen = Some((sub.n, arcs));
+            // Solve by hand: the chain 4 → 1 → 0, and 3 → 2.
+            pram.set(sub.parent, 1, 0);
+            pram.set(sub.parent, 4, 1);
+            pram.set(sub.parent, 3, 2);
+        });
+        // First-seen rename 3, 7, 5, 0, 9 → 0..5; each ordered pair once.
+        let renamed = vec![(0, 1), (1, 0), (2, 3), (4, 1), (3, 2), (1, 4)];
+        assert_eq!(seen, Some((5, renamed)));
+
+        // Only renamed roots move, each onto its component's root.
+        let after = pram.read_vec(parent);
+        let moved: Vec<(usize, u64)> = (0..before.len())
+            .filter(|&v| after[v] != before[v])
+            .map(|v| (v, after[v]))
+            .collect();
+        assert_eq!(moved, vec![(0, 5), (7, 3), (9, 3)]);
+        verify::forest_heights(&after).unwrap();
+        let labels = rooted_labels(&pram, parent);
+        assert_eq!(labels, vec![5, 5, 5, 3, 3, 5, 5, 3, 3, 3, 3, 11]);
+
+        // An empty list: one vertex with a loop arc; no parent moves.
+        let mut seen = None;
+        rename_solve_link(&mut pram, parent, Vec::new(), 5, |pram, sub| {
+            seen = Some((sub.n, sub.arcs, pram.get(sub.eu, 0), pram.get(sub.ev, 0)));
+        });
+        assert_eq!(seen, Some((1, 1, 0, 0)));
+        assert_eq!(pram.read_vec(parent), after);
     }
 
     #[test]

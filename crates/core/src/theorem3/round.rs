@@ -52,7 +52,7 @@ use crate::live::{
 use crate::state::CcState;
 use crate::theorem3::maxlink::{maxlink, MaxlinkCtx, NO_SLOT as NO_VSLOT};
 use crate::theorem3::tables::TableHeap;
-use crate::theorem3::FasterParams;
+use crate::theorem3::{FasterParams, DEDUP_CADENCE, SAMPLE_COEFF};
 use pram_kit::ops::{alter_over, shortcut_flagged_over, Flag};
 use pram_kit::{compact_over, PairSet, PairwiseHash};
 use pram_sim::{Handle, Pram, NULL};
@@ -134,41 +134,12 @@ impl LiveIndex {
         &self.slot
     }
 
-    /// Clear for a fresh run over `n` vertices, keeping every list's
-    /// capacity. Slot entries are cleared through the current `verts`
-    /// (the invariant `slot[v] != NO_VSLOT ⟺ v ∈ verts` makes that exact),
-    /// so the reset costs O(live), not O(n) — unless the vertex count
-    /// changed, which forces a fresh map.
-    pub(crate) fn reset_for(&mut self, n: usize) {
-        if self.slot.len() == n {
-            for &v in &self.verts {
-                self.slot[v as usize] = NO_VSLOT;
-            }
-        } else {
-            self.slot.clear();
-            self.slot.resize(n, NO_VSLOT);
-        }
-        self.arcs.clear();
-        self.table_cells.clear();
-        self.verts.clear();
-        self.arc_verts = 0;
-        self.roots.clear();
-        self.max_level_seen = 0;
-    }
-
-    /// Seed the index from the full arc array (driver start-up; the only
-    /// O(m) pass — every later rebuild scans live lists only). `dedup`
-    /// follows the caller's `dedup_every` setting so "0 disables dedup"
-    /// holds from the first round on.
-    pub(crate) fn init_from_arcs(
-        &mut self,
-        pram: &mut Pram,
-        st: &CcState,
-        dedup: bool,
-        dedup_seed: u64,
-    ) {
+    /// Seed the index from all of `st`'s arcs (driver start-up; every
+    /// later rebuild scans live lists only). No dedup: COMPACT's rename
+    /// already handed the rounds distinct arcs.
+    pub(crate) fn init_from_arcs(&mut self, pram: &mut Pram, st: &CcState) {
         self.arcs = (0..st.arcs as u32).collect();
-        self.rebuild(pram, st, None, dedup, dedup_seed);
+        self.rebuild(pram, st, None, false, 0);
     }
 
     /// Refresh every list from machine state: drop arcs that became loops
@@ -307,28 +278,16 @@ impl RoundScratch {
             builder_slot: vec![NO_SLOT; n],
         }
     }
-
-    /// Clear for a fresh run over `n` vertices, keeping capacity.
-    /// `builder_slot` is already all-`NO_SLOT` between rounds (reset in
-    /// every round's cleanup), so only a size change forces a rebuild.
-    pub(crate) fn reset_for(&mut self, n: usize) {
-        if self.builder_slot.len() != n {
-            self.builder_slot.clear();
-            self.builder_slot.resize(n, NO_SLOT);
-        }
-        self.builders.clear();
-        self.h3_occ.clear();
-        self.occ_range.clear();
-        self.s5_index.clear();
-    }
 }
 
-/// All run-long machine state of the Theorem-3 driver.
-pub(crate) struct FasterState {
-    pub st: CcState,
-    /// Level array (`ℓ(v)`; 0 = never-ongoing or pre-COMPACT non-root).
+/// All run-long machine state of the Theorem-3 rounds, over COMPACT's
+/// renamed subproblem `st` (every per-vertex array is `st.n` wide).
+pub(crate) struct FasterState<'s> {
+    pub st: &'s CcState,
+    /// Level array (`ℓ(v)`; every renamed vertex starts at 1).
     pub level: Handle,
-    /// Budget array (`b(v)`; block size owned; 0 = none).
+    /// Budget array (`b(v)`, the block size owned; every renamed vertex
+    /// starts at `b₁`).
     pub budget: Handle,
     /// Persistent ("added edges") table offset per vertex (NULL = none).
     pub eoff: Handle,
@@ -355,11 +314,9 @@ pub(crate) struct FasterState {
     pub scratch: RoundScratch,
 }
 
-impl FasterState {
-    /// Release everything (except the `CcState`, which the driver owns),
-    /// handing back the reusable host-side buffers so a workspace-driven
-    /// caller can carry their capacity into the next run.
-    pub(crate) fn free(self, pram: &mut Pram) -> ReusableBufs {
+impl FasterState<'_> {
+    /// Release the machine arrays (the `CcState` belongs to the caller).
+    pub(crate) fn free(self, pram: &mut Pram) {
         pram.free(self.level);
         pram.free(self.budget);
         pram.free(self.eoff);
@@ -368,13 +325,8 @@ impl FasterState {
         pram.free(self.dormant);
         pram.free(self.raised2);
         self.heap.free_all(pram);
-        (self.live, self.scratch, self.host_tbl)
     }
 }
-
-/// The host-side buffers [`FasterState::free`] hands back for reuse:
-/// live-work index, round scratch, and the persistent-table mirror.
-pub(crate) type ReusableBufs = (LiveIndex, RoundScratch, Vec<Option<(u64, u32)>>);
 
 /// Per-round outcome for the break test and metrics.
 pub(crate) struct RoundOutcome {
@@ -407,7 +359,7 @@ fn run_maxlink(pram: &mut Pram, fs: &FasterState, params: &FasterParams, changed
         eoff: fs.eoff,
         heap: fs.heap.handle(),
     };
-    maxlink(pram, &fs.st, &mut mx, changed, params.maxlink_iters);
+    maxlink(pram, fs.st, &mut mx, changed, params.maxlink_iters);
     pram.free_stamped(mx.cand);
 }
 
@@ -421,7 +373,7 @@ pub(crate) fn expand_maxlink_round(
 ) -> RoundOutcome {
     let round_seed = seed ^ round.wrapping_mul(0xA076_1D64_78BD_642F);
     let hv = PairwiseHash::new(round_seed ^ 0x7AB1_E000, 1 << 30);
-    let dedup = params.dedup_every > 0 && round.is_multiple_of(params.dedup_every);
+    let dedup = round.is_multiple_of(DEDUP_CADENCE);
     let changed = Flag::new(pram);
     let ii_flag = Flag::new(pram);
     let mut compaction_work = 0u64;
@@ -442,12 +394,12 @@ pub(crate) fn expand_maxlink_round(
     // work is tallied separately for the `compaction_work` metric.
     let cw0 = pram.stats().work;
     fs.live
-        .compact(pram, &fs.st, eoff, heap, dedup, round_seed ^ 0xDED0_B001);
+        .compact(pram, fs.st, eoff, heap, dedup, round_seed ^ 0xDED0_B001);
     compaction_work += pram.stats().work - cw0;
 
     // ---- Step 2: random level raises on ongoing roots.
     if params.enable_sampling {
-        let (coeff, exp, cap) = (params.sample_coeff, params.sample_exp, params.sample_cap);
+        let (exp, cap) = (params.sample_exp, params.sample_cap);
         let lmax = fs.lmax as u64;
         pram.step_over(&fs.live.roots, move |_, &v, ctx| {
             let v = v as usize;
@@ -459,7 +411,7 @@ pub(crate) fn expand_maxlink_round(
                 return;
             }
             let b = ctx.read(budget, v).max(4) as f64;
-            let p_up = (coeff / b.powf(exp)).min(cap);
+            let p_up = (SAMPLE_COEFF / b.powf(exp)).min(cap);
             if ctx.coin(0x5A_3B ^ seed, p_up) {
                 ctx.write(level, v, l + 1);
                 ctx.write(raised2, v, 1);
@@ -789,7 +741,7 @@ pub(crate) fn expand_maxlink_round(
     // ---- Compact for the next round (Step 6's ALTER moved arcs/cells).
     let cw1 = pram.stats().work;
     fs.live
-        .compact(pram, &fs.st, eoff, heap, dedup, round_seed ^ 0xDED0_B002);
+        .compact(pram, fs.st, eoff, heap, dedup, round_seed ^ 0xDED0_B002);
     compaction_work += pram.stats().work - cw1;
 
     let outcome = RoundOutcome {

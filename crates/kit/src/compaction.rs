@@ -6,32 +6,25 @@
 //! index the roots of each level in Step 8 of EXPAND-MAXLINK so they can
 //! be assigned pre-determined processor blocks.
 //!
-//! Our implementation is hash-with-retry: each unplaced distinguished item
-//! hashes into the output array with a fresh pairwise-independent function,
-//! concurrent writers are resolved by the ARBITRARY write rule, winners
-//! claim their slot, losers retry. With load factor ≤ 1/2 a constant
-//! fraction places per round, so `O(log k)` rounds suffice whp (measured in
-//! [`CompactionResult::rounds`]; typically < 10).
+//! Two forms:
 //!
-//! [`CompactionMode::ChargedO1`] runs the same protocol but charges the
-//! constant time bound of Lemma D.2 — the paper's setting guarantees
-//! `n log n` processors per compaction, under which Goodrich's algorithm is
-//! O(1)-time, and our experiments inherit that accounting (ARCHITECTURE.md,
-//! "The charge / live-work accounting model").
+//! * [`compact`] runs the protocol on the machine, hash-with-retry: each
+//!   unplaced distinguished item hashes into the output array with a fresh
+//!   pairwise-independent function, concurrent writers are resolved by the
+//!   ARBITRARY write rule, winners claim their slot, losers retry. With
+//!   load factor ≤ 1/2 a constant fraction places per round, so `O(log k)`
+//!   rounds suffice whp (measured in [`CompactionResult::rounds`];
+//!   typically < 10), and every round is charged. Experiment E13 sets it
+//!   against prefix-sum compaction.
+//! * [`compact_over`] is what the drivers use: a predicate step over a
+//!   controller-side list, plus the constant time bound of Lemma D.2 for
+//!   the placement. The paper's setting guarantees `n log n` processors per
+//!   compaction, under which Goodrich's algorithm is O(1)-time
+//!   (ARCHITECTURE.md, "The charge / live-work accounting model").
 
 use crate::hashing::PairwiseHash;
 use crate::ops::{host_count, Flag};
 use pram_sim::{Ctx, Handle, Pram, NULL};
-
-/// Accounting mode for [`compact`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum CompactionMode {
-    /// Charge the real retry rounds (each round = 2 steps).
-    Measured,
-    /// Charge the Lemma D.2 bound: O(1) steps (we charge 4) at the caller's
-    /// processor count; the retry rounds still execute but at charge 0.
-    ChargedO1,
-}
 
 /// Output of [`compact`].
 #[derive(Debug)]
@@ -74,12 +67,12 @@ const MAX_ROUNDS: u64 = 64;
 /// (`active[v] != 0` marks `v` distinguished).
 ///
 /// Returns per-item slot indices that are unique within `[0, cap)` with
-/// `cap ≤ max(4, 4k)`. See module docs for the protocol and accounting.
+/// `cap ≤ max(4, 4k)`. Each retry round is two steps at `active.len()`
+/// processors, charged as executed.
 pub fn compact(
     pram: &mut Pram,
     active: Handle,
     seed: u64,
-    mode: CompactionMode,
 ) -> Result<CompactionResult, CompactionError> {
     let n = active.len();
     let k = host_count(pram, active, |x| x != 0);
@@ -88,11 +81,6 @@ pub fn compact(
     let slots = pram.alloc_filled(cap, NULL);
     let taken = pram.alloc_filled(cap, 0);
     let unplaced_flag = Flag::new(pram);
-
-    let charge = match mode {
-        CompactionMode::Measured => 1,
-        CompactionMode::ChargedO1 => 0,
-    };
 
     let mut rounds = 0;
     let mut done = k == 0;
@@ -106,7 +94,7 @@ pub fn compact(
         }
         let h = PairwiseHash::new(seed ^ (rounds.wrapping_mul(0x9E37_79B9)), cap as u64);
         // Step A: every unplaced distinguished item bids for a free slot.
-        pram.step_charged(n, charge, |v, ctx| {
+        pram.step(n, |v, ctx| {
             if ctx.read(active, v as usize) == 0 || ctx.read(index, v as usize) != NULL {
                 return;
             }
@@ -117,7 +105,7 @@ pub fn compact(
         });
         // Step B: winners claim; losers raise the retry flag.
         unplaced_flag.clear(pram);
-        pram.step_charged(n, charge, |v, ctx| {
+        pram.step(n, |v, ctx| {
             if ctx.read(active, v as usize) == 0 || ctx.read(index, v as usize) != NULL {
                 return;
             }
@@ -131,11 +119,6 @@ pub fn compact(
         });
         rounds += 1;
         done = !unplaced_flag.read(pram);
-    }
-
-    if mode == CompactionMode::ChargedO1 {
-        // Lemma D.2: O(1) time with n log n processors; charge 4 steps.
-        pram.charge(n, 4);
     }
 
     pram.free(taken);
@@ -156,11 +139,11 @@ pub fn compact(
 /// last compaction produced). One simulated processor per item evaluates
 /// `keep` against the pre-step memory image — every `ctx` read is counted —
 /// and flags survivors; the survivors are then placed into a dense output
-/// array, charged at the Lemma-D.2 bound (O(1) steps, here 4, at
-/// `items.len()` processors — same accounting as
-/// [`CompactionMode::ChargedO1`]; the paper's alternative is
+/// array, charged at the Lemma-D.2 bound: O(1) steps, here 4, at
+/// `items.len()` processors, where [`compact`] executes and charges its
+/// retry rounds. (The paper's alternative is
 /// [`crate::prefix::exclusive_prefix_sum`] ranks at `Ω(log)` steps, which
-/// is exactly what limited-collision hashing avoids). The returned vector
+/// is exactly what limited-collision hashing avoids.) The returned vector
 /// is the host mirror of that dense array, in stable first-seen order so
 /// runs stay deterministic and thread-count invariant.
 ///
@@ -219,14 +202,13 @@ mod tests {
         distinguished: &[usize],
         policy: WritePolicy,
         seed: u64,
-        mode: CompactionMode,
     ) -> (Pram, CompactionResult) {
         let mut pram = Pram::new(policy);
         let active = pram.alloc_filled(n, 0);
         for &v in distinguished {
             pram.set(active, v, 1);
         }
-        let res = compact(&mut pram, active, seed, mode).expect("compaction");
+        let res = compact(&mut pram, active, seed).expect("compaction");
         (pram, res)
     }
 
@@ -250,13 +232,7 @@ mod tests {
         let n = 1000;
         let distinguished: Vec<usize> = (0..n).step_by(17).collect();
         let set: HashSet<usize> = distinguished.iter().copied().collect();
-        let (pram, res) = run_compaction(
-            n,
-            &distinguished,
-            WritePolicy::ArbitrarySeeded(1),
-            9,
-            CompactionMode::Measured,
-        );
+        let (pram, res) = run_compaction(n, &distinguished, WritePolicy::ArbitrarySeeded(1), 9);
         assert!(res.cap <= 4 * distinguished.len());
         check_valid(&pram, &res, &set);
     }
@@ -272,8 +248,7 @@ mod tests {
             WritePolicy::PriorityMax,
             WritePolicy::Racy,
         ] {
-            let (pram, res) =
-                run_compaction(n, &distinguished, policy, 3, CompactionMode::Measured);
+            let (pram, res) = run_compaction(n, &distinguished, policy, 3);
             check_valid(&pram, &res, &set);
         }
     }
@@ -283,26 +258,15 @@ mod tests {
         let n = 4000;
         let distinguished: Vec<usize> = (0..n).filter(|v| v % 2 == 0).collect();
         for seed in 0..10 {
-            let (_, res) = run_compaction(
-                n,
-                &distinguished,
-                WritePolicy::ArbitrarySeeded(seed),
-                seed,
-                CompactionMode::Measured,
-            );
+            let (_, res) =
+                run_compaction(n, &distinguished, WritePolicy::ArbitrarySeeded(seed), seed);
             assert!(res.rounds <= 16, "seed {seed}: rounds {}", res.rounds);
         }
     }
 
     #[test]
     fn empty_set_is_trivial() {
-        let (pram, res) = run_compaction(
-            64,
-            &[],
-            WritePolicy::ArbitrarySeeded(1),
-            1,
-            CompactionMode::Measured,
-        );
+        let (pram, res) = run_compaction(64, &[], WritePolicy::ArbitrarySeeded(1), 1);
         assert_eq!(res.rounds, 0);
         assert!(pram.read_vec(res.index).iter().all(|&x| x == NULL));
     }
@@ -312,31 +276,8 @@ mod tests {
         let n = 256;
         let distinguished: Vec<usize> = (0..n).collect();
         let set: HashSet<usize> = distinguished.iter().copied().collect();
-        let (pram, res) = run_compaction(
-            n,
-            &distinguished,
-            WritePolicy::ArbitrarySeeded(5),
-            11,
-            CompactionMode::Measured,
-        );
+        let (pram, res) = run_compaction(n, &distinguished, WritePolicy::ArbitrarySeeded(5), 11);
         check_valid(&pram, &res, &set);
-    }
-
-    #[test]
-    fn charged_mode_accounts_constant_steps() {
-        let n = 2048;
-        let distinguished: Vec<usize> = (0..n).step_by(4).collect();
-        let mut pram = Pram::new(WritePolicy::ArbitrarySeeded(2));
-        let active = pram.alloc_filled(n, 0);
-        for &v in &distinguished {
-            pram.set(active, v, 1);
-        }
-        pram.reset_stats();
-        let res = compact(&mut pram, active, 7, CompactionMode::ChargedO1).unwrap();
-        // 4 charged steps plus the host-free protocol steps at charge 0;
-        // flag clears are host-side.
-        assert_eq!(pram.stats().steps, 4);
-        assert!(res.rounds >= 1);
     }
 
     #[test]
@@ -387,20 +328,8 @@ mod tests {
     fn deterministic_under_seeded_policy() {
         let n = 300;
         let distinguished: Vec<usize> = (0..n).step_by(3).collect();
-        let (p1, r1) = run_compaction(
-            n,
-            &distinguished,
-            WritePolicy::ArbitrarySeeded(42),
-            13,
-            CompactionMode::Measured,
-        );
-        let (p2, r2) = run_compaction(
-            n,
-            &distinguished,
-            WritePolicy::ArbitrarySeeded(42),
-            13,
-            CompactionMode::Measured,
-        );
+        let (p1, r1) = run_compaction(n, &distinguished, WritePolicy::ArbitrarySeeded(42), 13);
+        let (p2, r2) = run_compaction(n, &distinguished, WritePolicy::ArbitrarySeeded(42), 13);
         assert_eq!(p1.read_vec(r1.index), p2.read_vec(r2.index));
     }
 }

@@ -12,11 +12,11 @@
 //!   processor is allowed to read in O(1) time.
 //! * [`compaction`] — approximate compaction (Lemma D.2, Goodrich '91):
 //!   map `k` distinguished cells of an array one-to-one into an array of
-//!   size `O(k)`. Used by COMPACT and by the per-round block allocation of
-//!   EXPAND-MAXLINK (Step 8). We provide a *measured* hash-with-retry
-//!   implementation and a *charged-O(1)* mode reflecting the
-//!   `n log n`-processor bound the paper invokes (see ARCHITECTURE.md,
-//!   "The charge / live-work accounting model").
+//!   size `O(k)`. The paper uses it in COMPACT and in the per-round block
+//!   allocation of EXPAND-MAXLINK (Step 8). We provide a *measured*
+//!   hash-with-retry implementation and the list compaction the drivers
+//!   use, charged at the O(1) `n log n`-processor bound the paper invokes
+//!   (see ARCHITECTURE.md, "The charge / live-work accounting model").
 //! * [`ops`] — SHORTCUT, ALTER, flag-OR termination tests, and host-side
 //!   helpers shared by every algorithm crate.
 
@@ -28,5 +28,5 @@ pub mod hashing;
 pub mod ops;
 pub mod prefix;
 
-pub use compaction::{compact, compact_over, CompactionMode, CompactionResult};
+pub use compaction::{compact, compact_over, CompactionResult};
 pub use hashing::{PairSet, PairwiseHash};

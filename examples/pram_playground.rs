@@ -5,7 +5,7 @@
 //! cargo run --release --example pram_playground
 //! ```
 
-use logdiam::kit::compaction::{compact, CompactionMode};
+use logdiam::kit::compaction::compact;
 use logdiam::pram::{CombineOp, Pram, WritePolicy, NULL};
 
 fn main() {
@@ -47,7 +47,7 @@ fn main() {
         pram.set(active, v, 1);
         k += 1;
     }
-    let res = compact(&mut pram, active, 99, CompactionMode::Measured).unwrap();
+    let res = compact(&mut pram, active, 99).unwrap();
     println!(
         "approximate compaction: {k} distinguished cells of an array of {n} \
          mapped one-to-one into {} slots in {} retry rounds",

@@ -74,10 +74,10 @@ fn path_per_round_work_decays_with_live_arcs() {
 }
 
 /// Live-arc filtering and duplicate-arc dedup are work optimizations only:
-/// the partition must match the sequential ground truth for every dedup
-/// cadence, including "never".
+/// the partition must match the sequential ground truth on mixed, dense,
+/// grid and sparse many-component graphs.
 #[test]
-fn live_filtering_and_dedup_preserve_labels() {
+fn theorem3_partition_matches_truth_on_mixed_and_sparse_graphs() {
     let graphs = [
         gen::union_all(&[gen::gnm(300, 1200, 11), gen::path(80), gen::star(50)]),
         gen::clique_chain(24, 5),
@@ -85,20 +85,13 @@ fn live_filtering_and_dedup_preserve_labels() {
         gen::gnm(500, 700, 13), // sparse: many small components
     ];
     for (gi, g) in graphs.iter().enumerate() {
-        let truth = components(g);
-        for dedup_every in [0, 1, 4] {
-            let params = FasterParams {
-                dedup_every,
-                ..Default::default()
-            };
-            let seed = 90 + gi as u64;
-            let mut pram = Pram::new(WritePolicy::ArbitrarySeeded(seed));
-            let report = faster_cc(&mut pram, g, seed, &params);
-            assert!(
-                same_partition(&truth, &report.run.labels),
-                "graph #{gi} dedup_every={dedup_every}: wrong partition"
-            );
-        }
+        let seed = 90 + gi as u64;
+        let mut pram = Pram::new(WritePolicy::ArbitrarySeeded(seed));
+        let report = faster_cc(&mut pram, g, seed, &FasterParams::default());
+        assert!(
+            same_partition(&components(g), &report.run.labels),
+            "graph #{gi}: wrong partition"
+        );
     }
 }
 
@@ -231,11 +224,11 @@ fn theorem2_per_phase_work_decays_with_live() {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 6, ..ProptestConfig::default() })]
 
-    /// Theorem 3 across dedup cadences: every cadence must produce the
-    /// ground-truth partition (the drivers' own invariant audits run too
-    /// when built with `logdiam-cc/strict`).
+    /// Theorem 3 on random shapes must produce the ground-truth partition
+    /// (the drivers' own invariant audits run too when built with
+    /// `logdiam-cc/strict`).
     #[test]
-    fn theorem3_partition_matches_truth_at_every_dedup_cadence(
+    fn theorem3_partition_matches_truth_on_random_shapes(
         shape in 0usize..4,
         size in 24usize..160,
         seed in 0u64..500,
@@ -246,19 +239,9 @@ proptest! {
             2 => gen::grid(size / 8 + 2, 8),
             _ => gen::union_all(&[gen::gnm(size / 2, size, seed), gen::path(size / 3 + 2)]),
         };
-        let truth = components(&g);
-        for dedup_every in [1u64, 2, 4, 8] {
-            let params = FasterParams {
-                dedup_every,
-                ..Default::default()
-            };
-            let mut pram = Pram::new(WritePolicy::ArbitrarySeeded(seed));
-            let r = faster_cc(&mut pram, &g, seed, &params);
-            prop_assert!(
-                same_partition(&truth, &r.run.labels),
-                "dedup_every={dedup_every}: wrong partition"
-            );
-        }
+        let mut pram = Pram::new(WritePolicy::ArbitrarySeeded(seed));
+        let r = faster_cc(&mut pram, &g, seed, &FasterParams::default());
+        prop_assert!(same_partition(&components(&g), &r.run.labels), "wrong partition");
     }
 
     /// Both EXPAND phase drivers (Theorem 1 labels, Theorem 2 forest) on
@@ -287,25 +270,16 @@ proptest! {
     }
 }
 
-/// Dedup cadence must not change the result even when runs are compared
-/// against each other on a duplicate-heavy contraction (clique chains
-/// funnel many arcs onto the same root pairs).
+/// The rename's and the rounds' dedups must not change the result on a
+/// duplicate-heavy contraction (clique chains funnel many arcs onto the
+/// same root pairs).
 #[test]
-fn dedup_cadence_is_label_invariant_on_duplicate_heavy_graphs() {
+fn theorem3_partition_matches_truth_on_duplicate_heavy_graphs() {
     let g = gen::clique_chain(40, 6);
     let truth = components(&g);
     for seed in [1u64, 2, 3] {
-        for dedup_every in [0, 1, 2, 8] {
-            let params = FasterParams {
-                dedup_every,
-                ..Default::default()
-            };
-            let mut pram = Pram::new(WritePolicy::ArbitrarySeeded(seed));
-            let r = faster_cc(&mut pram, &g, seed, &params);
-            assert!(
-                same_partition(&truth, &r.run.labels),
-                "seed {seed} dedup_every {dedup_every}"
-            );
-        }
+        let mut pram = Pram::new(WritePolicy::ArbitrarySeeded(seed));
+        let r = faster_cc(&mut pram, &g, seed, &FasterParams::default());
+        assert!(same_partition(&truth, &r.run.labels), "seed {seed}");
     }
 }

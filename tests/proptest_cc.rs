@@ -82,17 +82,14 @@ proptest! {
         sampling in any::<bool>(),
         iters in 1u32..3,
         b1 in prop_oneof![Just(0u64), Just(4u64), Just(16u64), Just(64u64)],
-        dedup_every in prop_oneof![Just(0u64), Just(1u64), Just(4u64), Just(9u64)],
     ) {
         // The machinery must be correct for ANY parameter setting — speed
-        // is what the parameters tune, never correctness. `dedup_every`
-        // exercises the live-arc dedup cadence of the PR3 scheduler.
+        // is what the parameters tune, never correctness.
         let params = FasterParams {
             kappa,
             enable_sampling: sampling,
             maxlink_iters: iters,
             b1,
-            dedup_every,
             ..Default::default()
         };
         let mut pram = Pram::new(WritePolicy::ArbitrarySeeded(seed));

@@ -3,7 +3,7 @@
 //! hashing/compaction primitives — the foundations every algorithm result
 //! rests on.
 
-use logdiam::kit::compaction::{compact, CompactionMode};
+use logdiam::kit::compaction::compact;
 use logdiam::kit::PairwiseHash;
 use logdiam::pram::{CombineOp, Pram, WritePolicy, NULL};
 use proptest::prelude::*;
@@ -106,7 +106,7 @@ proptest! {
         for &v in &active_set {
             pram.set(active, v, 1);
         }
-        let res = compact(&mut pram, active, seed, CompactionMode::Measured).unwrap();
+        let res = compact(&mut pram, active, seed).unwrap();
         let index = pram.read_vec(res.index);
         let mut used = HashSet::new();
         for (v, &idx) in index.iter().enumerate() {
