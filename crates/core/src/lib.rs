@@ -17,7 +17,8 @@
 //! * [`theorem3`] — **Faster Connected Components** (§3/§D, Theorem 3):
 //!   `COMPACT; {EXPAND-MAXLINK}; Theorem-1 postprocess` —
 //!   `O(log d + log log_{m/n} n)` time, with levels, budgets, MAXLINK and
-//!   the collision-triggered level increases.
+//!   the collision-triggered level increases; a dense renamed subproblem
+//!   is solved on a 2-out sample first, then on the arcs it left.
 //! * [`baselines`] — Awerbuch–Shiloach '87 (deterministic `O(log n)`),
 //!   Liu–Tarjan '19-style label propagation, plus Vanilla above; the
 //!   `O(log n)` yardsticks for experiment E7.

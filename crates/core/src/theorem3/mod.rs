@@ -32,6 +32,33 @@
 //! Theorem 1), and links every renamed root back onto its component's
 //! representative in one charged step.
 //!
+//! **Sample, solve, then filter.** On dense inputs the contracted root
+//! graph stays dense, so the rounds' live arcs plateau while the roots
+//! collapse. When COMPACT's renamed subproblem holds more than
+//! `4·SAMPLE_OUT` arcs per vertex (`SAMPLE_OUT = 2`), its solver runs the
+//! k-out sample-and-filter of Behnezhad et al. (arXiv 1910.05385) and
+//! Farhadi–Liu–Shi (arXiv 2312.02332) on the same primitive:
+//!
+//! 1. *Sample*: one charged step in which arc `i = (u, v)` writes `i` into
+//!    cell `u·SAMPLE_OUT + h(i)` of a fresh `SAMPLE_OUT·k`-cell array (`h` a
+//!    seeded splitmix hash of the arc index, never arc or CSR order);
+//!    ARBITRARY resolution keeps one arc per cell, so every vertex keeps at
+//!    most two of its out-arcs.
+//! 2. *Solve*: the winners go through `rename_solve_link` with the rounds
+//!    as the solver, each in the one orientation it was sampled in.
+//! 3. *Filter*: one charged ALTER over all of the subproblem's arcs, then
+//!    the live-arc compaction drops the arcs the sample already connects.
+//! 4. *Solve the survivors*: the arcs left go through the primitive with
+//!    the rounds again (skipped when none are left).
+//!
+//! Correctness never rests on the sample pass: every hook follows a real
+//! arc, so its forest only merges connected vertices, and the filter
+//! re-checks every arc, so whatever the sample left apart the survivor
+//! pass joins. The sample runs after PREPARE, not on the whole input:
+//! PREPARE's Vanilla phases already contract sparse inputs (the gate stays
+//! off on paths, grids and clique chains), and a whole-input sample raises
+//! the diameter the rounds face on exactly those inputs.
+//!
 //! The driver's output is verified against ground truth in every test; a
 //! safety round cap (counted by E6, never silently ignored) falls through
 //! to the always-correct postprocess.
@@ -40,17 +67,17 @@ mod maxlink;
 mod round;
 mod tables;
 
-use crate::live::{extend_endpoints, LiveSet, NO_SLOT};
+use crate::live::{compact_live_arcs, extend_endpoints, LiveSet, NO_SLOT};
 use crate::metrics::{RoundMetrics, RunReport, StopReason};
 use crate::state::{rooted_labels, CcState};
 use crate::theorem1::{self, Theorem1Params};
 use crate::vanilla::vanilla_phase;
 use crate::verify;
 use cc_graph::Graph;
-use pram_kit::ops::{alter_over, shortcut_until_flat_over};
+use pram_kit::ops::{alter, alter_over, shortcut_until_flat_over};
 use pram_kit::PairSet;
-use pram_sim::{Handle, Pram, NULL};
-use round::{expand_maxlink_round, FasterState, LiveIndex, RoundScratch};
+use pram_sim::{splitmix64, Handle, Pram, NULL};
+use round::{expand_maxlink_round, sqb_of, FasterState, LiveIndex, RoundScratch};
 use tables::TableHeap;
 
 /// Tunable parameters (paper values in brackets; see crate docs on
@@ -105,6 +132,11 @@ const SAMPLE_COEFF: f64 = 1.0;
 /// identical candidates); loop filtering runs every round.
 const DEDUP_CADENCE: u64 = 4;
 
+/// Out-arcs each vertex keeps in the sample of a dense renamed
+/// subproblem. The sample runs only above `4·SAMPLE_OUT` arcs per vertex,
+/// so it keeps at most half of them.
+const SAMPLE_OUT: usize = 2;
+
 /// Round a value up to a power of four.
 fn pow4_at_least(x: u64) -> u64 {
     let mut b = 4u64;
@@ -146,14 +178,39 @@ impl FasterParams {
     }
 }
 
+/// One EXPAND-MAXLINK pass over a renamed subproblem: the rounds and
+/// their postprocess (see [`FasterReport::passes`]).
+#[derive(Clone, Copy, Debug, Default)]
+pub struct PassReport {
+    /// EXPAND-MAXLINK rounds of the pass.
+    pub rounds: u64,
+    /// Charged work of the pass: its state set-up, rounds and postprocess.
+    pub work: u64,
+}
+
 /// Full report of a Theorem-3 run.
 #[derive(Clone, Debug)]
 pub struct FasterReport {
-    /// Main-loop report; `run.rounds` counts EXPAND-MAXLINK rounds and
+    /// Main-loop report; `run.rounds` counts EXPAND-MAXLINK rounds over
+    /// every pass (numbered on across passes in `run.per_round`) and
     /// `run.labels` is the final verified labeling.
     pub run: RunReport,
-    /// The Theorem-1 postprocess report (labels empty).
+    /// The Theorem-1 postprocess report (labels empty), phases summed over
+    /// the passes.
     pub post: RunReport,
+    /// Vertices of COMPACT's renamed subproblem.
+    pub sub_vertices: u64,
+    /// Deduplicated arcs of COMPACT's renamed subproblem.
+    pub sub_arcs: u64,
+    /// Arcs the 2-out sample kept; 0 when the subproblem held at most
+    /// `4·SAMPLE_OUT` arcs per vertex and was solved without sampling.
+    pub sample_arcs: u64,
+    /// Arcs the filter left between the sample's components; 0 when the
+    /// sample was not taken or connected every arc.
+    pub survivor_arcs: u64,
+    /// One entry per pass: the subproblem's when it was not sampled, else
+    /// the sample's and, if any arcs survived, the survivors'.
+    pub passes: Vec<PassReport>,
     /// Always 0. COMPACT's rename is a first-seen renumbering charged at
     /// O(1) steps, not a hash-retry compaction, so it has no retry rounds;
     /// the field stays because the benchmark's per-layer metrics read it.
@@ -204,7 +261,7 @@ pub fn faster_cc(pram: &mut Pram, g: &Graph, seed: u64, params: &FasterParams) -
     pram.free(eu);
     pram.free(ev);
     let solved = rename_solve_link(pram, parent, pairs, seed ^ 0x11FE_11FE, |pram, sub| {
-        solve_rounds(pram, sub, g, seed, params)
+        solve_compacted(pram, sub, g, seed, params)
     });
 
     debug_assert!(
@@ -215,20 +272,125 @@ pub fn faster_cc(pram: &mut Pram, g: &Graph, seed: u64, params: &FasterParams) -
     let stats = pram.stats();
     pram.free(parent);
 
+    let Compacted {
+        rounds,
+        vertices,
+        arcs,
+        sample_arcs,
+        survivor_arcs,
+    } = solved;
     FasterReport {
         run: RunReport {
             labels,
-            rounds: solved.rounds,
+            rounds: rounds.rounds,
             prepare_rounds,
-            stop: solved.stop,
+            stop: rounds.stop,
             stats,
-            per_round: solved.per_round,
+            per_round: rounds.per_round,
         },
-        post: solved.post,
+        post: rounds.post,
+        sub_vertices: vertices as u64,
+        sub_arcs: arcs as u64,
+        sample_arcs: sample_arcs as u64,
+        survivor_arcs: survivor_arcs as u64,
+        passes: rounds.passes,
         compaction_rounds: 0,
-        table_peak_words: solved.table_peak_words,
-        post_work: solved.post_work,
+        table_peak_words: rounds.table_peak_words,
+        post_work: rounds.post_work,
     }
+}
+
+/// What COMPACT's solver hands back: the passes' rounds, merged, the
+/// renamed subproblem's size, and the sample's (both 0 when it was not
+/// taken).
+struct Compacted {
+    rounds: Rounds,
+    vertices: usize,
+    arcs: usize,
+    sample_arcs: usize,
+    survivor_arcs: usize,
+}
+
+/// COMPACT's solver on the renamed subproblem `sub`: the rounds, or on a
+/// dense subproblem the sample-solve-filter passes of the module docs.
+fn solve_compacted(
+    pram: &mut Pram,
+    sub: &CcState,
+    g: &Graph,
+    seed: u64,
+    params: &FasterParams,
+) -> Compacted {
+    let (vertices, arcs) = (sub.n, sub.arcs);
+    if arcs <= 4 * SAMPLE_OUT * vertices {
+        return Compacted {
+            rounds: solve_rounds(pram, sub, g, seed, params),
+            vertices,
+            arcs,
+            sample_arcs: 0,
+            survivor_arcs: 0,
+        };
+    }
+    let sample = sample_out_arcs(pram, sub, seed ^ 0x5A3B_1E00);
+    let sample_arcs = sample.len();
+    let rounds = rename_solve_link(pram, sub.parent, sample, seed ^ 0x5A3B_11FE, |pram, s| {
+        solve_rounds(pram, s, g, seed, params)
+    });
+
+    // The filter: the sample pass left `sub.parent` flat (every vertex a
+    // root or hooked onto one), so one ALTER turns every arc into a root
+    // pair, and the arcs the sample connected become loops.
+    alter(pram, sub.eu, sub.ev, sub.parent);
+    let all: Vec<u32> = (0..arcs as u32).collect();
+    let survivors = compact_live_arcs(pram, sub, &all);
+    let rounds = if survivors.is_empty() {
+        rounds
+    } else {
+        let pairs: Vec<(u64, u64)> = {
+            let (eu, ev) = (pram.view(sub.eu), pram.view(sub.ev));
+            let pair = |&i: &u32| (eu.get(i as usize), ev.get(i as usize));
+            survivors.iter().map(pair).collect()
+        };
+        let rest_seed = seed ^ 0x5EC0_4D00;
+        let rest = rename_solve_link(pram, sub.parent, pairs, rest_seed ^ 0x11FE, |pram, s| {
+            solve_rounds(pram, s, g, rest_seed, params)
+        });
+        rounds.then(rest)
+    };
+    Compacted {
+        rounds,
+        vertices,
+        arcs,
+        sample_arcs,
+        survivor_arcs: survivors.len(),
+    }
+}
+
+/// The 2-out sample of `sub`: one charged step in which arc `i = (u, v)`
+/// writes `i` into cell `u·SAMPLE_OUT + h(i)` of a fresh
+/// `SAMPLE_OUT·k`-cell array, `h(i) = splitmix64(salt ⊕ i) mod SAMPLE_OUT`.
+/// The machine's write resolution keeps one arc per cell, so each vertex
+/// keeps at most `SAMPLE_OUT` of its out-arcs. Returns the winners'
+/// `(u, v)` pairs in cell order; reading the cells back is charged as one
+/// more step, one processor per cell.
+fn sample_out_arcs(pram: &mut Pram, sub: &CcState, seed: u64) -> Vec<(u64, u64)> {
+    let cells = pram.alloc_filled(SAMPLE_OUT * sub.n, NULL);
+    let (eu, ev) = (sub.eu, sub.ev);
+    let salt = splitmix64(seed);
+    pram.step(sub.arcs, move |i, ctx| {
+        let u = ctx.read(eu, i as usize) as usize;
+        let h = (splitmix64(salt ^ i) % SAMPLE_OUT as u64) as usize;
+        ctx.write(cells, u * SAMPLE_OUT + h, i);
+    });
+    pram.charge(cells.len(), 1);
+    let sample = {
+        let (won, eu, ev) = (pram.view(cells), pram.view(eu), pram.view(ev));
+        won.iter()
+            .filter(|&i| i != NULL)
+            .map(|i| (eu.get(i as usize), ev.get(i as usize)))
+            .collect()
+    };
+    pram.free(cells);
+    sample
 }
 
 /// Rename, solve, link: the driver's one rename primitive, used by
@@ -303,7 +465,8 @@ fn rename_solve_link<R>(
     out
 }
 
-/// What [`solve_rounds`] hands back to the driver.
+/// What [`solve_rounds`] hands back: one pass, or several merged by
+/// [`Rounds::then`].
 struct Rounds {
     rounds: u64,
     stop: StopReason,
@@ -311,11 +474,53 @@ struct Rounds {
     post: RunReport,
     post_work: u64,
     table_peak_words: u64,
+    passes: Vec<PassReport>,
 }
 
-/// The EXPAND-MAXLINK rounds and their postprocess on COMPACT's renamed
+impl Rounds {
+    /// `self` followed by a later pass: rounds, postprocess phases and
+    /// works add up, `next`'s rounds are numbered on from `self`'s, and
+    /// either pass hitting its round cap makes the whole a `RoundCap` run.
+    fn then(self, next: Rounds) -> Rounds {
+        let offset = self.rounds;
+        let worse = |a: StopReason, b: StopReason| {
+            if b == StopReason::RoundCap {
+                b
+            } else {
+                a
+            }
+        };
+        let renumber = |m: RoundMetrics| RoundMetrics {
+            round: m.round + offset,
+            ..m
+        };
+        let (post, later) = (self.post, next.post);
+        Rounds {
+            rounds: self.rounds + next.rounds,
+            stop: worse(self.stop, next.stop),
+            per_round: self
+                .per_round
+                .into_iter()
+                .chain(next.per_round.into_iter().map(renumber))
+                .collect(),
+            post: RunReport {
+                labels: Vec::new(),
+                rounds: post.rounds + later.rounds,
+                prepare_rounds: post.prepare_rounds + later.prepare_rounds,
+                stop: worse(post.stop, later.stop),
+                stats: later.stats,
+                per_round: post.per_round.into_iter().chain(later.per_round).collect(),
+            },
+            post_work: self.post_work + next.post_work,
+            table_peak_words: self.table_peak_words.max(next.table_peak_words),
+            passes: self.passes.into_iter().chain(next.passes).collect(),
+        }
+    }
+}
+
+/// The EXPAND-MAXLINK rounds and their postprocess on a renamed
 /// subproblem `st`, whose vertices are all ongoing roots. The input `g`'s
-/// sizes set the budget ceiling, the table heap and the round cap.
+/// sizes set the budget schedule and the round cap.
 fn solve_rounds(
     pram: &mut Pram,
     st: &CcState,
@@ -323,6 +528,7 @@ fn solve_rounds(
     seed: u64,
     params: &FasterParams,
 ) -> Rounds {
+    let work0 = pram.stats().work;
     let (k, n, m) = (st.n, g.n(), g.m());
     let budgets = params.budget_schedule(n, m, k);
     let lmax = budgets.len() - 1;
@@ -330,7 +536,9 @@ fn solve_rounds(
     // b₁-sized block.
     let level = pram.alloc_filled(k, 1);
     let budget = pram.alloc_filled(k, budgets[1]);
-    let heap = TableHeap::new(pram, (4 * m).max(1024));
+    // The heap starts at round 1's need, two √b₁-cell work tables per
+    // vertex, and `TableHeap::grow` doubles it from there.
+    let heap = TableHeap::new(pram, 2 * sqb_of(budgets[1]) as usize * k);
     let mut fs = FasterState {
         st,
         level,
@@ -406,6 +614,10 @@ fn solve_rounds(
         post,
         post_work,
         table_peak_words,
+        passes: vec![PassReport {
+            rounds,
+            work: pram.stats().work - work0,
+        }],
     }
 }
 
@@ -746,6 +958,47 @@ mod tests {
         });
         assert_eq!(seen, Some((1, 1, 0, 0)));
         assert_eq!(pram.read_vec(parent), after);
+    }
+
+    #[test]
+    fn dense_subproblem_is_sampled_solved_and_filtered() {
+        // Two K₂₄ joined by one bridge: 23 arcs per vertex, too dense for
+        // PREPARE to run, so the renamed subproblem is the whole graph.
+        let g = gen::barbell(24, 0);
+        let mut pram = Pram::new(WritePolicy::ArbitrarySeeded(3));
+        let st = CcState::init(&mut pram, &g);
+        let sample = sample_out_arcs(&mut pram, &st, 3);
+        let mut per_vertex = vec![0; g.n()];
+        for &(u, v) in &sample {
+            assert!(g.neighbors(u as u32).contains(&(v as u32)), "({u}, {v})");
+            per_vertex[u as usize] += 1;
+        }
+        assert!(per_vertex.iter().all(|&c| (1..=SAMPLE_OUT).contains(&c)));
+
+        // Seed 0 leaves the bridge out of the sample, so the filter keeps
+        // its two arcs and the survivor pass joins the blobs.
+        let report = run(&g, 0, &FasterParams::default());
+        check_labels(&g, &report.run.labels).unwrap();
+        assert_eq!((report.sub_vertices, report.sub_arcs), (48, 2 * 553));
+        assert!(report.sample_arcs <= (SAMPLE_OUT * g.n()) as u64);
+        assert_eq!(report.survivor_arcs, 2);
+        assert_eq!(report.passes.len(), 2);
+        let rounds: u64 = report.passes.iter().map(|p| p.rounds).sum();
+        assert_eq!(report.run.rounds, rounds);
+        assert_eq!(report.run.per_round.len() as u64, rounds);
+        for (i, m) in report.run.per_round.iter().enumerate() {
+            assert_eq!(m.round, i as u64 + 1);
+        }
+
+        // Sparse after PREPARE: one pass, no sample.
+        for g in [gen::path(500), gen::clique_chain(64, 8)] {
+            let report = run(&g, 0, &FasterParams::default());
+            check_labels(&g, &report.run.labels).unwrap();
+            assert!(report.sub_arcs <= 4 * SAMPLE_OUT as u64 * report.sub_vertices);
+            assert_eq!((report.sample_arcs, report.survivor_arcs), (0, 0));
+            assert_eq!(report.passes.len(), 1);
+            assert_eq!(report.passes[0].rounds, report.run.rounds);
+        }
     }
 
     #[test]

@@ -97,6 +97,18 @@ fn family_strategy() -> impl Strategy<Value = &'static str> {
     (0..FAMILIES.len()).prop_map(|i| FAMILIES[i])
 }
 
+/// Theorem 3 where COMPACT's renamed subproblem holds more than 8 arcs
+/// per vertex, so its solver samples, filters and solves the survivors:
+/// at these sizes and seed both graphs take the sample and leave arcs
+/// for the survivor pass. The sample step's ARBITRARY winners and both
+/// passes must fingerprint identically at 1/2/8 threads.
+#[test]
+fn sampled_theorem3_is_thread_invariant() {
+    for (family, n) in [("powerlaw", 9_000), ("gnm", 11_000)] {
+        assert_thread_invariant("theorem3", family, n, 5);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 3, ..ProptestConfig::default() })]
 

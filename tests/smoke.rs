@@ -23,6 +23,10 @@ fn smoke_graphs() -> Vec<(&'static str, Graph)> {
         ("path_32", gen::path(32)),
         ("clique_chain_4x5", gen::clique_chain(4, 5)),
         ("disconnected_12", disconnected.build()),
+        // Two K₁₂ joined by one bridge: dense enough that Theorem 3
+        // samples, and at seed 0xC0FFEE the sample misses the bridge, so
+        // the survivor pass runs too.
+        ("two_blobs_bridged", gen::barbell(12, 0)),
     ]
 }
 
