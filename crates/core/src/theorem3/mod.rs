@@ -323,7 +323,7 @@ fn solve_compacted(
     let (vertices, arcs) = (sub.n, sub.arcs);
     if arcs <= 4 * SAMPLE_OUT * vertices {
         return Compacted {
-            rounds: solve_rounds(pram, sub, g, seed, params),
+            rounds: solve_rounds(pram, sub, g, seed, params, HeapStart::Input),
             vertices,
             arcs,
             sample_arcs: 0,
@@ -333,7 +333,7 @@ fn solve_compacted(
     let sample = sample_out_arcs(pram, sub, seed ^ 0x5A3B_1E00);
     let sample_arcs = sample.len();
     let rounds = rename_solve_link(pram, sub.parent, sample, seed ^ 0x5A3B_11FE, |pram, s| {
-        solve_rounds(pram, s, g, seed, params)
+        solve_rounds(pram, s, g, seed, params, HeapStart::RoundOne)
     });
 
     // The filter: the sample pass left `sub.parent` flat (every vertex a
@@ -352,7 +352,7 @@ fn solve_compacted(
         };
         let rest_seed = seed ^ 0x5EC0_4D00;
         let rest = rename_solve_link(pram, sub.parent, pairs, rest_seed ^ 0x11FE, |pram, s| {
-            solve_rounds(pram, s, g, rest_seed, params)
+            solve_rounds(pram, s, g, rest_seed, params, HeapStart::RoundOne)
         });
         rounds.then(rest)
     };
@@ -518,6 +518,24 @@ impl Rounds {
     }
 }
 
+/// Where a pass's table heap starts; [`TableHeap`]'s `grow` doubles it
+/// from there.
+#[derive(Clone, Copy)]
+enum HeapStart {
+    /// `4m` words of the input. An unsampled subproblem keeps this start:
+    /// on sparse inputs the tables peak at that order (path 5·10⁵: 3.5 M
+    /// words against 2 M reserved). Round 1's need (1 M words there) put
+    /// the heap in an arena block that MAXLINK's stamped arrays would
+    /// otherwise have split, so the arena grew further and the path's
+    /// peak RSS spread wider from run to run.
+    Input,
+    /// Round 1's need, two √b₁-cell work tables per vertex. A sampled
+    /// pass runs on at most `SAMPLE_OUT` arcs per vertex (or on the
+    /// filter's survivors), so `4m` of the input would overshoot its
+    /// tables several times (powerlaw 10⁵: 2 M words for a 0.4 M peak).
+    RoundOne,
+}
+
 /// The EXPAND-MAXLINK rounds and their postprocess on a renamed
 /// subproblem `st`, whose vertices are all ongoing roots. The input `g`'s
 /// sizes set the budget schedule and the round cap.
@@ -527,6 +545,7 @@ fn solve_rounds(
     g: &Graph,
     seed: u64,
     params: &FasterParams,
+    heap_start: HeapStart,
 ) -> Rounds {
     let work0 = pram.stats().work;
     let (k, n, m) = (st.n, g.n(), g.m());
@@ -536,9 +555,11 @@ fn solve_rounds(
     // b₁-sized block.
     let level = pram.alloc_filled(k, 1);
     let budget = pram.alloc_filled(k, budgets[1]);
-    // The heap starts at round 1's need, two √b₁-cell work tables per
-    // vertex, and `TableHeap::grow` doubles it from there.
-    let heap = TableHeap::new(pram, 2 * sqb_of(budgets[1]) as usize * k);
+    let heap_words = match heap_start {
+        HeapStart::Input => (4 * m).max(1024),
+        HeapStart::RoundOne => 2 * sqb_of(budgets[1]) as usize * k,
+    };
+    let heap = TableHeap::new(pram, heap_words);
     let mut fs = FasterState {
         st,
         level,
