@@ -292,9 +292,9 @@ struct Row {
     /// the build) — `graph_build` rows. Zero when spilling is off.
     spilled_runs: Option<u64>,
     spill_bytes: Option<u64>,
-    /// The machine's arena backing allocation (cells + stamps + priority
-    /// sidecar + escape table) after the run — simulated rows; divide by
-    /// `n` for the bytes-per-vertex budget line.
+    /// The machine's arena backing allocation (cells + stamps + escape
+    /// table) after the run — simulated rows; divide by `n` for the
+    /// bytes-per-vertex budget line.
     arena_bytes: Option<u64>,
 }
 

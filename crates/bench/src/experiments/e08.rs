@@ -37,7 +37,9 @@ pub(super) fn run(cfg: &Config) -> Vec<Table> {
 
     // Report the thread count a machine actually records, not just the
     // pool's claim — the same field every simulated experiment carries.
-    let host_threads = Pram::new(WritePolicy::Racy).stats().host_threads;
+    let host_threads = Pram::new(WritePolicy::ArbitrarySeeded(cfg.seed))
+        .stats()
+        .host_threads;
     let mut t = Table::new(
         format!("E8 — wall-clock (ms, median of {reps}) on {host_threads} threads"),
         "Practical ports: concurrent union-find is the yardstick; label \

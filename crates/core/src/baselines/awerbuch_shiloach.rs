@@ -165,7 +165,6 @@ mod tests {
             WritePolicy::ArbitrarySeeded(9),
             WritePolicy::PriorityMin,
             WritePolicy::PriorityMax,
-            WritePolicy::Racy,
         ] {
             let mut pram = Pram::new(policy);
             let report = awerbuch_shiloach(&mut pram, &g);

@@ -26,8 +26,8 @@
 //!   ground truth) and spanning forests.
 //!
 //! All algorithms run on *any* [`pram_sim::WritePolicy`] — tests exercise
-//! seeded-arbitrary, both priority orders, and racy commits, since a correct
-//! ARBITRARY CRCW algorithm must tolerate every resolution.
+//! seeded-arbitrary machines under several seeds and both priority orders,
+//! since a correct ARBITRARY CRCW algorithm must tolerate every resolution.
 //!
 //! ## Parameter substitutions
 //!

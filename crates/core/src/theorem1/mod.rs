@@ -380,7 +380,6 @@ mod tests {
             WritePolicy::ArbitrarySeeded(3),
             WritePolicy::PriorityMin,
             WritePolicy::PriorityMax,
-            WritePolicy::Racy,
         ] {
             let mut pram = Pram::new(policy);
             let report = connected_components(&mut pram, &g, 9, &params);

@@ -378,7 +378,6 @@ mod tests {
             WritePolicy::ArbitrarySeeded(4),
             WritePolicy::PriorityMin,
             WritePolicy::PriorityMax,
-            WritePolicy::Racy,
         ] {
             let mut pram = Pram::new(policy);
             let report = spanning_forest(&mut pram, &g, 11, &Theorem1Params::default());

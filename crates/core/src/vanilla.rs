@@ -146,7 +146,6 @@ mod tests {
             WritePolicy::ArbitrarySeeded(1),
             WritePolicy::PriorityMin,
             WritePolicy::PriorityMax,
-            WritePolicy::Racy,
         ] {
             let report = run(&g, policy, 11);
             check_labels(&g, &report.labels).unwrap();

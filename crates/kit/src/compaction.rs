@@ -246,7 +246,6 @@ mod tests {
             WritePolicy::ArbitrarySeeded(7),
             WritePolicy::PriorityMin,
             WritePolicy::PriorityMax,
-            WritePolicy::Racy,
         ] {
             let (pram, res) = run_compaction(n, &distinguished, policy, 3);
             check_valid(&pram, &res, &set);

@@ -7,11 +7,11 @@
 //! phase can run in parallel on disjoint address sets) and committed by
 //! the machine when the step ends.
 //!
-//! Write records carry no precomputed priority: the seeded-arbitrary
-//! policies derive the winner from `(seed, addr, value)` at commit time
-//! and the processor-priority policies from the record's processor id, so
-//! a buffered write is 8 bytes under a value-resolved policy (see
-//! `NarrowRec` in this module) and 16 under a processor-priority one.
+//! A buffered write is 8 bytes under every policy (see `NarrowRec` in
+//! this module): records carry neither a priority nor a processor id.
+//! The seeded-arbitrary policy derives the winner from `(seed, addr,
+//! value)` at commit time, and the PRIORITY policies from the order the
+//! records reach a cell, which is processor order.
 
 use crate::mem::{narrow_encode, CellsRef, Handle, NARROW_ESC};
 use crate::splitmix64;
@@ -31,17 +31,6 @@ pub(crate) fn shard_of(addr: u32, mask: u32) -> usize {
     ((addr >> SHARD_BLOCK_BITS) & mask) as usize
 }
 
-/// One buffered write (full-width record).
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct WriteRec {
-    pub(crate) addr: u32,
-    /// The writing processor id (resolution input for the
-    /// processor-priority policies; ignored otherwise). Steps are capped
-    /// at 2^32 processors, see `Pram::step_charged`.
-    pub(crate) aux: u32,
-    pub(crate) val: u64,
-}
-
 /// One buffered write in narrow-cell encoding: 8 bytes. `val` is the
 /// narrow encoding of the written value; a [`NARROW_ESC`] value means the
 /// actual 64-bit value is the next unconsumed entry of the shard's `wide`
@@ -53,55 +42,23 @@ pub(crate) struct NarrowRec {
     pub(crate) val: u32,
 }
 
-/// One shard's buffered writes.
-pub(crate) enum ShardBuf {
-    /// Full-width records carrying the processor id (the `Priority*`
-    /// policies).
-    Wide(Vec<WriteRec>),
-    /// Narrow records + escape side list (every policy that resolves
-    /// from the value, i.e. everything but `Priority*`).
-    Narrow {
-        recs: Vec<NarrowRec>,
-        wide: Vec<u64>,
-    },
+/// One shard's buffered writes: narrow records plus the escape list.
+#[derive(Default)]
+pub(crate) struct ShardBuf {
+    pub(crate) recs: Vec<NarrowRec>,
+    /// The 64-bit values of the records marked [`NARROW_ESC`], in push
+    /// order.
+    pub(crate) wide: Vec<u64>,
 }
 
 impl ShardBuf {
     pub(crate) fn clear(&mut self) {
-        match self {
-            ShardBuf::Wide(v) => v.clear(),
-            ShardBuf::Narrow { recs, wide } => {
-                recs.clear();
-                wide.clear();
-            }
-        }
+        self.recs.clear();
+        self.wide.clear();
     }
 
     fn is_empty(&self) -> bool {
-        match self {
-            ShardBuf::Wide(v) => v.is_empty(),
-            ShardBuf::Narrow { recs, wide } => recs.is_empty() && wide.is_empty(),
-        }
-    }
-}
-
-/// Record layout a machine's steps buffer writes in (fixed per machine:
-/// chosen from the policy at construction).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum RecLayout {
-    Wide,
-    Narrow,
-}
-
-impl RecLayout {
-    pub(crate) fn empty_shard(self) -> ShardBuf {
-        match self {
-            RecLayout::Wide => ShardBuf::Wide(Vec::new()),
-            RecLayout::Narrow => ShardBuf::Narrow {
-                recs: Vec::new(),
-                wide: Vec::new(),
-            },
-        }
+        self.recs.is_empty() && self.wide.is_empty()
     }
 }
 
@@ -135,24 +92,18 @@ impl<'a> Ctx<'a> {
     /// Fresh-buffer constructor (tests; the machine recycles via
     /// [`Ctx::new_in`]).
     #[cfg(test)]
-    pub(crate) fn new(
-        mem: CellsRef<'a>,
-        layout: RecLayout,
-        shard_count: u32,
-        step_seed: u64,
-    ) -> Self {
+    pub(crate) fn new(mem: CellsRef<'a>, shard_count: u32, step_seed: u64) -> Self {
         Self::new_in(
             mem,
             shard_count,
             step_seed,
-            (0..shard_count).map(|_| layout.empty_shard()).collect(),
+            (0..shard_count).map(|_| ShardBuf::default()).collect(),
         )
     }
 
     /// Like [`Ctx::new`] but reusing `shards` buffers recycled from an
-    /// earlier step (must be empty, `shard_count` of them, in the
-    /// machine's record layout; their capacity is the point —
-    /// steady-state steps allocate nothing).
+    /// earlier step (must be empty, `shard_count` of them; their
+    /// capacity is the point — steady-state steps allocate nothing).
     pub(crate) fn new_in(
         mem: CellsRef<'a>,
         shard_count: u32,
@@ -216,23 +167,12 @@ impl<'a> Ctx<'a> {
         self.writes += 1;
         self.ops_this_proc += 1;
         let addr = h.addr(i);
-        match &mut self.shards[shard_of(addr, self.shard_mask)] {
-            ShardBuf::Wide(recs) => recs.push(WriteRec {
-                addr,
-                aux: self.proc as u32,
-                val,
-            }),
-            ShardBuf::Narrow { recs, wide } => match narrow_encode(val) {
-                Some(x) => recs.push(NarrowRec { addr, val: x }),
-                None => {
-                    recs.push(NarrowRec {
-                        addr,
-                        val: NARROW_ESC,
-                    });
-                    wide.push(val);
-                }
-            },
-        }
+        let shard = &mut self.shards[shard_of(addr, self.shard_mask)];
+        let val = narrow_encode(val).unwrap_or_else(|| {
+            shard.wide.push(val);
+            NARROW_ESC
+        });
+        shard.recs.push(NarrowRec { addr, val });
     }
 
     /// Read cell `i` of a generation-stamped block: the stored value if
@@ -299,7 +239,7 @@ mod tests {
 
     /// An arena holding one zeroed block of `len` words.
     fn arena(len: usize) -> (Arena, Handle) {
-        let mut a = Arena::new(false);
+        let mut a = Arena::new();
         let h = a.alloc(len, 0);
         (a, h)
     }
@@ -307,7 +247,7 @@ mod tests {
     #[test]
     fn writes_are_sharded_by_address_block() {
         let (mem, h) = arena(8 << 10);
-        let mut ctx = Ctx::new(mem.cells_ref(), RecLayout::Wide, 4, 0);
+        let mut ctx = Ctx::new(mem.cells_ref(), 4, 0);
         ctx.begin_proc(1);
         // Four writes per 1024-word block; blocks b and b + 4 share a
         // shard.
@@ -318,14 +258,10 @@ mod tests {
         let out = ctx.finish();
         assert_eq!(out.writes, 32);
         for (s, shard) in out.shards.iter().enumerate() {
-            let ShardBuf::Wide(recs) = shard else {
-                panic!("expected wide layout")
-            };
-            assert_eq!(recs.len(), 8);
-            for rec in recs {
+            assert_eq!(shard.recs.len(), 8);
+            for rec in &shard.recs {
                 assert_eq!(shard_of(rec.addr, 3), s);
                 assert_eq!((rec.addr >> 10) as usize % 4, s);
-                assert_eq!(rec.aux, 1);
             }
         }
         assert_eq!(out.max_ops, 32);
@@ -334,16 +270,14 @@ mod tests {
     #[test]
     fn narrow_layout_escapes_oversized_values() {
         let (mem, h) = arena(8);
-        let mut ctx = Ctx::new(mem.cells_ref(), RecLayout::Narrow, 1, 0);
+        let mut ctx = Ctx::new(mem.cells_ref(), 1, 0);
         ctx.begin_proc(0);
         ctx.write(h, 0, 5);
         ctx.write(h, 1, crate::NULL);
         ctx.write(h, 2, 1 << 40);
         ctx.end_proc();
         let out = ctx.finish();
-        let ShardBuf::Narrow { recs, wide } = &out.shards[0] else {
-            panic!("expected narrow layout")
-        };
+        let ShardBuf { recs, wide } = &out.shards[0];
         assert_eq!(recs.len(), 3);
         assert_eq!(recs[0].val, 5);
         assert_eq!(recs[1].val, u32::MAX);
@@ -354,7 +288,7 @@ mod tests {
     #[test]
     fn rand_depends_on_proc_and_tag() {
         let (mem, _) = arena(1);
-        let mut ctx = Ctx::new(mem.cells_ref(), RecLayout::Narrow, 1, 7);
+        let mut ctx = Ctx::new(mem.cells_ref(), 1, 7);
         ctx.begin_proc(0);
         let a = ctx.rand(0);
         let b = ctx.rand(1);
@@ -370,7 +304,7 @@ mod tests {
     #[test]
     fn coin_matches_probability_roughly() {
         let (mem, _) = arena(1);
-        let mut ctx = Ctx::new(mem.cells_ref(), RecLayout::Narrow, 1, 99);
+        let mut ctx = Ctx::new(mem.cells_ref(), 1, 99);
         let mut hits = 0;
         let trials = 20_000;
         for p in 0..trials {

@@ -17,9 +17,9 @@
 //!    simulated algorithms independent of host-thread scheduling.
 //! 2. **Pluggable write resolution.** [`WritePolicy`] selects how concurrent
 //!    writes to one cell are resolved: a *seeded arbitrary* policy (a
-//!    deterministic, order-independent pseudo-random winner — reproducible
-//!    runs), PRIORITY (min or max processor id), or a racy mode that lets the
-//!    host threads race (fastest, genuinely arbitrary, non-deterministic).
+//!    deterministic, order-independent pseudo-random winner), or PRIORITY
+//!    (min or max processor id). Every policy is reproducible at any host
+//!    thread count, and every machine counts its write conflicts.
 //!    Algorithms that are correct on an ARBITRARY CRCW PRAM must produce
 //!    correct output under *every* policy and seed; the test suites exploit
 //!    this to get much stronger coverage than a single machine would give.

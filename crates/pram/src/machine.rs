@@ -6,7 +6,7 @@ use std::time::Instant;
 
 use rayon::prelude::*;
 
-use crate::ctx::{shard_of, Ctx, CtxOut, RecLayout, ShardBuf};
+use crate::ctx::{shard_of, Ctx, CtxOut, ShardBuf};
 use crate::mem::{narrow_decode, narrow_encode, Arena, Handle, MemView, WideTable};
 use crate::mem::{NARROW_ESC, NARROW_NULL, NULL};
 use crate::resolve::{hashed_prio, CombineOp, Resolution, WritePolicy};
@@ -48,8 +48,6 @@ const RUN_CHUNKS_PER_THREAD: u64 = 4;
 pub struct Pram {
     mem: Arena,
     policy: WritePolicy,
-    resolution: Resolution,
-    layout: RecLayout,
     stats: Stats,
     step_id: u32,
     seed: u64,
@@ -87,19 +85,12 @@ impl Pram {
         // chunks stay balanced), bounded to keep per-Ctx overhead small.
         let shard_count = (threads.next_power_of_two() as u32 * 4).clamp(8, 256);
         let seed = match policy {
-            WritePolicy::ArbitrarySeeded(s) | WritePolicy::CrewChecked(s) => s,
+            WritePolicy::ArbitrarySeeded(s) => s,
             _ => 0x5EED_0BAD_CAFE_F00D,
         };
-        let layout = if policy.needs_prio_sidecar() {
-            RecLayout::Wide
-        } else {
-            RecLayout::Narrow
-        };
         Pram {
-            mem: Arena::new(policy.needs_prio_sidecar()),
+            mem: Arena::new(),
             policy,
-            resolution: policy.resolution(),
-            layout,
             stats: Stats {
                 host_threads: threads as u64,
                 ..Stats::default()
@@ -126,10 +117,9 @@ impl Pram {
         s
     }
 
-    /// Actual heap bytes behind the arena's per-word arrays (cells,
-    /// stamps, and the priority sidecar if the policy needs one) — the
-    /// measured bytes-per-word footprint: ≤ 8·words for non-priority
-    /// policies, ≤ 16·words with the sidecar.
+    /// Actual heap bytes behind the arena's per-word arrays (cells and
+    /// stamps) and its escape table — the measured bytes-per-word
+    /// footprint: ≤ 8·words under every policy while nothing escapes.
     pub fn arena_backing_bytes(&self) -> usize {
         self.mem.backing_bytes()
     }
@@ -158,7 +148,7 @@ impl Pram {
     }
 
     /// Reset the machine for a fresh driver run while keeping every
-    /// backing buffer: cell/stamp/priority capacity, size-class free-list
+    /// backing buffer: cell/stamp capacity, size-class free-list
     /// vectors, and the recycled per-step write buffers all survive, so a
     /// bench rep re-grows into already-mapped memory instead of paying
     /// page faults again.
@@ -374,16 +364,17 @@ impl Pram {
     /// (ARCHITECTURE.md, "The charge / live-work accounting model"). The
     /// per-processor op audit still reports the real op count.
     ///
-    /// An *executed* step is capped at 2^32 processors (write records
-    /// carry the processor id as `u32` for priority resolution; executing
-    /// more closures than that is infeasible anyway). Model larger
-    /// processor counts with [`Pram::charge`].
+    /// An *executed* step is capped at 2^32 processors, the size of the
+    /// arena's address space: executing more closures than that is
+    /// infeasible anyway (write records carry no processor id, so no
+    /// record format needs the cap). Model larger processor counts with
+    /// [`Pram::charge`].
     pub fn step_charged<F>(&mut self, nprocs: usize, charge: u64, f: F)
     where
         F: Fn(u64, &mut Ctx) + Send + Sync,
     {
         self.stats.record_step(nprocs as u64, charge);
-        self.execute(nprocs, &f, None);
+        self.execute(nprocs, &f, self.policy.resolution());
     }
 
     /// Execute one synchronous COMBINING CRCW step: concurrent writes to a
@@ -393,13 +384,13 @@ impl Pram {
         F: Fn(u64, &mut Ctx) + Send + Sync,
     {
         self.stats.record_step(nprocs as u64, 1);
-        self.execute(nprocs, &f, Some(op));
+        self.execute(nprocs, &f, Resolution::Combine(op));
     }
 
-    /// Run one step's processors, then commit their buffered writes —
-    /// resolved by the policy, or folded with `combine` — and add both
-    /// halves' host time to the attached registry's counters, if any.
-    fn execute<F>(&mut self, nprocs: usize, f: &F, combine: Option<CombineOp>)
+    /// Run one step's processors, then commit their buffered writes under
+    /// `rule` and add both halves' host time to the attached registry's
+    /// counters, if any.
+    fn execute<F>(&mut self, nprocs: usize, f: &F, rule: Resolution)
     where
         F: Fn(u64, &mut Ctx) + Send + Sync,
     {
@@ -414,10 +405,7 @@ impl Pram {
         let start = self.obs.is_some().then(Instant::now);
         let outs = self.run_procs(nprocs, parallel, f);
         let ran = start.map(|_| Instant::now());
-        match combine {
-            None => self.commit(&outs, parallel),
-            Some(op) => self.commit_combine(&outs, op, parallel),
-        }
+        self.commit(&outs, rule, parallel);
         self.retire(outs);
         if let (Some(obs), Some(start), Some(ran)) = (&self.obs, start, ran) {
             obs.step_run_ns.add((ran - start).as_nanos() as u64);
@@ -442,7 +430,6 @@ impl Pram {
             "executed steps are capped at 2^32 processors (see Pram::step_charged)"
         );
         let mem_ref = self.mem.cells_ref();
-        let layout = self.layout;
         let shard_count = self.shard_count;
         let step_seed = splitmix64(self.seed ^ (self.step_id as u64) << 17);
         let spare_bufs = &self.spare_bufs;
@@ -460,7 +447,7 @@ impl Pram {
                 .lock()
                 .unwrap()
                 .pop()
-                .unwrap_or_else(|| (0..shard_count).map(|_| layout.empty_shard()).collect());
+                .unwrap_or_else(|| (0..shard_count).map(|_| ShardBuf::default()).collect());
             let mut ctx = Ctx::new_in(mem_ref, shard_count, step_seed, bufs);
             for p in k * nprocs / chunks..(k + 1) * nprocs / chunks {
                 ctx.begin_proc(p);
@@ -493,39 +480,25 @@ impl Pram {
         }
     }
 
-    fn commit(&mut self, outs: &[CtxOut], parallel: bool) {
+    /// Apply every buffered write of the step under `rule`, shard by
+    /// shard, and add the step's write conflicts to [`Stats`].
+    fn commit(&mut self, outs: &[CtxOut], rule: Resolution, parallel: bool) {
         let step = self.step_id;
-        let res = self.resolution;
         let mask = self.shard_count - 1;
         let mem = ShardedMem::new(&mut self.mem);
         let conflicts = AtomicU64::new(0);
         over_shards(self.shard_count, parallel, |s| {
             let mut n = 0;
-            for_each_rec(outs, s, mask, |addr, proc, val| {
+            for_each_rec(outs, s, mask, |addr, val| {
                 // SAFETY: `for_each_rec` yields only records with
                 // `shard_of(addr) == s`, and distinct shards own disjoint
                 // 1024-word address blocks (see `ShardedMem`), so no other
-                // task touches this cell, stamp or priority word.
-                n += u64::from(unsafe { mem.commit_one(step, addr, proc, val, res) });
+                // task touches this cell or stamp.
+                n += u64::from(unsafe { mem.commit_one(step, addr, val, rule) });
             });
             conflicts.fetch_add(n, Ordering::Relaxed);
         });
-        if self.policy.counts_conflicts() {
-            self.stats.write_conflicts += conflicts.into_inner();
-        }
-    }
-
-    fn commit_combine(&mut self, outs: &[CtxOut], op: CombineOp, parallel: bool) {
-        let step = self.step_id;
-        let mask = self.shard_count - 1;
-        let mem = ShardedMem::new(&mut self.mem);
-        over_shards(self.shard_count, parallel, |s| {
-            for_each_rec(outs, s, mask, |addr, _, val| {
-                // SAFETY: as in `commit` — this task is shard `s`, the
-                // only one that owns `addr`'s block.
-                unsafe { mem.combine_one(step, addr, val, op) };
-            });
-        });
+        self.stats.write_conflicts += conflicts.into_inner();
     }
 }
 
@@ -543,27 +516,18 @@ where
     }
 }
 
-/// Feed shard `s`'s buffered writes, from every chunk in chunk order,
-/// to `apply(addr, proc, value)` (`proc` is 0 under the narrow record
-/// layout, whose policies never read it). Checks in debug builds that
-/// each record belongs to the shard it was buffered in.
+/// Feed shard `s`'s buffered writes, from every chunk in chunk order, to
+/// `apply(addr, value)`: processor order, which the PRIORITY rules rest
+/// on. Checks in debug builds that each record belongs to the shard it
+/// was buffered in.
 #[inline]
-fn for_each_rec(outs: &[CtxOut], s: usize, mask: u32, mut apply: impl FnMut(u32, u32, u64)) {
+fn for_each_rec(outs: &[CtxOut], s: usize, mask: u32, mut apply: impl FnMut(u32, u64)) {
     for out in outs {
-        match &out.shards[s] {
-            ShardBuf::Wide(recs) => {
-                for rec in recs {
-                    debug_assert_eq!(shard_of(rec.addr, mask), s);
-                    apply(rec.addr, rec.aux, rec.val);
-                }
-            }
-            ShardBuf::Narrow { recs, wide } => {
-                let mut cur = 0usize;
-                for rec in recs {
-                    debug_assert_eq!(shard_of(rec.addr, mask), s);
-                    apply(rec.addr, 0, narrow_rec_val(rec.val, wide, &mut cur));
-                }
-            }
+        let ShardBuf { recs, wide } = &out.shards[s];
+        let mut cur = 0usize;
+        for rec in recs {
+            debug_assert_eq!(shard_of(rec.addr, mask), s);
+            apply(rec.addr, narrow_rec_val(rec.val, wide, &mut cur));
         }
     }
 }
@@ -614,9 +578,8 @@ pub struct Stamped {
 /// The commit runs one task per shard, and shard `s` owns every address
 /// `a` with [`shard_of`]`(a) == s`: the 1024-word blocks whose index is
 /// `≡ s` modulo the shard count. [`Ctx::write`] buffers each record in
-/// its address's shard, so the tasks write disjoint cells, stamps and
-/// priority words, and — but for the lines at block edges — disjoint
-/// cache lines.
+/// its address's shard, so the tasks write disjoint cells and stamps,
+/// and — but for the lines at block edges — disjoint cache lines.
 ///
 /// Methods take `&self` so that commit closures capture the whole struct
 /// (keeping the `Sync` reasoning in one place) rather than the raw-pointer
@@ -624,18 +587,15 @@ pub struct Stamped {
 struct ShardedMem<'a> {
     cells: *mut u32,
     stamp: *mut u32,
-    /// Null unless the policy needs the processor-priority sidecar.
-    prio: *mut u64,
     wide: &'a WideTable,
 }
 
 impl<'a> ShardedMem<'a> {
     fn new(arena: &'a mut Arena) -> Self {
-        let (cells, stamp, prio) = arena.commit_ptrs();
+        let (cells, stamp) = arena.commit_ptrs();
         ShardedMem {
             cells,
             stamp,
-            prio,
             wide: &arena.wide,
         }
     }
@@ -662,85 +622,42 @@ impl<'a> ShardedMem<'a> {
         unsafe { *self.cells.add(a) = cell };
     }
 
-    /// Apply one buffered write under the machine's resolution rule.
-    /// Returns true when the cell had already been written in this step
-    /// (a CREW conflict).
+    /// Apply one buffered write under `rule`. Returns true when the cell
+    /// had already been written in this step (a write conflict).
     ///
     /// # Safety
     /// Caller must guarantee `addr` is in bounds and no other thread is
     /// concurrently accessing that cell (the commit task calling this
     /// owns `addr`'s block, see [`ShardedMem`]).
-    unsafe fn commit_one(
-        &self,
-        step: u32,
-        addr: u32,
-        proc: u32,
-        val: u64,
-        res: Resolution,
-    ) -> bool {
-        let a = addr as usize;
-        unsafe {
-            if *self.stamp.add(a) != step {
-                *self.stamp.add(a) = step;
-                if matches!(res, Resolution::ProcMin | Resolution::ProcMax) {
-                    *self.prio.add(a) = proc as u64;
-                }
-                self.store(a, val);
-                false
-            } else {
-                match res {
-                    Resolution::Racy => self.store(a, val),
-                    Resolution::Hashed(seed) => {
-                        let cur = self.load(a);
-                        let (pn, pc) = (hashed_prio(seed, addr, val), hashed_prio(seed, addr, cur));
-                        if pn > pc || (pn == pc && val > cur) {
-                            self.store(a, val);
-                        }
-                    }
-                    Resolution::ProcMin => {
-                        let incumbent = *self.prio.add(a);
-                        let p = proc as u64;
-                        if p < incumbent || (p == incumbent && val > self.load(a)) {
-                            *self.prio.add(a) = p;
-                            self.store(a, val);
-                        }
-                    }
-                    Resolution::ProcMax => {
-                        let incumbent = *self.prio.add(a);
-                        let p = proc as u64;
-                        if p > incumbent || (p == incumbent && val > self.load(a)) {
-                            *self.prio.add(a) = p;
-                            self.store(a, val);
-                        }
-                    }
-                }
-                true
-            }
-        }
-    }
-
-    /// Apply one buffered write under a combining operator.
-    ///
-    /// # Safety
-    /// As for [`ShardedMem::commit_one`].
-    unsafe fn combine_one(&self, step: u32, addr: u32, val: u64, op: CombineOp) {
+    unsafe fn commit_one(&self, step: u32, addr: u32, val: u64, rule: Resolution) -> bool {
         let a = addr as usize;
         unsafe {
             if *self.stamp.add(a) != step {
                 *self.stamp.add(a) = step;
                 self.store(a, val);
-            } else {
-                let cur = self.load(a);
-                self.store(a, op.apply(cur, val));
+                return false;
             }
+            match rule {
+                Resolution::Hashed(seed) => {
+                    let cur = self.load(a);
+                    let (pn, pc) = (hashed_prio(seed, addr, val), hashed_prio(seed, addr, cur));
+                    if pn > pc || (pn == pc && val > cur) {
+                        self.store(a, val);
+                    }
+                }
+                Resolution::First => {}
+                Resolution::Last => self.store(a, val),
+                Resolution::Combine(op) => self.store(a, op.apply(self.load(a), val)),
+            }
+            true
         }
     }
 }
 
 // SAFETY: the commit tasks partition addresses by block — task `s` touches
 // only addresses `a` with `shard_of(a) == s` (checked by a debug assertion
-// in `for_each_rec`) — so no two threads access the same cell, stamp or
-// priority word; the wide table is internally mutex-striped.
+// in `for_each_rec`) — so no two threads access the same cell or stamp;
+// the wide table is internally mutex-striped.
 unsafe impl Sync for ShardedMem<'_> {}
 unsafe impl Send for ShardedMem<'_> {}
 
@@ -797,16 +714,6 @@ mod tests {
     }
 
     #[test]
-    fn racy_policy_commits_some_writer() {
-        let mut pram = Pram::new(WritePolicy::Racy);
-        let xs = pram.alloc_filled(1, NULL);
-        pram.step(50_000, |p, ctx| {
-            ctx.write(xs, 0, p);
-        });
-        assert!(pram.get(xs, 0) < 50_000);
-    }
-
-    #[test]
     fn combine_sum_counts_writers() {
         let mut pram = Pram::new(WritePolicy::ArbitrarySeeded(3));
         let c = pram.alloc_filled(1, 99);
@@ -815,6 +722,8 @@ mod tests {
         });
         // Previous content (99) does not participate.
         assert_eq!(pram.get(c, 0), 12_345);
+        // Combining steps count conflicts like any other step.
+        assert_eq!(pram.stats().write_conflicts, 12_344);
     }
 
     #[test]
@@ -1044,7 +953,7 @@ mod tests {
 
     #[test]
     fn crew_checker_counts_conflicts() {
-        let mut pram = Pram::new(WritePolicy::CrewChecked(5));
+        let mut pram = Pram::new(WritePolicy::ArbitrarySeeded(5));
         let xs = pram.alloc(4);
         // Exclusive writes: no conflicts.
         pram.step(4, |p, ctx| ctx.write(xs, p as usize, p));
@@ -1054,20 +963,6 @@ mod tests {
         assert_eq!(pram.stats().write_conflicts, 9);
         // Output is still a legal ARBITRARY result.
         assert_eq!(pram.get(xs, 0), 7);
-    }
-
-    #[test]
-    fn crew_checked_matches_seeded_arbitrary_outcome() {
-        let run = |policy| {
-            let mut pram = Pram::new(policy);
-            let xs = pram.alloc_filled(8, 0);
-            pram.step(1000, |p, ctx| ctx.write(xs, (p % 8) as usize, p));
-            pram.read_vec(xs)
-        };
-        assert_eq!(
-            run(WritePolicy::ArbitrarySeeded(42)),
-            run(WritePolicy::CrewChecked(42))
-        );
     }
 
     #[test]
@@ -1125,14 +1020,19 @@ mod tests {
     /// writers per cell, a third of them with values that escape a narrow
     /// cell (including both reserved encodings taken as plain values) —
     /// equals a host-side `u64` model of the policy's winner rule: the
-    /// highest `hashed_prio(seed, addr, val)` for the seeded policies
-    /// (ties to the larger value), the extreme processor id for the
-    /// priority ones. The step sizes straddle the parallel threshold, so
-    /// both the inline and the pooled commit are checked, twice over the
-    /// same cells so escaped incumbents get overwritten.
+    /// highest `hashed_prio(seed, addr, val)` for the seeded policy (ties
+    /// to the larger value), the extreme processor id for the priority
+    /// ones. Every processor also writes two different values to one of
+    /// the `TIES` cells, the smaller first below the middle id and last
+    /// above it; the model keeps the winning processor's first write
+    /// under `PriorityMin` and its last under `PriorityMax`, which is the
+    /// smaller value both times. The step sizes straddle the parallel
+    /// threshold, so both the inline and the pooled commit are checked,
+    /// twice over the same cells so escaped incumbents get overwritten.
     #[test]
     fn escaping_conflicting_writes_match_a_u64_model() {
         const WORDS: usize = 3000; // spans 3–4 commit blocks
+        const TIES: usize = 8; // the last cells, written only in pairs
         let value = |p: u64, step: u64| match (p + step) % 6 {
             0 => (1 << 40) | p,
             1 => NARROW_ESC as u64,
@@ -1142,7 +1042,6 @@ mod tests {
         };
         for policy in [
             WritePolicy::ArbitrarySeeded(42),
-            WritePolicy::CrewChecked(7),
             WritePolicy::PriorityMin,
             WritePolicy::PriorityMax,
         ] {
@@ -1151,23 +1050,40 @@ mod tests {
                 let xs = pram.alloc_filled(WORDS, 1 << 50);
                 let mut model = vec![1u64 << 50; WORDS];
                 for step in 0..2u64 {
-                    let cell = move |p: u64| (p as usize * 7919 + step as usize) % (WORDS - 8);
-                    pram.step(nprocs, move |p, ctx| ctx.write(xs, cell(p), value(p, step)));
+                    let cell = move |p: u64| (p as usize * 7919 + step as usize) % (WORDS - TIES);
+                    // Processor p's writes in program order: its own cell,
+                    // then a narrow and an escaping value to a tie cell.
+                    let writes = move |p: u64| {
+                        let tie = WORDS - TIES + (p as usize + step as usize) % TIES;
+                        let (small, large) = (2 * p, (1 << 40) | p);
+                        let pair = if 2 * p < nprocs as u64 {
+                            [small, large]
+                        } else {
+                            [large, small]
+                        };
+                        [(cell(p), value(p, step)), (tie, pair[0]), (tie, pair[1])]
+                    };
+                    pram.step(nprocs, move |p, ctx| {
+                        for (i, v) in writes(p) {
+                            ctx.write(xs, i, v);
+                        }
+                    });
                     let mut winner: Vec<Option<(u64, u64)>> = vec![None; WORDS];
                     for p in 0..nprocs as u64 {
-                        let (i, v) = (cell(p), value(p, step));
-                        let wins = winner[i].is_none_or(|(q, cur)| match policy.resolution() {
-                            Resolution::Hashed(seed) => {
-                                let a = xs.addr(i);
-                                let (pv, pc) = (hashed_prio(seed, a, v), hashed_prio(seed, a, cur));
-                                pv > pc || (pv == pc && v > cur)
+                        for (i, v) in writes(p) {
+                            let wins = winner[i].is_none_or(|(q, cur)| match policy {
+                                WritePolicy::ArbitrarySeeded(seed) => {
+                                    let a = xs.addr(i);
+                                    let (pv, pc) =
+                                        (hashed_prio(seed, a, v), hashed_prio(seed, a, cur));
+                                    pv > pc || (pv == pc && v > cur)
+                                }
+                                WritePolicy::PriorityMin => p < q,
+                                WritePolicy::PriorityMax => p >= q,
+                            });
+                            if wins {
+                                winner[i] = Some((p, v));
                             }
-                            Resolution::ProcMin => p < q,
-                            Resolution::ProcMax => p > q,
-                            Resolution::Racy => unreachable!(),
-                        });
-                        if wins {
-                            winner[i] = Some((p, v));
                         }
                     }
                     for (m, w) in model.iter_mut().zip(&winner) {
@@ -1202,22 +1118,17 @@ mod tests {
 
     #[test]
     fn footprint_is_at_most_8_bytes_per_word_for_default_policy() {
-        // Narrow cell (4) + stamp (4), and no prio sidecar, for
-        // non-priority policies.
-        let mut pram = Pram::new(WritePolicy::ArbitrarySeeded(1));
-        let words = 1usize << 18;
-        let _ = pram.alloc(words);
-        let per_word = pram.arena_backing_bytes() as f64 / pram.stats().live_words as f64;
-        assert!(per_word <= 8.0, "bytes/word = {per_word}");
-
-        // Priority policies pay for the sidecar (4 + 4 + 8).
-        let mut pram = Pram::new(WritePolicy::PriorityMax);
-        let _ = pram.alloc(words);
-        let per_word = pram.arena_backing_bytes() as f64 / pram.stats().live_words as f64;
-        assert!(
-            per_word > 8.0 && per_word <= 16.0,
-            "prio bytes/word = {per_word}"
-        );
+        // Narrow cell (4) + stamp (4) under every policy.
+        for policy in [
+            WritePolicy::ArbitrarySeeded(1),
+            WritePolicy::PriorityMin,
+            WritePolicy::PriorityMax,
+        ] {
+            let mut pram = Pram::new(policy);
+            let _ = pram.alloc(1 << 18);
+            let per_word = pram.arena_backing_bytes() as f64 / pram.stats().live_words as f64;
+            assert!(per_word <= 8.0, "{policy:?}: bytes/word = {per_word}");
+        }
     }
 
     #[test]

@@ -13,18 +13,15 @@
 //!
 //! * the cell itself — 4 bytes (values that do not fit a narrow cell
 //!   escape to a striped side table, see below);
-//! * a 4-byte *stamp* (id of the last step that wrote the cell), which is
-//!   how the commit phase detects "first write of this step" without
-//!   clearing any per-step structure;
-//! * and — **only when the write policy resolves by processor id**
-//!   (`PriorityMin`/`PriorityMax`) — an 8-byte priority sidecar. The
-//!   default `ArbitrarySeeded`/`CrewChecked` policies recompute the
-//!   winning priority from the *stored value* at commit time (the
-//!   priority is a hash of `(seed, addr, value)`), so they never pay for
-//!   this array.
+//! * and a 4-byte *stamp* (id of the last step that wrote the cell),
+//!   which is how the commit phase detects "first write of this step"
+//!   without clearing any per-step structure.
 //!
-//! That makes the footprint 8 bytes/word for the default policy — down
-//! from the historical 20.
+//! Nothing else is kept per word under any write policy: the seeded
+//! policy recomputes the incumbent's priority from the *stored value*
+//! (it is a hash of `(seed, addr, value)`), and the PRIORITY policies
+//! rest on the order records reach the cell. That makes the footprint
+//! 8 bytes/word — down from the historical 20.
 //!
 //! # Narrow cells
 //!
@@ -288,9 +285,6 @@ pub(crate) struct Arena {
     cells: Vec<u32>,
     /// Per-word stamp: the id of the last step that wrote the cell.
     pub(crate) stamp: Vec<u32>,
-    /// Per-word priority of the winning write in the current step — only
-    /// allocated for processor-priority policies (see the module docs).
-    prio: Option<Vec<u64>>,
     /// Escaped narrow-cell values.
     pub(crate) wide: WideTable,
     /// Free lists keyed by exact block size in words.
@@ -304,11 +298,10 @@ pub(crate) struct Arena {
 }
 
 impl Arena {
-    pub(crate) fn new(track_prio: bool) -> Self {
+    pub(crate) fn new() -> Self {
         Arena {
             cells: Vec::new(),
             stamp: Vec::new(),
-            prio: track_prio.then(Vec::new),
             wide: WideTable::new(),
             free: HashMap::new(),
             live: 0,
@@ -493,9 +486,6 @@ impl Arena {
             }
         }
         self.stamp.resize(new_len, 0);
-        if let Some(prio) = &mut self.prio {
-            prio.resize(new_len, 0);
-        }
     }
 
     /// Fill `len` words starting at absolute address `start` with `v`.
@@ -550,14 +540,8 @@ impl Arena {
     }
 
     /// Raw commit pointers (see `machine::ShardedMem`).
-    pub(crate) fn commit_ptrs(&mut self) -> (*mut u32, *mut u32, *mut u64) {
-        let cells = self.cells.as_mut_ptr();
-        let prio = self
-            .prio
-            .as_mut()
-            .map(|p| p.as_mut_ptr())
-            .unwrap_or(std::ptr::null_mut());
-        (cells, self.stamp.as_mut_ptr(), prio)
+    pub(crate) fn commit_ptrs(&mut self) -> (*mut u32, *mut u32) {
+        (self.cells.as_mut_ptr(), self.stamp.as_mut_ptr())
     }
 
     /// Return a block to its size-class free list.
@@ -571,16 +555,13 @@ impl Arena {
     }
 
     /// Drop all allocations and free lists but keep the backing capacity
-    /// (cell/stamp/prio buffers, free-list vectors), so the next run
+    /// (cell/stamp buffers, free-list vectors), so the next run
     /// re-grows into already-mapped memory. After a reset the arena is
     /// observationally identical to a fresh one: the same allocation
     /// sequence yields the same addresses and the same initial contents.
     pub(crate) fn reset_keep_capacity(&mut self) {
         self.cells.clear();
         self.stamp.clear();
-        if let Some(prio) = &mut self.prio {
-            prio.clear();
-        }
         self.wide.clear();
         for list in self.free.values_mut() {
             list.clear();
@@ -607,14 +588,10 @@ impl Arena {
     }
 
     /// Actual heap bytes behind the arena's per-word arrays (cells +
-    /// stamps + priority sidecar if present) and its escape table, by
-    /// capacity. The footprint measure the bytes/word acceptance tests
-    /// pin.
+    /// stamps) and its escape table, by capacity. The footprint measure
+    /// the bytes/word acceptance tests pin.
     pub(crate) fn backing_bytes(&self) -> usize {
-        self.cells.capacity() * 4
-            + self.stamp.capacity() * 4
-            + self.prio.as_ref().map_or(0, |p| p.capacity() * 8)
-            + self.wide.capacity() * 16
+        self.cells.capacity() * 4 + self.stamp.capacity() * 4 + self.wide.capacity() * 16
     }
 }
 
@@ -623,7 +600,7 @@ mod tests {
     use super::*;
 
     fn arena() -> Arena {
-        Arena::new(false)
+        Arena::new()
     }
 
     #[test]
@@ -805,20 +782,6 @@ mod tests {
         assert_eq!(a.load(b + 9), 42);
         // Source unchanged.
         assert_eq!(a.load(b), 0xFFFF_FFFF_FF00);
-    }
-
-    #[test]
-    fn prio_sidecar_only_allocated_when_tracked() {
-        // Footprint per word: cells + stamp (+ prio only when tracked).
-        let mut plain = Arena::new(false);
-        let mut prio = Arena::new(true);
-        for a in [&mut plain, &mut prio] {
-            let _ = a.alloc(1 << 16, 0);
-        }
-        let per_word = |a: &Arena| a.backing_bytes() as f64 / a.len_words() as f64;
-        assert!(per_word(&plain) <= 8.0, "plain {}", per_word(&plain));
-        assert!(per_word(&prio) <= 16.0, "prio {}", per_word(&prio));
-        assert!(per_word(&prio) > 8.0, "sidecar missing");
     }
 
     #[test]

@@ -9,49 +9,48 @@
 use crate::splitmix64;
 
 /// How concurrent writes to the same cell within one step are resolved.
+///
+/// The commit applies each cell's buffered writes in processor order
+/// (ARCHITECTURE.md, "Running a step"), so the PRIORITY policies are
+/// "first record wins" and "last record wins". `ArbitrarySeeded` is the
+/// only rule whose winner does not depend on that order.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum WritePolicy {
     /// A deterministic pseudo-random winner: the write whose *value*
     /// hashes highest under `splitmix64(seed ⊕ f(addr, value))` wins
-    /// (ties broken toward the larger value). Order-independent, so runs
-    /// are reproducible regardless of host-thread scheduling, and —
-    /// because the winner is a function of the stored value — the commit
-    /// phase can re-derive the incumbent's priority from the cell itself,
-    /// with no per-word priority sidecar. This is the default policy; two
-    /// different seeds are two different (legal) ARBITRARY machines.
+    /// (ties broken toward the larger value). The winner is a function
+    /// of the written values alone, not of the order their records reach
+    /// the cell, and the commit re-derives the incumbent's priority from
+    /// the cell itself. This is the default policy; two different seeds
+    /// are two different (legal) ARBITRARY machines.
     ArbitrarySeeded(u64),
-    /// PRIORITY CRCW with smallest processor id winning.
+    /// PRIORITY CRCW with the smallest processor id winning. The commit
+    /// keeps a cell's first record, so when the winning processor wrote
+    /// the cell more than once in the step, its *first* write stands.
     PriorityMin,
-    /// PRIORITY CRCW with largest processor id winning.
+    /// PRIORITY CRCW with the largest processor id winning. The commit
+    /// keeps a cell's last record, so when the winning processor wrote
+    /// the cell more than once in the step, its *last* write stands.
     PriorityMax,
-    /// Let the host threads race: the last committing writer (in host
-    /// execution order) wins. Fastest mode; non-deterministic, but every
-    /// outcome is a legal ARBITRARY execution.
-    Racy,
-    /// CREW checking mode: commits like `ArbitrarySeeded`, but every
-    /// *write conflict* (two or more writers hitting one cell in one step)
-    /// is counted in [`crate::Stats::write_conflicts`]. Used to demonstrate
-    /// that the paper's algorithms genuinely exploit concurrent writes —
-    /// on an exclusive-write machine they would be illegal (and indeed the
-    /// EREW/CREW lower bound is Ω(log n), §1).
-    CrewChecked(u64),
 }
 
-/// The commit-phase resolution rule, precomputed from the policy.
+/// The commit rule for one step: the machine's policy, or the combining
+/// operator of a [`crate::Pram::step_combine`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum Resolution {
-    /// Host execution order wins (no comparison at all).
-    Racy,
-    /// Value-hash priority (`ArbitrarySeeded`/`CrewChecked`): the winner
-    /// is recomputable from `(seed, addr, stored value)`.
+    /// Value-hash priority (`ArbitrarySeeded`): the winner is
+    /// recomputable from `(seed, addr, stored value)`. The only rule that
+    /// does not depend on the order records reach the cell.
     Hashed(u64),
-    /// Smallest processor id wins (needs the per-word priority sidecar).
-    ProcMin,
-    /// Largest processor id wins (needs the per-word priority sidecar).
-    ProcMax,
+    /// The first record to reach the cell wins (`PriorityMin`).
+    First,
+    /// The last record to reach the cell wins (`PriorityMax`).
+    Last,
+    /// Every written value is folded into the cell (COMBINING).
+    Combine(CombineOp),
 }
 
-/// The value-hash priority of a write under the seeded policies. Larger
+/// The value-hash priority of a write under the seeded policy. Larger
 /// wins; ties broken by the larger value (see `Resolution::Hashed`).
 /// Deliberately a function of `(seed, addr, value)` only — never the
 /// processor — so the incumbent's priority can be recomputed from the
@@ -66,26 +65,10 @@ impl WritePolicy {
     #[inline]
     pub(crate) fn resolution(&self) -> Resolution {
         match *self {
-            WritePolicy::ArbitrarySeeded(seed) | WritePolicy::CrewChecked(seed) => {
-                Resolution::Hashed(seed)
-            }
-            WritePolicy::PriorityMin => Resolution::ProcMin,
-            WritePolicy::PriorityMax => Resolution::ProcMax,
-            WritePolicy::Racy => Resolution::Racy,
+            WritePolicy::ArbitrarySeeded(seed) => Resolution::Hashed(seed),
+            WritePolicy::PriorityMin => Resolution::First,
+            WritePolicy::PriorityMax => Resolution::Last,
         }
-    }
-
-    /// Whether resolution compares processor ids — the only case that
-    /// needs the per-word priority sidecar in the arena.
-    #[inline]
-    pub(crate) fn needs_prio_sidecar(&self) -> bool {
-        matches!(self, WritePolicy::PriorityMin | WritePolicy::PriorityMax)
-    }
-
-    /// Whether write conflicts should be counted (CREW checking).
-    #[inline]
-    pub(crate) fn counts_conflicts(&self) -> bool {
-        matches!(self, WritePolicy::CrewChecked(_))
     }
 }
 
@@ -150,18 +133,8 @@ mod tests {
             WritePolicy::ArbitrarySeeded(9).resolution(),
             Resolution::Hashed(9)
         );
-        assert_eq!(
-            WritePolicy::CrewChecked(9).resolution(),
-            Resolution::Hashed(9)
-        );
-        assert_eq!(WritePolicy::PriorityMin.resolution(), Resolution::ProcMin);
-        assert_eq!(WritePolicy::PriorityMax.resolution(), Resolution::ProcMax);
-        assert_eq!(WritePolicy::Racy.resolution(), Resolution::Racy);
-        assert!(WritePolicy::PriorityMin.needs_prio_sidecar());
-        assert!(WritePolicy::PriorityMax.needs_prio_sidecar());
-        assert!(!WritePolicy::ArbitrarySeeded(0).needs_prio_sidecar());
-        assert!(!WritePolicy::CrewChecked(0).needs_prio_sidecar());
-        assert!(!WritePolicy::Racy.needs_prio_sidecar());
+        assert_eq!(WritePolicy::PriorityMin.resolution(), Resolution::First);
+        assert_eq!(WritePolicy::PriorityMax.resolution(), Resolution::Last);
     }
 
     #[test]

@@ -36,10 +36,10 @@ pub struct Stats {
     pub live_words: u64,
     /// High-water mark of `live_words` over the run.
     pub peak_words: u64,
-    /// Write conflicts observed (only counted under
-    /// [`crate::WritePolicy::CrewChecked`]): the number of writes that hit
-    /// a cell already written in the same step. Non-zero means the program
-    /// is not a legal CREW program.
+    /// Write conflicts, counted on every machine and in every kind of
+    /// step ([`crate::Pram::step_combine`] included): the number of writes
+    /// that hit a cell already written in the same step. Non-zero means
+    /// the program is not a legal CREW program.
     pub write_conflicts: u64,
     /// Number of host threads the rayon pool was running when the machine
     /// was created ([`crate::Pram::new`]) — what the simulation *actually*

@@ -112,7 +112,6 @@ fn every_algorithm_under_every_write_policy() {
         WritePolicy::ArbitrarySeeded(0xDEAD),
         WritePolicy::PriorityMin,
         WritePolicy::PriorityMax,
-        WritePolicy::Racy,
     ];
     for policy in policies {
         let mut pram = Pram::new(policy);

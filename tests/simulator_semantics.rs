@@ -23,7 +23,6 @@ proptest! {
             WritePolicy::ArbitrarySeeded(seed),
             WritePolicy::PriorityMin,
             WritePolicy::PriorityMax,
-            WritePolicy::Racy,
         ] {
             let mut pram = Pram::new(policy);
             let cell = pram.alloc_filled(1, NULL);
