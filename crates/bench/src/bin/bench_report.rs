@@ -141,7 +141,8 @@ const OBS_GUARD_SLACK_MS: f64 = 100.0;
 
 /// Steps of the `pram_step` microworkload: each step runs n processors
 /// that read one cell and write another (with a deterministic per-step
-/// shuffle), i.e. pure `run_procs` + sharded-commit throughput.
+/// shuffle), i.e. pure `run_procs` + sharded-commit throughput. Written
+/// values stay below 2^31, inside the machine's 32-bit word.
 const PRAM_STEP_ROUNDS: usize = 8;
 
 fn pram_step_workload(n: usize) {
@@ -153,7 +154,7 @@ fn pram_step_workload(n: usize) {
             let v = ctx.read(xs, i);
             let r = ctx.rand(0);
             let j = (i + 1) % n;
-            ctx.write(xs, j, v ^ r);
+            ctx.write(xs, j, v ^ (r >> 33));
         });
     }
 }
@@ -292,9 +293,9 @@ struct Row {
     /// the build) — `graph_build` rows. Zero when spilling is off.
     spilled_runs: Option<u64>,
     spill_bytes: Option<u64>,
-    /// The machine's arena backing allocation (cells + stamps + escape
-    /// table) after the run — simulated rows; divide by `n` for the
-    /// bytes-per-vertex budget line.
+    /// The machine's arena backing allocation (cells + stamps) after the
+    /// run — simulated rows; divide by `n` for the bytes-per-vertex budget
+    /// line.
     arena_bytes: Option<u64>,
 }
 

@@ -35,7 +35,7 @@
 //! `b_{ℓ+1} = b_ℓ^{1.01}`, `b = δ^{1/18}`, sampling `10 log n / b^{0.1}`)
 //! that only bind at astronomically large `n`. Every such constant is a
 //! field of [`theorem1::Theorem1Params`] / [`theorem3::FasterParams`], or
-//! a documented constant beside the latter, with laptop-scale defaults;
+//! a documented constant beside either, with laptop-scale defaults;
 //! the mechanisms (collision ⇒ dormant ⇒ level-up,
 //! random level sampling, MAXLINK toward higher levels, budget
 //! double-exponentiation) are untouched. Each field's and constant's docs

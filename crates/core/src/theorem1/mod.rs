@@ -65,65 +65,62 @@ pub struct Theorem1Params {
     /// Density target PREPARE must reach before the main loop
     /// [paper: `log^c n`, `c = 100`].
     pub delta0: f64,
-    /// Table size `K = δ^table_exp` [paper: 1/3; default 1/2 — the largest
-    /// exponent that keeps the per-step processor count at `O(m)`, since a
-    /// squaring step costs `ñ·K² ≤ ñ·δ = m` processors. The paper's 1/3
-    /// leaves a `b^6` slack factor that only matters at astronomical `n`].
-    pub table_exp: f64,
-    /// Leader probability for dormant vertices:
-    /// `clamp(leader_coeff · (K/2)^{-leader_exp}, 0.05, leader_cap)`
-    /// [paper: `b^{-2/3}` with threshold `b`; at laptop scale the operative
-    /// threshold is the table capacity `≈ K/2`].
-    pub leader_coeff: f64,
-    /// Exponent in the dormant-leader probability [paper: 2/3].
-    pub leader_exp: f64,
-    /// Cap on the leader probability.
-    pub leader_cap: f64,
-    /// `ñ` reduction per phase in [`DensityMode::NTildeRule`]:
-    /// `ñ /= max(2, reduction_safety / p_lead)` — the expected contraction
-    /// is `1/p_lead`, discounted by a safety factor
-    /// [paper: `b^{1/4} = δ^{1/72}`, i.e. extremely conservative].
-    pub reduction_safety: f64,
     /// Density accounting mode.
     pub density: DensityMode,
-    /// Phase cap (0 = auto).
-    pub max_phases: u64,
-    /// Largest table size `K`.
-    pub max_table: usize,
 }
 
 impl Default for Theorem1Params {
     fn default() -> Self {
         Theorem1Params {
             delta0: 8.0,
-            table_exp: 0.5,
-            leader_coeff: 1.0,
-            leader_exp: 2.0 / 3.0,
-            leader_cap: 0.5,
-            reduction_safety: 0.5,
             density: DensityMode::Combining,
-            max_phases: 0,
-            max_table: 1 << 12,
         }
     }
 }
 
-impl Theorem1Params {
-    /// Derived table size for density `δ`.
-    pub fn table_size(&self, delta: f64) -> usize {
-        let k = delta.max(1.0).powf(self.table_exp).ceil() as usize;
-        k.next_power_of_two().clamp(4, self.max_table)
-    }
+/// Table size `K = δ^TABLE_EXP` [paper: 1/3; here 1/2 — the largest
+/// exponent that keeps the per-step processor count at `O(m)`, since a
+/// squaring step costs `ñ·K² ≤ ñ·δ = m` processors. The paper's 1/3
+/// leaves a `b^6` slack factor that only matters at astronomical `n`].
+const TABLE_EXP: f64 = 0.5;
 
-    /// Derived dormant-leader probability for table size `k`.
-    pub fn leader_prob(&self, k: usize) -> f64 {
-        (self.leader_coeff * (k as f64 / 2.0).powf(-self.leader_exp)).clamp(0.05, self.leader_cap)
-    }
+/// Largest table size `K` [paper: none; `K = δ^{1/3}` grows with the
+/// density].
+const MAX_TABLE: usize = 1 << 12;
 
-    /// Derived `ñ` reduction factor for table size `k`.
-    pub fn reduction(&self, k: usize) -> f64 {
-        (self.reduction_safety / self.leader_prob(k)).max(2.0)
-    }
+/// Leader probability for dormant vertices:
+/// `clamp(LEADER_COEFF · (K/2)^{-LEADER_EXP}, 0.05, LEADER_CAP)`
+/// [paper: `b^{-2/3}` with threshold `b`; at laptop scale the operative
+/// threshold is the table capacity `≈ K/2`].
+const LEADER_COEFF: f64 = 1.0;
+
+/// Exponent in the dormant-leader probability [paper: 2/3].
+const LEADER_EXP: f64 = 2.0 / 3.0;
+
+/// Cap on the leader probability [paper: none; `b^{-2/3}` stays far
+/// below it].
+const LEADER_CAP: f64 = 0.5;
+
+/// `ñ` reduction per phase in [`DensityMode::NTildeRule`]:
+/// `ñ /= max(2, REDUCTION_SAFETY / p_lead)` — the expected contraction
+/// is `1/p_lead`, discounted by a safety factor
+/// [paper: `b^{1/4} = δ^{1/72}`, i.e. extremely conservative].
+const REDUCTION_SAFETY: f64 = 0.5;
+
+/// Table size for density `δ`.
+pub(crate) fn table_size(delta: f64) -> usize {
+    let k = delta.max(1.0).powf(TABLE_EXP).ceil() as usize;
+    k.next_power_of_two().clamp(4, MAX_TABLE)
+}
+
+/// Dormant-leader probability for table size `k`.
+pub(crate) fn leader_prob(k: usize) -> f64 {
+    (LEADER_COEFF * (k as f64 / 2.0).powf(-LEADER_EXP)).clamp(0.05, LEADER_CAP)
+}
+
+/// `ñ` reduction factor for table size `k` ([`DensityMode::NTildeRule`]).
+pub(crate) fn reduction(k: usize) -> f64 {
+    (REDUCTION_SAFETY / leader_prob(k)).max(2.0)
 }
 
 /// Exact ongoing-vertex count (Assumption B.6's COMBINING sum): the
@@ -207,11 +204,7 @@ pub fn connected_components_on_state(
     // Driver-lifetime stamped scratch for EXPAND's per-vertex arrays: one
     // allocation, every phase refills by a generation bump.
     let mut scratch = ExpandScratch::new(pram, n);
-    let max_phases = if params.max_phases > 0 {
-        params.max_phases
-    } else {
-        phase_cap(n)
-    };
+    let max_phases = phase_cap(n);
     let mut stop = StopReason::RoundCap;
     let mut phase = 0;
     // Monotonicity audit (§2.1): Theorem 1's links only merge trees, so
@@ -223,7 +216,7 @@ pub fn connected_components_on_state(
         let phase_seed = seed ^ (phase.wrapping_mul(0x9E37_79B9_7F4A_7C15));
         let step_work0 = pram.stats().work;
         let delta = (m_eff / ntilde).max(1.0);
-        let k = params.table_size(delta);
+        let k = table_size(delta);
         // Blocks: the paper's m/b¹² = ñ·K, K-fold oversubscribed so almost
         // every ongoing vertex wins one; floor of 2ñ when K is clamped.
         // Live arcs (not the original arc count) size the block pool, so
@@ -240,7 +233,7 @@ pub fn connected_components_on_state(
             round_cap: (n.max(2) as f64).log2().ceil() as u64 + 6,
         };
         let expansion = expand(pram, st, &exp_params, phase_seed, &live, &mut scratch);
-        let p_lead = params.leader_prob(k);
+        let p_lead = leader_prob(k);
         vote(pram, st, &expansion, &live, leader, p_lead, phase_seed);
         link_step(pram, st, &expansion, leader);
         shortcut_over(pram, st.parent, &live.verts);
@@ -293,7 +286,7 @@ pub fn connected_components_on_state(
                 ntilde = live_count_ongoing(pram, &live).max(1) as f64;
             }
             DensityMode::NTildeRule => {
-                ntilde = (ntilde / params.reduction(k)).max(1.0);
+                ntilde = (ntilde / reduction(k)).max(1.0);
             }
         }
     }

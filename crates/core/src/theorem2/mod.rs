@@ -36,7 +36,8 @@ use crate::live::LiveSet;
 use crate::metrics::{RoundMetrics, RunReport, StopReason};
 use crate::state::CcState;
 use crate::theorem1::{
-    expand, live_count_ongoing, vote, DensityMode, ExpandParams, ExpandScratch, Theorem1Params,
+    expand, leader_prob, live_count_ongoing, reduction, table_size, vote, DensityMode,
+    ExpandParams, ExpandScratch, Theorem1Params,
 };
 use crate::vanilla::phase_cap;
 use crate::verify;
@@ -157,11 +158,7 @@ pub fn spanning_forest(
     // Driver-lifetime stamped scratch for EXPAND's per-vertex arrays (see
     // Theorem 1): one allocation, per-phase refill by generation bump.
     let mut scratch = ExpandScratch::new(pram, n);
-    let max_phases = if params.max_phases > 0 {
-        params.max_phases
-    } else {
-        phase_cap(n)
-    };
+    let max_phases = phase_cap(n);
     let mut stop = if solved {
         StopReason::Converged
     } else {
@@ -173,7 +170,7 @@ pub fn spanning_forest(
         let phase_seed = seed ^ phase.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 0x5F;
         let step_work0 = pram.stats().work;
         let delta = (m_eff / ntilde).max(1.0);
-        let k = params.table_size(delta);
+        let k = table_size(delta);
         let nblocks = ((2.0 * ntilde) as usize)
             .max(live.arcs.len() / 2 / (k * k))
             .max(8)
@@ -191,7 +188,7 @@ pub fn spanning_forest(
             &expansion,
             &live,
             leader,
-            params.leader_prob(k),
+            leader_prob(k),
             phase_seed,
         );
         let tl = TreeLink::new(pram, n, nblocks * k);
@@ -238,7 +235,7 @@ pub fn spanning_forest(
         }
         ntilde = match params.density {
             DensityMode::Combining => live_count_ongoing(pram, &live).max(1) as f64,
-            DensityMode::NTildeRule => (ntilde / params.reduction(k)).max(1.0),
+            DensityMode::NTildeRule => (ntilde / reduction(k)).max(1.0),
         };
     }
 

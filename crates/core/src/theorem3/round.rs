@@ -36,9 +36,10 @@
 //! keeps runs reproducible and thread-count invariant.
 //!
 //! Finished vertices keep stale parents until the driver's final
-//! `shortcut_until_flat`; the per-round SHORTCUT jumps live vertices only,
-//! so the break condition fires as soon as the *live* root graph has
-//! settled (the always-correct Theorem-1 postprocess handles the rest).
+//! `shortcut_until_flat_over`; the per-round SHORTCUT jumps live
+//! vertices only, so the break condition fires as soon as the *live*
+//! root graph has settled (the always-correct Theorem-1 postprocess
+//! handles the rest).
 //!
 //! The break condition (§3.3) is evaluated from two flags filled here:
 //! `changed` (any live parent or level moved — Steps 1/2/6/7) and

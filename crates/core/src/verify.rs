@@ -37,35 +37,38 @@ pub fn check_labels(g: &Graph, labels: &[u32]) -> Result<(), String> {
 /// the only cycles are self-loops) and return per-vertex heights
 /// (root = 0). Errors on any non-trivial cycle.
 pub fn forest_heights(parent: &[u64]) -> Result<Vec<u32>, String> {
+    // Both markers sit above every height, which is below `n`.
+    const UNSEEN: u32 = u32::MAX;
+    const ON_PATH: u32 = u32::MAX - 1;
     let n = parent.len();
-    let mut height = vec![u32::MAX; n];
+    let mut height = vec![UNSEEN; n];
+    let mut path = Vec::new();
     for start in 0..n {
-        if height[start] != u32::MAX {
-            continue;
-        }
-        // Walk to a root or a known vertex, collecting the path.
-        let mut path = Vec::new();
+        // Walk to a root or a vertex of known height, marking the walked
+        // vertices, so a walk that meets its own mark has found a cycle
+        // and every vertex is walked once.
         let mut v = start;
-        loop {
+        let mut h = loop {
+            match height[v] {
+                UNSEEN => {}
+                ON_PATH => return Err(format!("cycle through vertex {v}")),
+                h => break h,
+            }
             let p = parent[v] as usize;
             if p >= n {
                 return Err(format!("parent[{v}] = {p} out of range"));
             }
-            if p == v || height[p] != u32::MAX {
-                let base = if p == v { 0 } else { height[p] + 1 };
-                height[v] = base;
-                let mut h = base;
-                for &u in path.iter().rev() {
-                    h += 1;
-                    height[u] = h;
-                }
-                break;
+            if p == v {
+                height[v] = 0;
+                break 0;
             }
-            if path.contains(&v) {
-                return Err(format!("cycle through vertex {v}"));
-            }
+            height[v] = ON_PATH;
             path.push(v);
             v = p;
+        };
+        for u in path.drain(..).rev() {
+            h += 1;
+            height[u] = h;
         }
     }
     Ok(height)
@@ -172,6 +175,23 @@ mod tests {
         assert_eq!(h, vec![0, 1, 2, 0]);
         // 2-cycle
         assert!(forest_heights(&[1, 0]).is_err());
+    }
+
+    /// A chain of 10^6 vertices whose root is the last one, walked from
+    /// its far end: quadratic in the chain's height if a walk re-scans
+    /// its own path.
+    #[test]
+    fn forest_heights_on_a_long_chain_and_a_cycle_through_its_tail() {
+        const N: usize = 1_000_000;
+        let mut parent: Vec<u64> = (1..=N as u64).collect();
+        parent[N - 1] = (N - 1) as u64;
+        let h = forest_heights(&parent).unwrap();
+        assert!(h.iter().enumerate().all(|(v, &h)| h as usize == N - 1 - v));
+        parent[N - 1] = (N / 2) as u64;
+        assert_eq!(
+            forest_heights(&parent),
+            Err(format!("cycle through vertex {}", N / 2))
+        );
     }
 
     #[test]

@@ -26,47 +26,6 @@ pub fn shortcut(pram: &mut Pram, parent: Handle) {
     });
 }
 
-/// One SHORTCUT round that raises `flag` iff any parent actually changed.
-/// Used by algorithms whose termination test is "no parent changed this
-/// round" (e.g. the break condition of EXPAND-MAXLINK, §3.3).
-pub fn shortcut_flagged(pram: &mut Pram, parent: Handle, flag: &Flag) {
-    let n = parent.len();
-    pram.step(n, move |v, ctx| {
-        let p = ctx.read(parent, v as usize);
-        let gp = ctx.read(parent, p as usize);
-        if gp != p {
-            ctx.write(parent, v as usize, gp);
-            flag.raise(ctx);
-        }
-    });
-}
-
-/// Repeat SHORTCUT until no parent changes; returns the number of rounds.
-///
-/// `O(log h)` rounds for maximum tree height `h` (Hirschberg et al. '79).
-pub fn shortcut_until_flat(pram: &mut Pram, parent: Handle) -> u64 {
-    let n = parent.len();
-    let flag = Flag::new(pram);
-    let mut rounds = 0;
-    loop {
-        flag.clear(pram);
-        pram.step(n, |v, ctx| {
-            let p = ctx.read(parent, v as usize);
-            let gp = ctx.read(parent, p as usize);
-            if gp != p {
-                ctx.write(parent, v as usize, gp);
-                flag.raise(ctx);
-            }
-        });
-        rounds += 1;
-        if !flag.read(pram) {
-            break;
-        }
-    }
-    flag.free(pram);
-    rounds
-}
-
 /// ALTER: replace every arc `(u, v)` by `(u.p, v.p)`, in one step
 /// (one processor per arc).
 pub fn alter(pram: &mut Pram, eu: Handle, ev: Handle, parent: Handle) {
@@ -112,7 +71,7 @@ pub fn alter_over(pram: &mut Pram, eu: Handle, ev: Handle, parent: Handle, live:
 /// iff any listed parent changed. The live-work scheduler uses this so a
 /// round's pointer jumping (and its contribution to the break condition)
 /// costs O(live), with finished trees flattened once at the end of the run
-/// by [`shortcut_until_flat`] instead of re-walked every round.
+/// by [`shortcut_until_flat_over`] instead of re-walked every round.
 pub fn shortcut_flagged_over(pram: &mut Pram, parent: Handle, verts: &[u32], flag: &Flag) {
     pram.step_over(verts, move |_, &v, ctx| {
         let p = ctx.read(parent, v as usize);
@@ -245,11 +204,12 @@ mod tests {
     }
 
     #[test]
-    fn shortcut_until_flat_rounds_logarithmic() {
+    fn shortcut_until_flat_over_every_vertex_takes_logarithmic_rounds() {
         let mut pram = machine();
         let n = 1 << 10;
         let parent = chain_parents(&mut pram, n);
-        let rounds = shortcut_until_flat(&mut pram, parent);
+        let every: Vec<u32> = (0..n as u32).collect();
+        let rounds = shortcut_until_flat_over(&mut pram, parent, &every);
         let p = pram.read_vec(parent);
         assert!(p.iter().all(|&x| x == 0));
         // depth n-1 needs ceil(log2) + 1-ish rounds

@@ -13,7 +13,7 @@
 //! value)` at commit time, and the PRIORITY policies from the order the
 //! records reach a cell, which is processor order.
 
-use crate::mem::{narrow_encode, CellsRef, Handle, NARROW_ESC};
+use crate::mem::{narrow_decode, narrow_encode, Handle};
 use crate::splitmix64;
 
 /// log₂ of the words in one commit block. Shard `s` owns every block
@@ -31,41 +31,18 @@ pub(crate) fn shard_of(addr: u32, mask: u32) -> usize {
     ((addr >> SHARD_BLOCK_BITS) & mask) as usize
 }
 
-/// One buffered write in narrow-cell encoding: 8 bytes. `val` is the
-/// narrow encoding of the written value; a [`NARROW_ESC`] value means the
-/// actual 64-bit value is the next unconsumed entry of the shard's `wide`
-/// side list (records are committed strictly in push order per shard, so
-/// a single cursor recovers the pairing).
+/// One buffered write: 8 bytes, the address and the written value in
+/// cell encoding.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct NarrowRec {
     pub(crate) addr: u32,
     pub(crate) val: u32,
 }
 
-/// One shard's buffered writes: narrow records plus the escape list.
-#[derive(Default)]
-pub(crate) struct ShardBuf {
-    pub(crate) recs: Vec<NarrowRec>,
-    /// The 64-bit values of the records marked [`NARROW_ESC`], in push
-    /// order.
-    pub(crate) wide: Vec<u64>,
-}
-
-impl ShardBuf {
-    pub(crate) fn clear(&mut self) {
-        self.recs.clear();
-        self.wide.clear();
-    }
-
-    fn is_empty(&self) -> bool {
-        self.recs.is_empty() && self.wide.is_empty()
-    }
-}
-
 /// The write buffers produced by one chunk of a step (see
-/// `Pram::run_procs`).
+/// `Pram::run_procs`): one record list per shard.
 pub(crate) struct CtxOut {
-    pub(crate) shards: Vec<ShardBuf>,
+    pub(crate) shards: Vec<Vec<NarrowRec>>,
     pub(crate) reads: u64,
     pub(crate) writes: u64,
     pub(crate) max_ops: u32,
@@ -77,9 +54,9 @@ pub(crate) struct CtxOut {
 /// audited so that "each processor does O(1) work per step" is a measured
 /// property, not an assumption (see `Stats::max_ops_per_proc`).
 pub struct Ctx<'a> {
-    mem: CellsRef<'a>,
+    mem: &'a [u32],
     shard_mask: u32,
-    shards: Vec<ShardBuf>,
+    shards: Vec<Vec<NarrowRec>>,
     step_seed: u64,
     proc: u64,
     ops_this_proc: u32,
@@ -92,12 +69,12 @@ impl<'a> Ctx<'a> {
     /// Fresh-buffer constructor (tests; the machine recycles via
     /// [`Ctx::new_in`]).
     #[cfg(test)]
-    pub(crate) fn new(mem: CellsRef<'a>, shard_count: u32, step_seed: u64) -> Self {
+    pub(crate) fn new(mem: &'a [u32], shard_count: u32, step_seed: u64) -> Self {
         Self::new_in(
             mem,
             shard_count,
             step_seed,
-            (0..shard_count).map(|_| ShardBuf::default()).collect(),
+            vec![Vec::new(); shard_count as usize],
         )
     }
 
@@ -105,14 +82,14 @@ impl<'a> Ctx<'a> {
     /// earlier step (must be empty, `shard_count` of them; their
     /// capacity is the point — steady-state steps allocate nothing).
     pub(crate) fn new_in(
-        mem: CellsRef<'a>,
+        mem: &'a [u32],
         shard_count: u32,
         step_seed: u64,
-        shards: Vec<ShardBuf>,
+        shards: Vec<Vec<NarrowRec>>,
     ) -> Self {
         debug_assert!(shard_count.is_power_of_two());
         debug_assert_eq!(shards.len(), shard_count as usize);
-        debug_assert!(shards.iter().all(ShardBuf::is_empty));
+        debug_assert!(shards.iter().all(Vec::is_empty));
         Ctx {
             mem,
             shard_mask: shard_count - 1,
@@ -157,22 +134,21 @@ impl<'a> Ctx<'a> {
     pub fn read(&mut self, h: Handle, i: usize) -> u64 {
         self.reads += 1;
         self.ops_this_proc += 1;
-        self.mem.get(h.addr(i) as usize)
+        narrow_decode(self.mem[h.addr(i) as usize])
     }
 
     /// Write `val` into cell `i` of block `h` (committed at end of step;
     /// concurrent writes resolved by the machine's [`crate::WritePolicy`]).
+    ///
+    /// Panics unless `val` fits a 32-bit word: `[0, 2^32 − 2]` or
+    /// [`crate::NULL`] (see [`crate::mem`]).
     #[inline]
     pub fn write(&mut self, h: Handle, i: usize, val: u64) {
         self.writes += 1;
         self.ops_this_proc += 1;
         let addr = h.addr(i);
-        let shard = &mut self.shards[shard_of(addr, self.shard_mask)];
-        let val = narrow_encode(val).unwrap_or_else(|| {
-            shard.wide.push(val);
-            NARROW_ESC
-        });
-        shard.recs.push(NarrowRec { addr, val });
+        let val = narrow_encode(val);
+        self.shards[shard_of(addr, self.shard_mask)].push(NarrowRec { addr, val });
     }
 
     /// Read cell `i` of a generation-stamped block: the stored value if
@@ -247,7 +223,7 @@ mod tests {
     #[test]
     fn writes_are_sharded_by_address_block() {
         let (mem, h) = arena(8 << 10);
-        let mut ctx = Ctx::new(mem.cells_ref(), 4, 0);
+        let mut ctx = Ctx::new(mem.cells(), 4, 0);
         ctx.begin_proc(1);
         // Four writes per 1024-word block; blocks b and b + 4 share a
         // shard.
@@ -257,9 +233,9 @@ mod tests {
         ctx.end_proc();
         let out = ctx.finish();
         assert_eq!(out.writes, 32);
-        for (s, shard) in out.shards.iter().enumerate() {
-            assert_eq!(shard.recs.len(), 8);
-            for rec in &shard.recs {
+        for (s, recs) in out.shards.iter().enumerate() {
+            assert_eq!(recs.len(), 8);
+            for rec in recs {
                 assert_eq!(shard_of(rec.addr, 3), s);
                 assert_eq!((rec.addr >> 10) as usize % 4, s);
             }
@@ -268,27 +244,9 @@ mod tests {
     }
 
     #[test]
-    fn narrow_layout_escapes_oversized_values() {
-        let (mem, h) = arena(8);
-        let mut ctx = Ctx::new(mem.cells_ref(), 1, 0);
-        ctx.begin_proc(0);
-        ctx.write(h, 0, 5);
-        ctx.write(h, 1, crate::NULL);
-        ctx.write(h, 2, 1 << 40);
-        ctx.end_proc();
-        let out = ctx.finish();
-        let ShardBuf { recs, wide } = &out.shards[0];
-        assert_eq!(recs.len(), 3);
-        assert_eq!(recs[0].val, 5);
-        assert_eq!(recs[1].val, u32::MAX);
-        assert_eq!(recs[2].val, NARROW_ESC);
-        assert_eq!(wide.as_slice(), &[1u64 << 40]);
-    }
-
-    #[test]
     fn rand_depends_on_proc_and_tag() {
         let (mem, _) = arena(1);
-        let mut ctx = Ctx::new(mem.cells_ref(), 1, 7);
+        let mut ctx = Ctx::new(mem.cells(), 1, 7);
         ctx.begin_proc(0);
         let a = ctx.rand(0);
         let b = ctx.rand(1);
@@ -304,7 +262,7 @@ mod tests {
     #[test]
     fn coin_matches_probability_roughly() {
         let (mem, _) = arena(1);
-        let mut ctx = Ctx::new(mem.cells_ref(), 1, 99);
+        let mut ctx = Ctx::new(mem.cells(), 1, 99);
         let mut hits = 0;
         let trials = 20_000;
         for p in 0..trials {

@@ -42,6 +42,10 @@
 //! level/budget block machinery of the paper (allocate a block of size
 //! `b_ℓ` per root, every round) reuses space exactly the way the paper's
 //! zone argument intends, and the peak live footprint is measurable.
+//! Words are 32 bits, the paper's `O(log n)`-bit words: the API passes
+//! them as `u64`, a cell holds a value in `[0, 2^32 − 2]` or [`NULL`], and
+//! storing any other value panics. Addresses are 32 bits too, so the
+//! arena holds at most 2^32 words (see [`mem`]).
 //!
 //! ```
 //! use pram_sim::{Pram, WritePolicy};

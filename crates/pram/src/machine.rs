@@ -1,14 +1,14 @@
 //! The PRAM machine: synchronous step execution and commit.
 
+use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use rayon::prelude::*;
 
-use crate::ctx::{shard_of, Ctx, CtxOut, ShardBuf};
-use crate::mem::{narrow_decode, narrow_encode, Arena, Handle, MemView, WideTable};
-use crate::mem::{NARROW_ESC, NARROW_NULL, NULL};
+use crate::ctx::{shard_of, Ctx, CtxOut, NarrowRec};
+use crate::mem::{narrow_decode, narrow_encode, Arena, Handle, MemView};
 use crate::resolve::{hashed_prio, CombineOp, Resolution, WritePolicy};
 use crate::splitmix64;
 use crate::stats::Stats;
@@ -56,7 +56,7 @@ pub struct Pram {
     /// Recycled per-`Ctx` shard buffer sets (emptied, capacity kept), so
     /// steady-state steps allocate no write buffers at all. A `Mutex`
     /// because pool workers draw from it inside `run_procs`.
-    spare_bufs: Mutex<Vec<Vec<ShardBuf>>>,
+    spare_bufs: Mutex<Vec<Vec<Vec<NarrowRec>>>>,
     /// Optional observability sink (see [`Pram::set_obs_registry`]).
     obs: Option<Obs>,
 }
@@ -76,8 +76,9 @@ struct Obs {
 impl Pram {
     /// Create a machine with the given write-resolution policy.
     ///
-    /// Cells are 4 bytes; values that do not fit escape to a side table
-    /// (see [`crate::mem`]), so any `u64` round-trips.
+    /// A word is 32 bits: a cell holds a value in `[0, 2^32 − 2]` or
+    /// [`crate::NULL`], and storing any other value panics (see
+    /// [`crate::mem`]).
     pub fn new(policy: WritePolicy) -> Self {
         let threads = rayon::current_num_threads();
         // Sharding the commit by address only pays for itself across real
@@ -118,8 +119,8 @@ impl Pram {
     }
 
     /// Actual heap bytes behind the arena's per-word arrays (cells and
-    /// stamps) and its escape table — the measured bytes-per-word
-    /// footprint: ≤ 8·words under every policy while nothing escapes.
+    /// stamps) — the measured bytes-per-word footprint: ≤ 8·words under
+    /// every policy.
     pub fn arena_backing_bytes(&self) -> usize {
         self.mem.backing_bytes()
     }
@@ -190,7 +191,8 @@ impl Pram {
 
     // ----------------------------------------------------------------- memory
 
-    /// Allocate a block of `len` words filled with `fill`.
+    /// Allocate a block of `len` words filled with `fill` (which must fit
+    /// a 32-bit word, see [`Pram::new`]).
     pub fn alloc_filled(&mut self, len: usize, fill: u64) -> Handle {
         self.mem.alloc(len, fill)
     }
@@ -218,16 +220,17 @@ impl Pram {
         self.mem.load(h.addr(i) as usize)
     }
 
-    /// Host write of one cell (setup only; not charged).
+    /// Host write of one cell (setup only; not charged). Panics unless
+    /// `v` fits a 32-bit word, like a step's write.
     #[inline]
     pub fn set(&mut self, h: Handle, i: usize, v: u64) {
         self.mem.store(h.addr(i) as usize, v);
     }
 
-    /// Host view of a whole block (narrow cells and their escapes decode
-    /// transparently).
+    /// Host view of a whole block.
     pub fn view(&self, h: Handle) -> MemView<'_> {
-        MemView::new(self.mem.cells_ref(), h.base as usize, h.len as usize)
+        let base = h.base as usize;
+        MemView::new(&self.mem.cells()[base..base + h.len()])
     }
 
     /// Copy a block out (host side).
@@ -429,7 +432,7 @@ impl Pram {
             nprocs <= u32::MAX as usize,
             "executed steps are capped at 2^32 processors (see Pram::step_charged)"
         );
-        let mem_ref = self.mem.cells_ref();
+        let mem_ref = self.mem.cells();
         let shard_count = self.shard_count;
         let step_seed = splitmix64(self.seed ^ (self.step_id as u64) << 17);
         let spare_bufs = &self.spare_bufs;
@@ -447,7 +450,7 @@ impl Pram {
                 .lock()
                 .unwrap()
                 .pop()
-                .unwrap_or_else(|| (0..shard_count).map(|_| ShardBuf::default()).collect());
+                .unwrap_or_else(|| vec![Vec::new(); shard_count as usize]);
             let mut ctx = Ctx::new_in(mem_ref, shard_count, step_seed, bufs);
             for p in k * nprocs / chunks..(k + 1) * nprocs / chunks {
                 ctx.begin_proc(p);
@@ -473,8 +476,8 @@ impl Pram {
             self.stats.writes += out.writes;
             self.stats.max_ops_per_proc = self.stats.max_ops_per_proc.max(out.max_ops as u64);
             let mut bufs = out.shards;
-            for shard in &mut bufs {
-                shard.clear();
+            for recs in &mut bufs {
+                recs.clear();
             }
             spare.push(bufs);
         }
@@ -523,27 +526,10 @@ where
 #[inline]
 fn for_each_rec(outs: &[CtxOut], s: usize, mask: u32, mut apply: impl FnMut(u32, u64)) {
     for out in outs {
-        let ShardBuf { recs, wide } = &out.shards[s];
-        let mut cur = 0usize;
-        for rec in recs {
+        for rec in &out.shards[s] {
             debug_assert_eq!(shard_of(rec.addr, mask), s);
-            apply(rec.addr, narrow_rec_val(rec.val, wide, &mut cur));
+            apply(rec.addr, narrow_decode(rec.val));
         }
-    }
-}
-
-/// Decode one narrow record's value, consuming the shard's escape list in
-/// push order (see `NarrowRec`).
-#[inline]
-fn narrow_rec_val(enc: u32, wide: &[u64], cur: &mut usize) -> u64 {
-    match enc {
-        NARROW_ESC => {
-            let v = wide[*cur];
-            *cur += 1;
-            v
-        }
-        NARROW_NULL => NULL,
-        x => x as u64,
     }
 }
 
@@ -587,7 +573,9 @@ pub struct Stamped {
 struct ShardedMem<'a> {
     cells: *mut u32,
     stamp: *mut u32,
-    wide: &'a WideTable,
+    /// Holds the arena's exclusive borrow while the pointers are in use,
+    /// so nothing can resize the cell or stamp arrays under them.
+    _arena: PhantomData<&'a mut Arena>,
 }
 
 impl<'a> ShardedMem<'a> {
@@ -596,7 +584,7 @@ impl<'a> ShardedMem<'a> {
         ShardedMem {
             cells,
             stamp,
-            wide: &arena.wide,
+            _arena: PhantomData,
         }
     }
 
@@ -606,19 +594,16 @@ impl<'a> ShardedMem<'a> {
     /// `a` in bounds; no concurrent access to the cell (see commit).
     #[inline]
     unsafe fn load(&self, a: usize) -> u64 {
-        narrow_decode(unsafe { *self.cells.add(a) }, self.wide, a)
+        narrow_decode(unsafe { *self.cells.add(a) })
     }
 
-    /// Store `v` at `a`, escaping it if it does not fit a narrow cell.
+    /// Store `v` at `a`; panics if `v` does not fit a 32-bit word.
     ///
     /// # Safety
     /// As for [`ShardedMem::load`].
     #[inline]
     unsafe fn store(&self, a: usize, v: u64) {
-        let cell = narrow_encode(v).unwrap_or_else(|| {
-            self.wide.set(a as u32, v);
-            NARROW_ESC
-        });
+        let cell = narrow_encode(v);
         unsafe { *self.cells.add(a) = cell };
     }
 
@@ -656,8 +641,8 @@ impl<'a> ShardedMem<'a> {
 
 // SAFETY: the commit tasks partition addresses by block — task `s` touches
 // only addresses `a` with `shard_of(a) == s` (checked by a debug assertion
-// in `for_each_rec`) — so no two threads access the same cell or stamp;
-// the wide table is internally mutex-striped.
+// in `for_each_rec`) — so no two threads access the same cell or stamp.
+// `_arena` is a marker and holds no data.
 unsafe impl Sync for ShardedMem<'_> {}
 unsafe impl Send for ShardedMem<'_> {}
 
@@ -975,9 +960,8 @@ mod tests {
         assert_eq!(pram.stats().peak_words, 1 << 10);
     }
 
-    /// A mixed program touching every representability class (small
-    /// values, NULL, >32-bit values, combining steps, stamped blocks),
-    /// used by the replay test below.
+    /// A mixed program (small and 31-bit values, NULL, combining steps,
+    /// stamped blocks), used by the replay tests below.
     fn mixed_program(pram: &mut Pram) -> Vec<u64> {
         let n = 4096usize;
         let xs = pram.alloc_filled(n, NULL);
@@ -985,7 +969,7 @@ mod tests {
         pram.step(4 * n, |p, ctx| {
             let i = (p as usize * 7) % n;
             let v = if p.is_multiple_of(97) {
-                (1u64 << 40) + p // escapes narrow cells
+                (1u64 << 30) + p
             } else {
                 p
             };
@@ -994,14 +978,15 @@ mod tests {
         pram.step(n, |p, ctx| {
             let i = p as usize;
             let v = ctx.read(xs, i);
-            ctx.write(ys, i, if v == NULL { 0 } else { v.rotate_left(9) });
+            let w = v.rotate_left(9) & 0x7FFF_FFFF;
+            ctx.write(ys, i, if v == NULL { 0 } else { w });
         });
         pram.step_combine(2 * n, CombineOp::Sum, |p, ctx| {
             ctx.write(ys, (p as usize) % 17, 1);
         });
         let mut s = pram.alloc_stamped(n);
         pram.step(n / 2, move |p, ctx| {
-            ctx.write_stamped(s, p as usize * 2, p + (1 << 33));
+            ctx.write_stamped(s, p as usize * 2, p + (1 << 30));
         });
         let mut out = pram.read_vec(xs);
         out.extend(pram.read_vec(ys));
@@ -1017,26 +1002,28 @@ mod tests {
     }
 
     /// The committed image of one step of conflicting writes — many
-    /// writers per cell, a third of them with values that escape a narrow
-    /// cell (including both reserved encodings taken as plain values) —
-    /// equals a host-side `u64` model of the policy's winner rule: the
-    /// highest `hashed_prio(seed, addr, val)` for the seeded policy (ties
-    /// to the larger value), the extreme processor id for the priority
-    /// ones. Every processor also writes two different values to one of
-    /// the `TIES` cells, the smaller first below the middle id and last
-    /// above it; the model keeps the winning processor's first write
-    /// under `PriorityMin` and its last under `PriorityMax`, which is the
+    /// writers per cell, with values across the whole word (`0xFFFF_FFFE`,
+    /// the largest, `NULL` and values with the top bit set among them) —
+    /// equals a host-side model of the policy's winner rule: the highest
+    /// `hashed_prio(seed, addr, val)` for the seeded policy (ties to the
+    /// larger value), the extreme processor id for the priority ones.
+    /// Every processor also writes two different values to one of the
+    /// `TIES` cells, the smaller first below the middle id and last above
+    /// it; the model keeps the winning processor's first write under
+    /// `PriorityMin` and its last under `PriorityMax`, which is the
     /// smaller value both times. The step sizes straddle the parallel
     /// threshold, so both the inline and the pooled commit are checked,
-    /// twice over the same cells so escaped incumbents get overwritten.
+    /// twice over the same cells so the first step's winners get
+    /// overwritten.
     #[test]
-    fn escaping_conflicting_writes_match_a_u64_model() {
+    fn conflicting_writes_match_a_policy_model() {
         const WORDS: usize = 3000; // spans 3–4 commit blocks
         const TIES: usize = 8; // the last cells, written only in pairs
+        const TOP: u64 = 0xFFFF_FFFE; // the largest value a cell holds
         let value = |p: u64, step: u64| match (p + step) % 6 {
-            0 => (1 << 40) | p,
-            1 => NARROW_ESC as u64,
-            2 => u32::MAX as u64,
+            0 => (1 << 31) | p,
+            1 => TOP,
+            2 => TOP - 1,
             3 => NULL,
             _ => p ^ step,
         };
@@ -1047,15 +1034,15 @@ mod tests {
         ] {
             for nprocs in [1_000usize, 200_000] {
                 let mut pram = Pram::new(policy);
-                let xs = pram.alloc_filled(WORDS, 1 << 50);
-                let mut model = vec![1u64 << 50; WORDS];
+                let xs = pram.alloc_filled(WORDS, TOP);
+                let mut model = vec![TOP; WORDS];
                 for step in 0..2u64 {
                     let cell = move |p: u64| (p as usize * 7919 + step as usize) % (WORDS - TIES);
                     // Processor p's writes in program order: its own cell,
-                    // then a narrow and an escaping value to a tie cell.
+                    // then a small and a large value to a tie cell.
                     let writes = move |p: u64| {
                         let tie = WORDS - TIES + (p as usize + step as usize) % TIES;
-                        let (small, large) = (2 * p, (1 << 40) | p);
+                        let (small, large) = (2 * p, (1 << 31) | p);
                         let pair = if 2 * p < nprocs as u64 {
                             [small, large]
                         } else {
@@ -1095,6 +1082,53 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn largest_word_round_trips_through_commit_copy_and_read_vec() {
+        const TOP: u64 = 0xFFFF_FFFE;
+        let mut pram = Pram::new(WritePolicy::ArbitrarySeeded(1));
+        let xs = pram.alloc_filled(4, NULL);
+        pram.step(3, |p, ctx| ctx.write(xs, p as usize, TOP - p));
+        let ys = pram.alloc(4);
+        pram.host_copy(xs, ys);
+        let want = vec![TOP, TOP - 1, TOP - 2, NULL];
+        assert_eq!(pram.read_vec(xs), want);
+        assert_eq!(pram.read_vec(ys), want);
+    }
+
+    #[test]
+    #[should_panic(expected = "32-bit machine word")]
+    fn step_write_past_the_word_panics() {
+        let mut pram = Pram::new(WritePolicy::ArbitrarySeeded(1));
+        let xs = pram.alloc(1);
+        pram.step(1, |_, ctx| ctx.write(xs, 0, 1 << 32));
+    }
+
+    #[test]
+    #[should_panic(expected = "32-bit machine word")]
+    fn host_set_of_the_null_encoding_panics() {
+        let mut pram = Pram::new(WritePolicy::ArbitrarySeeded(1));
+        let xs = pram.alloc(1);
+        // 0xFFFF_FFFF is how a cell stores NULL, so as a value it must not
+        // read back as NULL.
+        pram.set(xs, 0, u32::MAX as u64);
+    }
+
+    #[test]
+    #[should_panic(expected = "32-bit machine word")]
+    fn alloc_filled_past_the_word_panics() {
+        let mut pram = Pram::new(WritePolicy::ArbitrarySeeded(1));
+        let _ = pram.alloc_filled(8, NULL - 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "32-bit machine word")]
+    fn combine_sum_past_the_word_panics() {
+        let mut pram = Pram::new(WritePolicy::ArbitrarySeeded(1));
+        let c = pram.alloc(1);
+        // Both values fit a word; their sum, 2^32 − 1, does not.
+        pram.step_combine(2, CombineOp::Sum, |p, ctx| ctx.write(c, 0, 0x7FFF_FFFF + p));
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Shared-memory arena with size-class reuse, space accounting, and
-//! narrow (4-byte) cells.
+//! 32-bit cells.
 //!
 //! The paper's algorithms repeatedly allocate *blocks* (of size `b_ℓ`)
 //! and the analysis bounds the total space by `O(m)`. To make that
@@ -11,8 +11,7 @@
 //!
 //! Per simulated word the arena stores:
 //!
-//! * the cell itself — 4 bytes (values that do not fit a narrow cell
-//!   escape to a striped side table, see below);
+//! * the cell itself — 4 bytes (see below);
 //! * and a 4-byte *stamp* (id of the last step that wrote the cell),
 //!   which is how the commit phase detects "first write of this step"
 //!   without clearing any per-step structure.
@@ -23,15 +22,15 @@
 //! rest on the order records reach the cell. That makes the footprint
 //! 8 bytes/word — down from the historical 20.
 //!
-//! # Narrow cells
+//! # Words
 //!
-//! A cell holds `u32`; two encodings are reserved: `0xFFFF_FFFF`
-//! represents [`NULL`] (`u64::MAX`), and `0xFFFF_FFFE` marks an
-//! *escaped* cell whose actual 64-bit value lives in a mutex-striped side
-//! table keyed by address. Any `u64` value is therefore representable;
-//! the escape path is only slow, never wrong. Everything the drivers
-//! store — vertex ids, parents, offsets and generation stamps for
-//! `n < 2^31` — fits a cell directly.
+//! A simulated word is 32 bits: the paper's machine has `O(log n)`-bit
+//! words, and the address space already stops at 2^32 words. The API
+//! passes words as `u64`; a cell holds a value in `[0, 2^32 − 2]` or
+//! [`NULL`] (`u64::MAX`, stored as `0xFFFF_FFFF`). Storing any other
+//! value panics with a message naming the word size, whether a step
+//! writes it or the host does. Everything the drivers store — vertex
+//! ids, parents, offsets and generation stamps for `n < 2^31` — fits.
 //!
 //! # Size classes
 //!
@@ -44,7 +43,6 @@
 //! only fit under the finer rounding.
 
 use std::collections::HashMap;
-use std::sync::Mutex;
 
 /// The canonical "empty cell" sentinel.
 ///
@@ -52,154 +50,72 @@ use std::sync::Mutex;
 /// It is `u64::MAX`, which no vertex id or packed value ever equals.
 pub const NULL: u64 = u64::MAX;
 
-/// Narrow encoding of [`NULL`].
+/// Cell encoding of [`NULL`].
 pub(crate) const NARROW_NULL: u32 = u32::MAX;
-/// Narrow marker for "value lives in the wide side table".
-pub(crate) const NARROW_ESC: u32 = u32::MAX - 1;
 
-/// Encode a value for a narrow cell: `Some(cell)` when it is directly
-/// representable, `None` when it must escape to the wide table.
+/// Encode a value for a cell. Panics, naming the word size, unless `v`
+/// is [`NULL`] or at most `2^32 − 2`.
 #[inline]
-pub(crate) fn narrow_encode(v: u64) -> Option<u32> {
-    if v == NULL {
-        Some(NARROW_NULL)
-    } else if v < NARROW_ESC as u64 {
-        Some(v as u32)
+pub(crate) fn narrow_encode(v: u64) -> u32 {
+    if v < NARROW_NULL as u64 {
+        v as u32
+    } else if v == NULL {
+        NARROW_NULL
     } else {
-        None
+        word_overflow(v)
     }
 }
 
-/// Side table for escaped narrow-cell values, striped by address so the
-/// sharded commit (which partitions addresses) almost never contends.
-///
-/// Entries are only meaningful while the owning cell still carries the
-/// [`NARROW_ESC`] marker; a cell overwritten with a directly-representable
-/// value simply orphans its entry (bounded by the number of escaped
-/// writes ever performed, which for the intended drivers is ~0).
-pub(crate) struct WideTable {
-    stripes: Box<[Mutex<HashMap<u32, u64>>]>,
+#[cold]
+#[inline(never)]
+fn word_overflow(v: u64) -> ! {
+    panic!("value {v:#x} does not fit a 32-bit machine word (a cell holds 0..=0xFFFF_FFFE or NULL)")
 }
 
-const WIDE_STRIPES: usize = 64;
-
-impl WideTable {
-    pub(crate) fn new() -> Self {
-        WideTable {
-            stripes: (0..WIDE_STRIPES)
-                .map(|_| Mutex::new(HashMap::new()))
-                .collect(),
-        }
-    }
-
-    #[inline]
-    fn stripe(&self, addr: u32) -> &Mutex<HashMap<u32, u64>> {
-        &self.stripes[(addr as usize) & (WIDE_STRIPES - 1)]
-    }
-
-    /// The 64-bit value behind an escaped cell. Panics if the entry is
-    /// missing — that would mean a cell carries the escape marker without
-    /// a matching store, i.e. an arena bug.
-    #[inline]
-    pub(crate) fn get(&self, addr: u32) -> u64 {
-        *self
-            .stripe(addr)
-            .lock()
-            .unwrap()
-            .get(&addr)
-            .expect("escaped cell has no wide-table entry")
-    }
-
-    #[inline]
-    pub(crate) fn set(&self, addr: u32, v: u64) {
-        self.stripe(addr).lock().unwrap().insert(addr, v);
-    }
-
-    fn clear(&self) {
-        for s in self.stripes.iter() {
-            s.lock().unwrap().clear();
-        }
-    }
-
-    /// Entries the stripes hold room for; like the cell arrays, a reset
-    /// keeps this capacity.
-    fn capacity(&self) -> usize {
-        self.stripes
-            .iter()
-            .map(|s| s.lock().unwrap().capacity())
-            .sum()
-    }
-}
-
-/// Decode the narrow cell `cell` stored at absolute address `a`.
+/// Decode a cell.
 #[inline]
-pub(crate) fn narrow_decode(cell: u32, wide: &WideTable, a: usize) -> u64 {
+pub(crate) fn narrow_decode(cell: u32) -> u64 {
     match cell {
         NARROW_NULL => NULL,
-        NARROW_ESC => wide.get(a as u32),
         x => x as u64,
-    }
-}
-
-/// Read-only view of the cell store, shared with step contexts while a
-/// step runs (reads see the frozen pre-step image).
-#[derive(Clone, Copy)]
-pub(crate) struct CellsRef<'a> {
-    cells: &'a [u32],
-    wide: &'a WideTable,
-}
-
-impl CellsRef<'_> {
-    /// Decode the word at absolute address `a`.
-    #[inline]
-    pub(crate) fn get(self, a: usize) -> u64 {
-        narrow_decode(self.cells[a], self.wide, a)
     }
 }
 
 /// Host-side read view of one block.
 ///
 /// Every controller-side scan in the drivers goes through `get`/`iter`,
-/// which decode narrow cells (and their escapes) transparently. Obtained
-/// from [`crate::Pram::view`].
+/// which decode the block's cells. Obtained from [`crate::Pram::view`].
 #[derive(Clone, Copy)]
 pub struct MemView<'a> {
-    cells: CellsRef<'a>,
-    base: usize,
-    len: usize,
+    cells: &'a [u32],
 }
 
 impl<'a> MemView<'a> {
-    pub(crate) fn new(cells: CellsRef<'a>, base: usize, len: usize) -> Self {
-        MemView { cells, base, len }
+    pub(crate) fn new(cells: &'a [u32]) -> Self {
+        MemView { cells }
     }
 
     /// Number of words in the viewed block.
     #[inline]
     pub fn len(&self) -> usize {
-        self.len
+        self.cells.len()
     }
 
     /// Whether the viewed block is empty.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.cells.is_empty()
     }
 
     /// The value of cell `i` (bounds-checked against the block).
     #[inline]
     pub fn get(&self, i: usize) -> u64 {
-        assert!(
-            i < self.len,
-            "index {i} out of bounds for view of len {}",
-            self.len
-        );
-        self.cells.get(self.base + i)
+        narrow_decode(self.cells[i])
     }
 
     /// Iterate the block's values in order.
     pub fn iter(&self) -> impl Iterator<Item = u64> + '_ {
-        (0..self.len).map(move |i| self.cells.get(self.base + i))
+        self.cells.iter().map(|&c| narrow_decode(c))
     }
 
     /// Copy the block out as a `Vec<u64>`.
@@ -281,12 +197,10 @@ fn block_size(len: usize) -> usize {
 
 /// Size-class arena backing the shared memory.
 pub(crate) struct Arena {
-    /// The memory words themselves, narrow-encoded.
+    /// The memory words themselves, encoded by [`narrow_encode`].
     cells: Vec<u32>,
     /// Per-word stamp: the id of the last step that wrote the cell.
     pub(crate) stamp: Vec<u32>,
-    /// Escaped narrow-cell values.
-    pub(crate) wide: WideTable,
     /// Free lists keyed by exact block size in words.
     free: HashMap<usize, Vec<u32>>,
     /// Currently live words (counting size-class rounding).
@@ -302,7 +216,6 @@ impl Arena {
         Arena {
             cells: Vec::new(),
             stamp: Vec::new(),
-            wide: WideTable::new(),
             free: HashMap::new(),
             live: 0,
             peak: 0,
@@ -328,6 +241,7 @@ impl Arena {
     /// Allocate a block of at least `len` words, filled with `fill`.
     pub(crate) fn try_alloc(&mut self, len: usize, fill: u64) -> Result<Handle, crate::PramError> {
         assert!(len > 0, "zero-length allocation");
+        let fill = narrow_encode(fill);
         let size = block_size(len);
         // Reuse-before-grow: exact-class pop, then best-fit split of a
         // larger free block, and only then new backing. Growing first
@@ -344,7 +258,7 @@ impl Arena {
             .and_then(Vec::pop)
             .or_else(|| self.split_reuse(size));
         let base = if let Some(base) = reuse {
-            self.fill_words(base as usize, size, fill);
+            self.cells[base as usize..][..size].fill(fill);
             base
         } else {
             let grown = self.cells.len();
@@ -358,7 +272,7 @@ impl Arena {
                     .and_then(Vec::pop)
                     .or_else(|| self.split_reuse(size))
             } {
-                self.fill_words(base as usize, size, fill);
+                self.cells[base as usize..][..size].fill(fill);
                 base
             } else {
                 return Err(crate::PramError::ArenaExhausted {
@@ -458,7 +372,7 @@ impl Arena {
         }
     }
 
-    fn grow(&mut self, size: usize, fill: u64) {
+    fn grow(&mut self, size: usize, fill: u32) {
         if size >= (1 << 18) && std::env::var_os("LOGDIAM_ARENA_TRACE").is_some() {
             let backing = self.cells.len();
             let largest = self
@@ -474,69 +388,37 @@ impl Arena {
                 backing - self.live,
             );
         }
-        let start = self.cells.len();
-        let new_len = start + size;
-        match narrow_encode(fill) {
-            Some(x) => self.cells.resize(new_len, x),
-            None => {
-                self.cells.resize(new_len, NARROW_ESC);
-                for a in start..new_len {
-                    self.wide.set(a as u32, fill);
-                }
-            }
-        }
+        let new_len = self.cells.len() + size;
+        self.cells.resize(new_len, fill);
         self.stamp.resize(new_len, 0);
     }
 
     /// Fill `len` words starting at absolute address `start` with `v`.
     pub(crate) fn fill_words(&mut self, start: usize, len: usize, v: u64) {
-        match narrow_encode(v) {
-            Some(x) => self.cells[start..start + len].fill(x),
-            None => {
-                self.cells[start..start + len].fill(NARROW_ESC);
-                for a in start..start + len {
-                    self.wide.set(a as u32, v);
-                }
-            }
-        }
+        self.cells[start..start + len].fill(narrow_encode(v));
     }
 
     /// Decode the word at absolute address `a`.
     #[inline]
     pub(crate) fn load(&self, a: usize) -> u64 {
-        self.cells_ref().get(a)
+        narrow_decode(self.cells[a])
     }
 
     /// Store `v` at absolute address `a`.
     #[inline]
     pub(crate) fn store(&mut self, a: usize, v: u64) {
-        self.cells[a] = narrow_encode(v).unwrap_or_else(|| {
-            self.wide.set(a as u32, v);
-            NARROW_ESC
-        });
+        self.cells[a] = narrow_encode(v);
     }
 
     /// Copy `len` words from absolute address `s` to `d` (ranges may
     /// overlap, like `copy_within`).
     pub(crate) fn copy_words(&mut self, s: usize, d: usize, len: usize) {
-        let c = &mut self.cells;
-        c.copy_within(s..s + len, d);
-        // Escaped markers moved, but the wide table is keyed by address:
-        // re-key the copied escapes. Source entries are still present
-        // (the cells copy never touches the table).
-        for i in 0..len {
-            if c[d + i] == NARROW_ESC {
-                let v = self.wide.get((s + i) as u32);
-                self.wide.set((d + i) as u32, v);
-            }
-        }
+        self.cells.copy_within(s..s + len, d);
     }
 
-    pub(crate) fn cells_ref(&self) -> CellsRef<'_> {
-        CellsRef {
-            cells: &self.cells,
-            wide: &self.wide,
-        }
+    /// The whole cell store, read-only (step reads and host views).
+    pub(crate) fn cells(&self) -> &[u32] {
+        &self.cells
     }
 
     /// Raw commit pointers (see `machine::ShardedMem`).
@@ -562,7 +444,6 @@ impl Arena {
     pub(crate) fn reset_keep_capacity(&mut self) {
         self.cells.clear();
         self.stamp.clear();
-        self.wide.clear();
         for list in self.free.values_mut() {
             list.clear();
         }
@@ -588,10 +469,10 @@ impl Arena {
     }
 
     /// Actual heap bytes behind the arena's per-word arrays (cells +
-    /// stamps) and its escape table, by capacity. The footprint measure
-    /// the bytes/word acceptance tests pin.
+    /// stamps), by capacity. The footprint measure the bytes/word
+    /// acceptance tests pin.
     pub(crate) fn backing_bytes(&self) -> usize {
-        self.cells.capacity() * 4 + self.stamp.capacity() * 4 + self.wide.capacity() * 16
+        self.cells.capacity() * 4 + self.stamp.capacity() * 4
     }
 }
 
@@ -746,42 +627,18 @@ mod tests {
     }
 
     #[test]
-    fn narrow_cells_roundtrip_all_value_ranges() {
+    fn cells_hold_the_whole_word_range_and_null() {
         let mut a = arena();
         let h = a.alloc(8, NULL);
-        for i in 0..8 {
-            assert_eq!(a.load(h.base as usize + i), NULL);
-        }
         let base = h.base as usize;
+        assert!((0..8).all(|i| a.load(base + i) == NULL));
         a.store(base, 7);
-        a.store(base + 1, NARROW_ESC as u64 - 1); // largest direct
-        a.store(base + 2, NARROW_ESC as u64); // escapes
-        a.store(base + 3, u32::MAX as u64); // escapes (collides with NULL marker otherwise)
-        a.store(base + 4, 0xDEAD_BEEF_0000_0001); // escapes
-        a.store(base + 5, NULL);
-        assert_eq!(a.load(base), 7);
-        assert_eq!(a.load(base + 1), NARROW_ESC as u64 - 1);
-        assert_eq!(a.load(base + 2), NARROW_ESC as u64);
-        assert_eq!(a.load(base + 3), u32::MAX as u64);
-        assert_eq!(a.load(base + 4), 0xDEAD_BEEF_0000_0001);
-        assert_eq!(a.load(base + 5), NULL);
-        // Overwriting an escaped cell with a direct value sticks.
-        a.store(base + 4, 12);
-        assert_eq!(a.load(base + 4), 12);
-    }
-
-    #[test]
-    fn narrow_copy_rekeys_escaped_entries() {
-        let mut a = arena();
-        let h = a.alloc(16, 0);
-        let b = h.base as usize;
-        a.store(b, 0xFFFF_FFFF_FF00); // escaped
-        a.store(b + 1, 42);
-        a.copy_words(b, b + 8, 2);
-        assert_eq!(a.load(b + 8), 0xFFFF_FFFF_FF00);
-        assert_eq!(a.load(b + 9), 42);
-        // Source unchanged.
-        assert_eq!(a.load(b), 0xFFFF_FFFF_FF00);
+        a.store(base + 1, 0xFFFF_FFFE); // the largest value
+        a.store(base + 2, 0);
+        // Copies move values and NULL alike.
+        a.copy_words(base, base + 4, 4);
+        let want = [7, 0xFFFF_FFFE, 0, NULL];
+        assert!((0..8).all(|i| a.load(base + i) == want[i % 4]));
     }
 
     #[test]

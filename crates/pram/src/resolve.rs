@@ -81,7 +81,8 @@ impl WritePolicy {
 /// vertex writing `1` to a fixed cell with `Sum`).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum CombineOp {
-    /// Wrapping sum of all written values.
+    /// Sum of all written values (wrapping in `u64`); a sum that does
+    /// not fit a 32-bit word panics at commit.
     Sum,
     /// Minimum of all written values.
     Min,

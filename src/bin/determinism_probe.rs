@@ -57,7 +57,8 @@ fn main() {
     let seed: u64 = seed.parse().expect("seed must be a number");
 
     // `pram_stress` needs no graph: it hammers one machine with
-    // conflicting writes and fingerprints everything observable.
+    // conflicting writes of 31-bit values and fingerprints everything
+    // observable.
     if algo == "pram_stress" {
         let mut pram = Pram::new(WritePolicy::ArbitrarySeeded(seed));
         let xs = pram.alloc(n);
@@ -66,15 +67,11 @@ fn main() {
                 let r = ctx.rand(round);
                 let i = (r % n as u64) as usize;
                 let v = ctx.read(xs, i);
-                ctx.write(xs, i, v ^ r ^ p);
+                ctx.write(xs, i, v ^ (r >> 33) ^ p);
             });
         }
         let stats = pram.stats();
-        let mem = fnv1a(pram.read_vec(xs).into_iter().flat_map(|w| {
-            let lo = w as u32;
-            let hi = (w >> 32) as u32;
-            [lo, hi]
-        }));
+        let mem = fnv1a(pram.view(xs).iter().map(|w| w as u32));
         println!(
             "{mem:016x} reads={} writes={} conflicts={} max_ops={}",
             stats.reads, stats.writes, stats.write_conflicts, stats.max_ops_per_proc

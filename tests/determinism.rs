@@ -227,13 +227,12 @@ proptest! {
 
     /// Seeded ARBITRARY PRAM runs are bit-identical across thread counts:
     /// the probe fingerprints the full memory image plus traffic counters
-    /// after rounds of deliberately conflicting writes, most of whose
-    /// values escape a narrow cell. `n` is large enough that 8·n
-    /// processors cross the parallel step threshold, and the `n` words
-    /// span at least 32 commit blocks of 1024 words, so every one of the
-    /// 32 shards an 8-thread machine commits with receives writes: the
-    /// sharded parallel commit (not just the sequential path) is what is
-    /// being tested.
+    /// after rounds of deliberately conflicting writes. `n` is large
+    /// enough that 8·n processors cross the parallel step threshold, and
+    /// the `n` words span at least 32 commit blocks of 1024 words, so
+    /// every one of the 32 shards an 8-thread machine commits with
+    /// receives writes: the sharded parallel commit (not just the
+    /// sequential path) is what is being tested.
     #[test]
     fn seeded_pram_runs_are_bit_identical(
         n in 32768usize..40960,
