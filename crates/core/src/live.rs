@@ -21,9 +21,10 @@
 //! deterministic first-seen order, so runs stay reproducible and
 //! thread-count invariant.
 //!
-//! (The Theorem-3 driver has its own richer index — `theorem3::LiveIndex`
-//! — which additionally tracks live persistent-table cells; it follows the
-//! same charging discipline.)
+//! The Theorem-3 driver's `theorem3::LiveIndex` is a [`LiveSet`] plus the
+//! live persistent-table cells: its refresh runs the three steps below
+//! (arc endpoints, the cells' extra endpoints, then the charge and the
+//! roots), so one charge model and one slot map serve every driver.
 
 use crate::state::CcState;
 use pram_kit::compact_over;
@@ -34,8 +35,8 @@ pub(crate) const NO_SLOT: u32 = u32::MAX;
 
 /// Charged compaction of a live-arc list: keep the non-loops. One shared
 /// definition for every driver (the Theorem-3 `LiveIndex` layers its
-/// dedup on top of this) so the Lemma-D.2 accounting cannot diverge
-/// between them.
+/// dedup on top of this, and Theorem 3's sample filter runs it on all
+/// arcs) so the Lemma-D.2 accounting cannot diverge between them.
 pub(crate) fn compact_live_arcs(pram: &mut Pram, st: &CcState, arcs: &[u32]) -> Vec<u32> {
     let (eu, ev) = (st.eu, st.ev);
     compact_over(pram, arcs, move |_, &i, ctx| {
@@ -43,28 +44,22 @@ pub(crate) fn compact_live_arcs(pram: &mut Pram, st: &CcState, arcs: &[u32]) -> 
     })
 }
 
-/// Charge for a host-mirrored endpoint collection: one emission step over
-/// the `sources` edge-holders (each writes its two endpoints) plus the
-/// Lemma-D.2 dedup/rename over the `endpoints` collected. Shared by every
-/// live index so the charge model lives in exactly one place.
-pub(crate) fn charge_endpoint_collection(pram: &mut Pram, sources: usize, endpoints: usize) {
-    pram.charge(2 * sources, 1);
-    pram.charge(endpoints, 4);
-}
-
-/// Clear the slot marks of the previous vertex list (O(prev live)) and
-/// empty it, ready for [`extend_endpoints`].
-pub(crate) fn reset_endpoints(slot: &mut [u32], verts: &mut Vec<u32>) {
-    for &v in verts.iter() {
-        slot[v as usize] = NO_SLOT;
-    }
-    verts.clear();
+/// The `(eu[i], ev[i])` pairs of the arcs `arcs` lists, read host-side.
+pub(crate) fn arc_pairs<'a>(
+    pram: &'a Pram,
+    st: &CcState,
+    arcs: &'a [u32],
+) -> impl Iterator<Item = (u64, u64)> + 'a {
+    let (eu, ev) = (pram.view(st.eu), pram.view(st.ev));
+    arcs.iter()
+        .map(move |&i| (eu.get(i as usize), ev.get(i as usize)))
 }
 
 /// Append the endpoints `pairs` yields in first-seen order, maintaining
 /// the invariant `slot[verts[i]] == i` — the one definition of the slot
-/// map that both live indexes (and through the Theorem-3 one, the
-/// generation-stamped MAXLINK's candidate-row addressing) depend on.
+/// map that every live index (and through Theorem 3's, the
+/// generation-stamped MAXLINK's candidate-row addressing) and the
+/// Theorem-3 rename depend on.
 pub(crate) fn extend_endpoints(
     slot: &mut [u32],
     verts: &mut Vec<u32>,
@@ -78,14 +73,6 @@ pub(crate) fn extend_endpoints(
             }
         }
     }
-}
-
-/// Charged compaction of the ongoing roots out of the live vertex list.
-pub(crate) fn compact_live_roots(pram: &mut Pram, st: &CcState, verts: &[u32]) -> Vec<u32> {
-    let parent = st.parent;
-    compact_over(pram, verts, move |_, &v, ctx| {
-        ctx.read(parent, v as usize) == v as u64
-    })
 }
 
 /// The compacted live subproblem: non-loop arcs, their endpoints, and the
@@ -127,23 +114,44 @@ impl LiveSet {
     /// at the previous live size (see module docs).
     pub fn refresh(&mut self, pram: &mut Pram, st: &CcState) {
         self.arcs = compact_live_arcs(pram, st, &self.arcs);
+        self.collect_arc_endpoints(pram, st);
+        self.charge_and_roots(pram, st, self.arcs.len());
+    }
 
-        // Endpoint collection over the surviving arcs (shared helpers —
-        // one definition of the slot-map invariant).
-        reset_endpoints(&mut self.slot, &mut self.verts);
-        {
-            let eu_h = pram.view(st.eu);
-            let ev_h = pram.view(st.ev);
-            extend_endpoints(
-                &mut self.slot,
-                &mut self.verts,
-                self.arcs
-                    .iter()
-                    .map(|&i| (eu_h.get(i as usize), ev_h.get(i as usize))),
-            );
+    /// The vertex → slot map, `slot[verts[i]] == i` (`NO_SLOT` = not live):
+    /// the candidate-row index of Theorem 3's generation-stamped MAXLINK.
+    pub(crate) fn slot(&self) -> &[u32] {
+        &self.slot
+    }
+
+    /// Refresh step 1: clear the previous vertex list's slot marks
+    /// (O(prev live)) and recollect the live arcs' endpoints.
+    pub(crate) fn collect_arc_endpoints(&mut self, pram: &Pram, st: &CcState) {
+        for &v in &self.verts {
+            self.slot[v as usize] = NO_SLOT;
         }
-        charge_endpoint_collection(pram, self.arcs.len(), self.verts.len());
-        self.roots = compact_live_roots(pram, st, &self.verts);
+        self.verts.clear();
+        let pairs = arc_pairs(pram, st, &self.arcs);
+        extend_endpoints(&mut self.slot, &mut self.verts, pairs);
+    }
+
+    /// Refresh step 2 (Theorem 3's table cells): append the endpoints of
+    /// further edges after the arcs'.
+    pub(crate) fn collect_extra_endpoints(&mut self, pairs: impl IntoIterator<Item = (u64, u64)>) {
+        extend_endpoints(&mut self.slot, &mut self.verts, pairs);
+    }
+
+    /// Refresh step 3: charge the collection — one emission step over the
+    /// `sources` edge-holders (each writes its two endpoints) plus the
+    /// Lemma-D.2 dedup/rename over the endpoints collected — then compact
+    /// the ongoing roots out of them.
+    pub(crate) fn charge_and_roots(&mut self, pram: &mut Pram, st: &CcState, sources: usize) {
+        pram.charge(2 * sources, 1);
+        pram.charge(self.verts.len(), 4);
+        let parent = st.parent;
+        self.roots = compact_over(pram, &self.verts, move |_, &v, ctx| {
+            ctx.read(parent, v as usize) == v as u64
+        });
     }
 
     /// No live arc left — the driver's termination test, free to read

@@ -66,11 +66,6 @@ impl CcState {
         }
     }
 
-    /// Read the component labeling (assumes flat trees: label = parent).
-    pub fn labels(&self, pram: &Pram) -> Vec<u32> {
-        pram.view(self.parent).iter().map(|p| p as u32).collect()
-    }
-
     /// Read the labeling after host-side root chasing (valid even when
     /// trees are not flat; used by verifiers and by safety-capped exits).
     pub fn labels_rooted(&self, pram: &Pram) -> Vec<u32> {

@@ -10,9 +10,10 @@
 //! the `max_ops_per_proc` audit).
 //!
 //! Live-work scheduling: the invocation operates on the caller's compacted
-//! live index — arc/table candidate writes and the selection scan iterate
-//! the live arcs / live table cells / live vertices only, so an invocation
-//! costs O(live), not O(n + m).
+//! live index — the candidate writes are the root graph's two steps
+//! ([`RootEdges::steps`]: live arcs, then live table cells) and the
+//! selection scan iterates the live vertices only, so an invocation costs
+//! O(live), not O(n + m).
 //!
 //! **Generation-stamped candidates.** The candidate array is a
 //! [`Stamped`] block allocated *per invocation* at
@@ -37,13 +38,10 @@
 //! strictly above the old parent's (hence above the vertex's), so parent
 //! chains strictly increase in level and no cycle can form.
 
-use crate::state::CcState;
+use crate::live::NO_SLOT;
+use crate::theorem3::round::RootEdges;
 use pram_kit::ops::Flag;
 use pram_sim::{Handle, Pram, Stamped, NULL};
-
-/// "Not live" marker in the `vert_slot` map — the one sentinel shared by
-/// every live index (see [`crate::live`]).
-pub(crate) use crate::live::NO_SLOT;
 
 /// Shared context for a MAXLINK invocation.
 pub(crate) struct MaxlinkCtx<'a> {
@@ -56,66 +54,28 @@ pub(crate) struct MaxlinkCtx<'a> {
     pub level: Handle,
     /// Max level (array stride is `max_level + 1`).
     pub lmax: usize,
-    /// Compacted live-arc index (non-loop arcs).
-    pub live_arcs: &'a [u32],
+    /// The root graph whose edges propose the candidates.
+    pub edges: RootEdges<'a>,
     /// Endpoints of live arcs and live table edges — the only vertices
     /// that can receive a candidate this invocation.
     pub live_verts: &'a [u32],
-    /// Live persistent-table edge index: one entry per live cell, `(x, cell)`.
-    pub table_cells: &'a [(u32, u32)],
-    /// Per-vertex persistent table offsets (NULL = none).
-    pub eoff: Handle,
-    /// The table heap.
-    pub heap: Handle,
 }
 
 /// One MAXLINK iteration over the current generation of `mx.cand`;
 /// raises `changed` if any parent moved.
-pub(crate) fn maxlink_iter(pram: &mut Pram, st: &CcState, mx: &MaxlinkCtx, changed: &Flag) {
+pub(crate) fn maxlink_iter(pram: &mut Pram, parent: Handle, mx: &MaxlinkCtx, changed: &Flag) {
     let stride = mx.lmax + 1;
-    let (cand, level, eoff, heap) = (mx.cand, mx.level, mx.eoff, mx.heap);
-    let slot = mx.vert_slot;
-    let parent = st.parent;
-    let (eu, ev) = (st.eu, st.ev);
+    let (cand, level, slot) = (mx.cand, mx.level, mx.vert_slot);
 
-    // A candidate write: `pb` proposed for `target` at `pb`'s level, in
-    // the target's row.
-    let propose = move |ctx: &mut pram_sim::Ctx, target: u64, pb: u64, lpb: usize| {
-        let row = slot[target as usize];
+    // Candidate writes: for each root-graph edge (a, b), b's parent is a
+    // candidate for a, written in a's row at that parent's level.
+    mx.edges.steps(pram, move |ctx, a, b| {
+        let pb = ctx.read(parent, b as usize);
+        let lpb = ctx.read(level, pb as usize) as usize;
+        let row = slot[a as usize];
         if row != NO_SLOT {
             ctx.write_stamped(cand, row as usize * stride + lpb, pb);
         }
-    };
-
-    // Arc candidates: for live arc (a, b), b's parent is a candidate for a.
-    pram.step_over(mx.live_arcs, move |_, &ai, ctx| {
-        let i = ai as usize;
-        let a = ctx.read(eu, i);
-        let b = ctx.read(ev, i);
-        if a == b {
-            return;
-        }
-        let pb = ctx.read(parent, b as usize);
-        let lpb = ctx.read(level, pb as usize) as usize;
-        propose(ctx, a, pb, lpb);
-    });
-
-    // Table-edge candidates, both directions per live cell.
-    pram.step_over(mx.table_cells, move |_, &(x, c), ctx| {
-        let off = ctx.read(eoff, x as usize);
-        if off == NULL {
-            return;
-        }
-        let w = ctx.read(heap, off as usize + c as usize);
-        if w == NULL || w == x as u64 {
-            return;
-        }
-        let pw = ctx.read(parent, w as usize);
-        let lpw = ctx.read(level, pw as usize) as usize;
-        propose(ctx, x as u64, pw, lpw);
-        let px = ctx.read(parent, x as usize);
-        let lpx = ctx.read(level, px as usize) as usize;
-        propose(ctx, w, px, lpx);
     });
 
     // Selection: highest occupied level wins; update on strict improvement
@@ -141,7 +101,7 @@ pub(crate) fn maxlink_iter(pram: &mut Pram, st: &CcState, mx: &MaxlinkCtx, chang
 /// generation of the candidate cells.
 pub(crate) fn maxlink(
     pram: &mut Pram,
-    st: &CcState,
+    parent: Handle,
     mx: &mut MaxlinkCtx,
     changed: &Flag,
     iters: u32,
@@ -150,13 +110,14 @@ pub(crate) fn maxlink(
         if it > 0 {
             pram.host_stamped_fill(&mut mx.cand);
         }
-        maxlink_iter(pram, st, mx, changed);
+        maxlink_iter(pram, parent, mx, changed);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::state::CcState;
     use cc_graph::{gen, Graph};
     use pram_sim::WritePolicy;
 
@@ -228,13 +189,17 @@ mod tests {
             vert_slot: &vert_slot,
             level,
             lmax: LMAX,
-            live_arcs,
+            edges: RootEdges {
+                arcs: live_arcs,
+                cells: &table_cells,
+                eu: st.eu,
+                ev: st.ev,
+                eoff,
+                heap,
+            },
             live_verts,
-            table_cells: &table_cells,
-            eoff,
-            heap,
         };
-        maxlink(pram, st, &mut mx, &changed, iters);
+        maxlink(pram, st.parent, &mut mx, &changed, iters);
         pram.free_stamped(mx.cand);
         let r = changed.read(pram);
         changed.free(pram);
@@ -460,22 +425,26 @@ mod tests {
             vert_slot: &[0, 1, 2],
             level,
             lmax: LMAX,
-            live_arcs: &[],
+            edges: RootEdges {
+                arcs: &[],
+                cells: &[],
+                eu: st.eu,
+                ev: st.ev,
+                eoff,
+                heap,
+            },
             live_verts: &[0, 1, 2],
-            table_cells: &[],
-            eoff,
-            heap,
         };
         let plant = |pram: &mut Pram, cand: Stamped| {
             pram.step(1, move |_, ctx| ctx.write_stamped(cand, 7, 2)); // row 0, level 7
         };
         plant(&mut pram, mx.cand);
         pram.host_stamped_fill(&mut mx.cand);
-        maxlink_iter(&mut pram, &st, &mx, &changed);
+        maxlink_iter(&mut pram, st.parent, &mx, &changed);
         assert!(!changed.read(&pram), "a stale candidate was selected");
         assert_eq!(pram.read_vec(st.parent), vec![0, 1, 2]);
         plant(&mut pram, mx.cand);
-        maxlink_iter(&mut pram, &st, &mx, &changed);
+        maxlink_iter(&mut pram, st.parent, &mx, &changed);
         assert_eq!(pram.read_vec(st.parent), vec![2, 1, 2]);
     }
 }

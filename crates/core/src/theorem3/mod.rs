@@ -67,7 +67,7 @@ mod maxlink;
 mod round;
 mod tables;
 
-use crate::live::{compact_live_arcs, extend_endpoints, LiveSet, NO_SLOT};
+use crate::live::{arc_pairs, compact_live_arcs, extend_endpoints, LiveSet, NO_SLOT};
 use crate::metrics::{RoundMetrics, RunReport, StopReason};
 use crate::state::{rooted_labels, CcState};
 use crate::theorem1::{self, Theorem1Params};
@@ -76,8 +76,8 @@ use crate::verify;
 use cc_graph::Graph;
 use pram_kit::ops::{alter, alter_over, shortcut_until_flat_over};
 use pram_kit::PairSet;
-use pram_sim::{splitmix64, Handle, Pram, NULL};
-use round::{expand_maxlink_round, sqb_of, FasterState, LiveIndex, RoundScratch};
+use pram_sim::{splitmix64, Handle, Pram, Stats, NULL};
+use round::{cell_edge, expand_maxlink_round, sqb_of, FasterState, LiveIndex, RoundScratch};
 use tables::TableHeap;
 
 /// Tunable parameters (paper values in brackets; see crate docs on
@@ -251,117 +251,79 @@ pub fn faster_cc(pram: &mut Pram, g: &Graph, seed: u64, params: &FasterParams) -
 
     // The rename: the live arcs' root pairs are all the rounds need, so
     // the input's arcs are freed and only `parent` stays on the machine.
-    let pairs: Vec<(u64, u64)> = {
-        let (eu, ev) = (pram.view(st.eu), pram.view(st.ev));
-        let pair = |&i: &u32| (eu.get(i as usize), ev.get(i as usize));
-        live.arcs.iter().map(pair).collect()
-    };
+    let pairs: Vec<(u64, u64)> = arc_pairs(pram, &st, &live.arcs).collect();
     drop(live);
     let CcState { parent, eu, ev, .. } = st;
     pram.free(eu);
     pram.free(ev);
-    let solved = rename_solve_link(pram, parent, pairs, seed ^ 0x11FE_11FE, |pram, sub| {
-        solve_compacted(pram, sub, g, seed, params)
+    let empty = |prepare_rounds| RunReport {
+        labels: Vec::new(),
+        rounds: 0,
+        prepare_rounds,
+        stop: StopReason::Converged,
+        stats: Stats::default(),
+        per_round: Vec::new(),
+    };
+    let mut report = FasterReport {
+        run: empty(prepare_rounds),
+        post: empty(0),
+        sub_vertices: 0,
+        sub_arcs: 0,
+        sample_arcs: 0,
+        survivor_arcs: 0,
+        passes: Vec::new(),
+        compaction_rounds: 0,
+        table_peak_words: 0,
+        post_work: 0,
+    };
+    rename_solve_link(pram, parent, pairs, seed ^ 0x11FE_11FE, |pram, sub| {
+        solve_compacted(pram, sub, g, seed, params, &mut report)
     });
 
     debug_assert!(
         verify::forest_heights(&pram.read_vec(parent)).is_ok(),
         "Theorem 3 produced a cyclic labeled digraph"
     );
-    let labels = rooted_labels(pram, parent);
-    let stats = pram.stats();
+    report.run.labels = rooted_labels(pram, parent);
+    report.run.stats = pram.stats();
     pram.free(parent);
-
-    let Compacted {
-        rounds,
-        vertices,
-        arcs,
-        sample_arcs,
-        survivor_arcs,
-    } = solved;
-    FasterReport {
-        run: RunReport {
-            labels,
-            rounds: rounds.rounds,
-            prepare_rounds,
-            stop: rounds.stop,
-            stats,
-            per_round: rounds.per_round,
-        },
-        post: rounds.post,
-        sub_vertices: vertices as u64,
-        sub_arcs: arcs as u64,
-        sample_arcs: sample_arcs as u64,
-        survivor_arcs: survivor_arcs as u64,
-        passes: rounds.passes,
-        compaction_rounds: 0,
-        table_peak_words: rounds.table_peak_words,
-        post_work: rounds.post_work,
-    }
-}
-
-/// What COMPACT's solver hands back: the passes' rounds, merged, the
-/// renamed subproblem's size, and the sample's (both 0 when it was not
-/// taken).
-struct Compacted {
-    rounds: Rounds,
-    vertices: usize,
-    arcs: usize,
-    sample_arcs: usize,
-    survivor_arcs: usize,
+    report
 }
 
 /// COMPACT's solver on the renamed subproblem `sub`: the rounds, or on a
 /// dense subproblem the sample-solve-filter passes of the module docs.
+/// Every pass adds itself to `report`.
 fn solve_compacted(
     pram: &mut Pram,
     sub: &CcState,
     g: &Graph,
     seed: u64,
     params: &FasterParams,
-) -> Compacted {
-    let (vertices, arcs) = (sub.n, sub.arcs);
-    if arcs <= 4 * SAMPLE_OUT * vertices {
-        return Compacted {
-            rounds: solve_rounds(pram, sub, g, seed, params, HeapStart::Input),
-            vertices,
-            arcs,
-            sample_arcs: 0,
-            survivor_arcs: 0,
-        };
+    report: &mut FasterReport,
+) {
+    (report.sub_vertices, report.sub_arcs) = (sub.n as u64, sub.arcs as u64);
+    if sub.arcs <= 4 * SAMPLE_OUT * sub.n {
+        return solve_rounds(pram, sub, g, seed, params, HeapStart::Input, report);
     }
     let sample = sample_out_arcs(pram, sub, seed ^ 0x5A3B_1E00);
-    let sample_arcs = sample.len();
-    let rounds = rename_solve_link(pram, sub.parent, sample, seed ^ 0x5A3B_11FE, |pram, s| {
-        solve_rounds(pram, s, g, seed, params, HeapStart::RoundOne)
+    report.sample_arcs = sample.len() as u64;
+    rename_solve_link(pram, sub.parent, sample, seed ^ 0x5A3B_11FE, |pram, s| {
+        solve_rounds(pram, s, g, seed, params, HeapStart::RoundOne, report)
     });
 
     // The filter: the sample pass left `sub.parent` flat (every vertex a
     // root or hooked onto one), so one ALTER turns every arc into a root
     // pair, and the arcs the sample connected become loops.
     alter(pram, sub.eu, sub.ev, sub.parent);
-    let all: Vec<u32> = (0..arcs as u32).collect();
+    let all: Vec<u32> = (0..sub.arcs as u32).collect();
     let survivors = compact_live_arcs(pram, sub, &all);
-    let rounds = if survivors.is_empty() {
-        rounds
-    } else {
-        let pairs: Vec<(u64, u64)> = {
-            let (eu, ev) = (pram.view(sub.eu), pram.view(sub.ev));
-            let pair = |&i: &u32| (eu.get(i as usize), ev.get(i as usize));
-            survivors.iter().map(pair).collect()
-        };
+    report.survivor_arcs = survivors.len() as u64;
+    if !survivors.is_empty() {
+        let pairs = arc_pairs(pram, sub, &survivors).collect();
         let rest_seed = seed ^ 0x5EC0_4D00;
-        let rest = rename_solve_link(pram, sub.parent, pairs, rest_seed ^ 0x11FE, |pram, s| {
-            solve_rounds(pram, s, g, rest_seed, params, HeapStart::RoundOne)
+        rename_solve_link(pram, sub.parent, pairs, rest_seed ^ 0x11FE, |pram, s| {
+            solve_rounds(pram, s, g, rest_seed, params, HeapStart::RoundOne, report)
         });
-        rounds.then(rest)
-    };
-    Compacted {
-        rounds,
-        vertices,
-        arcs,
-        sample_arcs,
-        survivor_arcs: survivors.len(),
     }
 }
 
@@ -465,59 +427,6 @@ fn rename_solve_link<R>(
     out
 }
 
-/// What [`solve_rounds`] hands back: one pass, or several merged by
-/// [`Rounds::then`].
-struct Rounds {
-    rounds: u64,
-    stop: StopReason,
-    per_round: Vec<RoundMetrics>,
-    post: RunReport,
-    post_work: u64,
-    table_peak_words: u64,
-    passes: Vec<PassReport>,
-}
-
-impl Rounds {
-    /// `self` followed by a later pass: rounds, postprocess phases and
-    /// works add up, `next`'s rounds are numbered on from `self`'s, and
-    /// either pass hitting its round cap makes the whole a `RoundCap` run.
-    fn then(self, next: Rounds) -> Rounds {
-        let offset = self.rounds;
-        let worse = |a: StopReason, b: StopReason| {
-            if b == StopReason::RoundCap {
-                b
-            } else {
-                a
-            }
-        };
-        let renumber = |m: RoundMetrics| RoundMetrics {
-            round: m.round + offset,
-            ..m
-        };
-        let (post, later) = (self.post, next.post);
-        Rounds {
-            rounds: self.rounds + next.rounds,
-            stop: worse(self.stop, next.stop),
-            per_round: self
-                .per_round
-                .into_iter()
-                .chain(next.per_round.into_iter().map(renumber))
-                .collect(),
-            post: RunReport {
-                labels: Vec::new(),
-                rounds: post.rounds + later.rounds,
-                prepare_rounds: post.prepare_rounds + later.prepare_rounds,
-                stop: worse(post.stop, later.stop),
-                stats: later.stats,
-                per_round: post.per_round.into_iter().chain(later.per_round).collect(),
-            },
-            post_work: self.post_work + next.post_work,
-            table_peak_words: self.table_peak_words.max(next.table_peak_words),
-            passes: self.passes.into_iter().chain(next.passes).collect(),
-        }
-    }
-}
-
 /// Where a pass's table heap starts; [`TableHeap`]'s `grow` doubles it
 /// from there.
 #[derive(Clone, Copy)]
@@ -537,8 +446,11 @@ enum HeapStart {
 }
 
 /// The EXPAND-MAXLINK rounds and their postprocess on a renamed
-/// subproblem `st`, whose vertices are all ongoing roots. The input `g`'s
-/// sizes set the budget schedule and the round cap.
+/// subproblem `st`, whose vertices are all ongoing roots, as one more pass
+/// of `report`: its rounds are numbered on from the passes before it, its
+/// postprocess phases and works add up, the table peak is the passes'
+/// highest, and `RoundCap` stays set once any pass hits its cap. The
+/// input `g`'s sizes set the budget schedule and the round cap.
 fn solve_rounds(
     pram: &mut Pram,
     st: &CcState,
@@ -546,7 +458,8 @@ fn solve_rounds(
     seed: u64,
     params: &FasterParams,
     heap_start: HeapStart,
-) -> Rounds {
+    report: &mut FasterReport,
+) {
     let work0 = pram.stats().work;
     let (k, n, m) = (st.n, g.n(), g.m());
     let budgets = params.budget_schedule(n, m, k);
@@ -569,32 +482,33 @@ fn solve_rounds(
         t5off: pram.alloc_filled(k, NULL),
         dormant: pram.alloc_filled(k, 0),
         raised2: pram.alloc_filled(k, 0),
+        // The one pass over all of the subproblem's arcs; every per-round
+        // refresh scans only the surviving lists.
+        live: LiveIndex::seed(pram, st),
         heap,
         lmax,
         budgets,
         host_tbl: vec![None; k],
-        live: LiveIndex::new(k),
         scratch: RoundScratch::new(k),
     };
-    // Seed the live-work index: the one pass over all of the subproblem's
-    // arcs; every per-round refresh scans only the surviving lists.
-    fs.live.init_from_arcs(pram, st);
-    fs.live.max_level_seen = if fs.live.verts.is_empty() { 0 } else { 1 };
 
     // ------------------------------------------------- EXPAND-MAXLINK loop
     // Safety cap; hitting it is recorded (E6), never hidden.
     let round_cap = 48 + 4 * (n.max(2) as f64).log2().ceil() as u64;
-    let mut per_round = Vec::new();
-    let mut stop = StopReason::RoundCap;
+    let first = report.run.rounds;
     let mut rounds = 0;
-    while rounds < round_cap {
+    loop {
+        if rounds == round_cap {
+            report.run.stop = StopReason::RoundCap;
+            break;
+        }
         rounds += 1;
         let work_before = pram.stats().work;
         let outcome = expand_maxlink_round(pram, &mut fs, params, seed, rounds);
         let round_work = pram.stats().work - work_before;
-        per_round.push(RoundMetrics {
-            round: rounds,
-            roots: fs.live.roots.len(),
+        report.run.per_round.push(RoundMetrics {
+            round: first + rounds,
+            roots: fs.live.set.roots.len(),
             ongoing: outcome.ongoing,
             max_level: outcome.max_level,
             dormant: outcome.dormant,
@@ -607,10 +521,10 @@ fn solve_rounds(
         #[cfg(any(test, feature = "strict"))]
         assert_invariants(pram, &fs);
         if !outcome.changed && !outcome.ii_violated {
-            stop = StopReason::Converged;
             break;
         }
     }
+    report.run.rounds += rounds;
 
     // ------------------------------------------------------- postprocess
     // Folded into the final round's compacted state: flattening, the
@@ -622,24 +536,24 @@ fn solve_rounds(
     // (`labels_rooted`), which is controller bookkeeping exactly like the
     // paper's output convention.
     let post_work0 = pram.stats().work;
-    shortcut_until_flat_over(pram, st.parent, &fs.live.verts);
-    alter_over(pram, st.eu, st.ev, st.parent, &fs.live.arcs);
+    shortcut_until_flat_over(pram, st.parent, &fs.live.set.verts);
+    alter_over(pram, st.eu, st.ev, st.parent, &fs.live.set.arcs);
     let post = postprocess_remaining(pram, &fs, seed);
-    let post_work = pram.stats().work - post_work0;
-    let table_peak_words = fs.heap.peak_words() as u64;
+    report.post_work += pram.stats().work - post_work0;
+    report.table_peak_words = report.table_peak_words.max(fs.heap.peak_words() as u64);
     fs.free(pram);
-    Rounds {
-        rounds,
-        stop,
-        per_round,
-        post,
-        post_work,
-        table_peak_words,
-        passes: vec![PassReport {
-            rounds,
-            work: pram.stats().work - work0,
-        }],
+    let total = &mut report.post;
+    total.rounds += post.rounds;
+    total.prepare_rounds += post.prepare_rounds;
+    if post.stop == StopReason::RoundCap {
+        total.stop = post.stop;
     }
+    total.stats = post.stats;
+    total.per_round.extend(post.per_round);
+    report.passes.push(PassReport {
+        rounds,
+        work: pram.stats().work - work0,
+    });
 }
 
 /// The Theorem-1 postprocess over the *remaining* graph, materialized from
@@ -655,37 +569,17 @@ fn solve_rounds(
 fn postprocess_remaining(pram: &mut Pram, fs: &FasterState, seed: u64) -> RunReport {
     // Host mirror of the compacted remaining graph (charged by the
     // primitive as the materialization copy).
-    let mut pairs: Vec<(u64, u64)> = Vec::new();
-    {
-        let eu = pram.view(fs.st.eu);
-        let ev = pram.view(fs.st.ev);
-        for &i in &fs.live.arcs {
-            let (a, b) = (eu.get(i as usize), ev.get(i as usize));
-            if a != b {
-                pairs.push((a, b));
-            }
-        }
-    }
-    {
-        let eo = pram.view(fs.eoff);
-        let hw = pram.view(fs.heap.handle());
+    let pairs = {
+        let (eoff, heap) = (fs.eoff, fs.heap.handle());
         let parents = pram.view(fs.st.parent);
-        for &(x, c) in &fs.live.table_cells {
-            let off = eo.get(x as usize);
-            if off == NULL {
-                continue;
-            }
-            let w = hw.get(off as usize + c as usize);
-            if w == NULL || w == x as u64 {
-                continue;
-            }
+        let arcs = arc_pairs(pram, fs.st, &fs.live.set.arcs).filter(|&(a, b)| a != b);
+        let cells = fs.live.table_cells.iter().filter_map(|&(x, c)| {
+            let (_, w) = cell_edge(x, c, eoff, heap, |h, i| pram.get(h, i))?;
             let (a, b) = (parents.get(x as usize), parents.get(w as usize));
-            if a != b {
-                pairs.push((a, b));
-                pairs.push((b, a));
-            }
-        }
-    }
+            (a != b).then_some([(a, b), (b, a)])
+        });
+        arcs.chain(cells.flatten()).collect()
+    };
     rename_solve_link(
         pram,
         fs.st.parent,

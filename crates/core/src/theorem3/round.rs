@@ -26,14 +26,22 @@
 //! subproblem every round; a naive simulation that hands one processor to
 //! every original vertex and arc instead pays O(n + m) per round even when
 //! almost everything is finished. The [`LiveIndex`] is the controller-side
-//! equivalent of that compaction: a compacted list of non-loop arcs
-//! (periodically deduplicated by hashing), of live persistent-table cells,
-//! of their endpoint vertices, and of the ongoing roots. Every simulated
-//! step in this file iterates one of those lists, so both the charged work
-//! and the host wall-clock of a round scale with the live subproblem.
-//! Rebuilding the index is host bookkeeping that scans only the previous
-//! live lists — O(live), never O(n + m) — and is deterministic, which
-//! keeps runs reproducible and thread-count invariant.
+//! equivalent of that compaction: a [`LiveSet`] (non-loop arcs,
+//! periodically deduplicated by hashing; the endpoints of the live arcs
+//! and live table edges; the ongoing roots) plus the live
+//! persistent-table cells. Every simulated step in this file iterates one
+//! of those lists, so both the charged work and the host wall-clock of a
+//! round scale with the live subproblem. Rebuilding the index is host
+//! bookkeeping that scans only the previous live lists — O(live), never
+//! O(n + m) — and is deterministic, which keeps runs reproducible and
+//! thread-count invariant.
+//!
+//! **One root graph.** The live arcs and the edges held by the live table
+//! cells are one graph, [`RootEdges`]: MAXLINK's candidate writes and the
+//! edge steps of Steps 3 and 4 are its [`RootEdges::steps`] (an arc step,
+//! then a cell step that visits each table edge in both orientations), and
+//! ALTER, the live-cell predicate and the postprocess read a cell through
+//! the one decode, [`cell_edge`].
 //!
 //! Finished vertices keep stale parents until the driver's final
 //! `shortcut_until_flat_over`; the per-round SHORTCUT jumps live
@@ -46,17 +54,14 @@
 //! `ii_violated` (Step 5 found a pair at distance 2 not already in the
 //! table).
 
-use crate::live::{
-    charge_endpoint_collection, compact_live_arcs, compact_live_roots, extend_endpoints,
-    reset_endpoints,
-};
+use crate::live::{compact_live_arcs, LiveSet};
 use crate::state::CcState;
-use crate::theorem3::maxlink::{maxlink, MaxlinkCtx, NO_SLOT as NO_VSLOT};
+use crate::theorem3::maxlink::{maxlink, MaxlinkCtx};
 use crate::theorem3::tables::TableHeap;
 use crate::theorem3::{FasterParams, DEDUP_CADENCE, SAMPLE_COEFF};
 use pram_kit::ops::{alter_over, shortcut_flagged_over, Flag};
 use pram_kit::{compact_over, PairSet, PairwiseHash};
-use pram_sim::{Handle, Pram, NULL};
+use pram_sim::{Ctx, Handle, Pram, NULL};
 
 /// Square root of a power-of-four budget.
 #[inline]
@@ -68,10 +73,73 @@ pub(crate) fn sqb_of(b: u64) -> u64 {
 /// "No slot" marker for [`RoundScratch::builder_slot`].
 const NO_SLOT: u32 = u32::MAX;
 
+/// The edge live table cell `(x, c)` holds, read through `read` (a step's
+/// `Ctx::read`, or the host's `Pram::get`): `Some((heap index, w))`, or
+/// `None` when `eoff[x]` is NULL, or the cell is NULL or holds `x`.
+#[inline(always)]
+pub(crate) fn cell_edge(
+    x: u32,
+    c: u32,
+    eoff: Handle,
+    heap: Handle,
+    mut read: impl FnMut(Handle, usize) -> u64,
+) -> Option<(usize, u64)> {
+    let off = read(eoff, x as usize);
+    if off == NULL {
+        return None;
+    }
+    let at = off as usize + c as usize;
+    let w = read(heap, at);
+    (w != NULL && w != x as u64).then_some((at, w))
+}
+
+/// The root graph one EXPAND-MAXLINK round works on: the live arcs
+/// `(eu[i], ev[i])` and the edges the live persistent-table cells hold.
+#[derive(Clone, Copy)]
+pub(crate) struct RootEdges<'a> {
+    /// Live arc indices into `eu`/`ev`.
+    pub arcs: &'a [u32],
+    /// Live table cells `(owner, cell)`, decoded by [`cell_edge`].
+    pub cells: &'a [(u32, u32)],
+    /// Arc tails.
+    pub eu: Handle,
+    /// Arc heads.
+    pub ev: Handle,
+    /// Per-vertex persistent table offsets (NULL = none).
+    pub eoff: Handle,
+    /// The table heap.
+    pub heap: Handle,
+}
+
+impl RootEdges<'_> {
+    /// Two charged steps over the root graph: the arc step calls
+    /// `f(a, b)` for each live arc that is not a loop, then the cell step
+    /// calls `f(x, w)` and `f(w, x)` for each live cell holding an edge.
+    #[inline(always)]
+    pub(crate) fn steps<F>(&self, pram: &mut Pram, f: F)
+    where
+        F: Fn(&mut Ctx, u64, u64) + Sync,
+    {
+        let (eu, ev, eoff, heap, f) = (self.eu, self.ev, self.eoff, self.heap, &f);
+        pram.step_over(self.arcs, move |_, &i, ctx| {
+            let (a, b) = (ctx.read(eu, i as usize), ctx.read(ev, i as usize));
+            if a != b {
+                f(ctx, a, b);
+            }
+        });
+        pram.step_over(self.cells, move |_, &(x, c), ctx| {
+            if let Some((_, w)) = cell_edge(x, c, eoff, heap, |h, i| ctx.read(h, i)) {
+                f(ctx, x as u64, w);
+                f(ctx, w, x as u64);
+            }
+        });
+    }
+}
+
 /// The compacted live-work index — the controller-side stand-in for the
-/// paper's per-round approximate compaction (Lemma D.2). All lists are
-/// rebuilt by [`LiveIndex::compact`] from the previous live lists, in
-/// deterministic (first-seen) order.
+/// paper's per-round approximate compaction (Lemma D.2): a [`LiveSet`]
+/// plus the live table cells, rebuilt by [`LiveIndex::compact`] from the
+/// previous live lists, in deterministic (first-seen) order.
 ///
 /// The rebuild itself runs on charged `pram_kit` primitives: arc, cell,
 /// and root filtering go through [`pram_kit::compact_over`] (a predicate
@@ -83,9 +151,12 @@ const NO_SLOT: u32 = u32::MAX;
 /// free host bookkeeping. The host vectors are the controller's mirror of
 /// the compacted arrays those primitives produce.
 pub(crate) struct LiveIndex {
-    /// Indices of arcs that were non-loops (and, when dedup ran, the first
-    /// of each duplicate group) at the last compaction.
-    pub arcs: Vec<u32>,
+    /// The live arcs (non-loops and, when dedup ran, the first of each
+    /// duplicate group), the endpoints of the live arcs and then of the
+    /// live table edges, and the ongoing roots among them, which drive
+    /// Steps 2/8 and the builder scan. Its slot map is the candidate-row
+    /// index of the stamped MAXLINK.
+    pub set: LiveSet,
     /// Live persistent-table cells `(owner, cell)`: value `w` non-NULL,
     /// non-self, and `parent[x] != parent[w]` at the last compaction.
     ///
@@ -100,52 +171,32 @@ pub(crate) struct LiveIndex {
     /// with it the MAXLINK clear/selection cost) actually shrink to the
     /// ongoing frontier.
     pub table_cells: Vec<(u32, u32)>,
-    /// Endpoints of live arcs and live table edges, deduplicated.
-    pub verts: Vec<u32>,
-    /// How many of `verts` came from arcs (the Lemma-B.2 "ongoing vertex"
-    /// count reported by per-round metrics).
+    /// How many of `set.verts` came from arcs (the Lemma-B.2 "ongoing
+    /// vertex" count reported by per-round metrics).
     pub arc_verts: usize,
-    /// `verts` that are their own parent — the ongoing roots driving
-    /// Steps 2/8 and the builder scan.
-    pub roots: Vec<u32>,
     /// Running maximum level (levels never decrease, and only ongoing
-    /// roots raise, so scanning `roots` per round keeps this exact).
+    /// roots raise, so scanning the roots per round keeps this exact).
     pub max_level_seen: u64,
-    /// vertex → slot in `verts` (`NO_VSLOT` = not live). Doubles as the
-    /// membership map during endpoint dedup and as the candidate-row index
-    /// of the generation-stamped MAXLINK.
-    slot: Vec<u32>,
 }
 
 impl LiveIndex {
-    pub(crate) fn new(n: usize) -> Self {
-        LiveIndex {
-            arcs: Vec::new(),
-            table_cells: Vec::new(),
-            verts: Vec::new(),
-            arc_verts: 0,
-            roots: Vec::new(),
-            max_level_seen: 0,
-            slot: vec![NO_VSLOT; n],
-        }
-    }
-
-    /// The vertex → candidate-row map of the stamped MAXLINK.
-    pub(crate) fn vert_slot(&self) -> &[u32] {
-        &self.slot
-    }
-
     /// Seed the index from all of `st`'s arcs (driver start-up; every
     /// later rebuild scans live lists only). No dedup: COMPACT's rename
-    /// already handed the rounds distinct arcs.
-    pub(crate) fn init_from_arcs(&mut self, pram: &mut Pram, st: &CcState) {
-        self.arcs = (0..st.arcs as u32).collect();
-        self.rebuild(pram, st, None, false, 0);
+    /// already handed the rounds distinct arcs, and no table exists yet.
+    pub(crate) fn seed(pram: &mut Pram, st: &CcState) -> Self {
+        let set = LiveSet::full(pram, st);
+        LiveIndex {
+            arc_verts: set.verts.len(),
+            max_level_seen: u64::from(!set.verts.is_empty()),
+            table_cells: Vec::new(),
+            set,
+        }
     }
 
     /// Refresh every list from machine state: drop arcs that became loops
     /// (optionally deduplicating surviving arcs by endpoint pair), drop
-    /// table cells that became NULL/self, recollect endpoints and roots.
+    /// table cells that no longer hold an edge between two trees,
+    /// recollect endpoints and roots.
     pub(crate) fn compact(
         &mut self,
         pram: &mut Pram,
@@ -155,91 +206,43 @@ impl LiveIndex {
         dedup: bool,
         dedup_seed: u64,
     ) {
-        self.rebuild(pram, st, Some((eoff, heap)), dedup, dedup_seed);
-    }
-
-    fn rebuild(
-        &mut self,
-        pram: &mut Pram,
-        st: &CcState,
-        tables: Option<(Handle, Handle)>,
-        dedup: bool,
-        dedup_seed: u64,
-    ) {
         let parent = st.parent;
 
         // Live arcs: charged compaction (predicate = non-loop; the helper
         // shared with `LiveSet`), then the optional endpoint-pair dedup —
         // the paper's hashing pass, charged at the surviving count (each
         // survivor reads the hash function's two words and probes once).
-        let mut kept = compact_live_arcs(pram, st, &self.arcs);
+        let mut kept = compact_live_arcs(pram, st, &self.set.arcs);
         if dedup {
             let survivors = kept.len();
             {
                 let eu_h = pram.view(st.eu);
                 let ev_h = pram.view(st.ev);
-                let mut set = PairSet::with_capacity(dedup_seed, kept.len());
-                kept.retain(|&i| set.insert(eu_h.get(i as usize), ev_h.get(i as usize)));
+                let mut seen = PairSet::with_capacity(dedup_seed, kept.len());
+                kept.retain(|&i| seen.insert(eu_h.get(i as usize), ev_h.get(i as usize)));
             }
             pram.charge(survivors, 2);
         }
-        self.arcs = kept;
+        self.set.arcs = kept;
 
         // Live table cells: charged compaction. The predicate's reads are
         // real counted memory traffic (offset, cell value, both parents).
-        if let Some((eoff, heap)) = tables {
-            self.table_cells = compact_over(pram, &self.table_cells, move |_, &(x, c), ctx| {
-                let off = ctx.read(eoff, x as usize);
-                if off == NULL {
-                    return false;
-                }
-                let w = ctx.read(heap, off as usize + c as usize);
-                w != NULL
-                    && w != x as u64
-                    && ctx.read(parent, x as usize) != ctx.read(parent, w as usize)
-            });
-        } else {
-            self.table_cells.clear();
-        }
+        self.table_cells = compact_over(pram, &self.table_cells, move |_, &(x, c), ctx| {
+            cell_edge(x, c, eoff, heap, |h, i| ctx.read(h, i))
+                .is_some_and(|(_, w)| ctx.read(parent, x as usize) != ctx.read(parent, w as usize))
+        });
 
-        // Endpoint collection via the shared helpers (one definition of
-        // the slot-map invariant `slot[verts[i]] == i`, which the stamped
-        // MAXLINK's candidate-row addressing relies on): arcs first, then
-        // the live table edges, charged as one emission step over the
-        // sources plus the Lemma-D.2 dedup/rename of the endpoints.
-        reset_endpoints(&mut self.slot, &mut self.verts);
-        {
-            let eu_h = pram.view(st.eu);
-            let ev_h = pram.view(st.ev);
-            extend_endpoints(
-                &mut self.slot,
-                &mut self.verts,
-                self.arcs
-                    .iter()
-                    .map(|&i| (eu_h.get(i as usize), ev_h.get(i as usize))),
-            );
-        }
-        self.arc_verts = self.verts.len();
-        if let Some((eoff, heap)) = tables {
-            let eo = pram.view(eoff);
-            let hw = pram.view(heap);
-            extend_endpoints(
-                &mut self.slot,
-                &mut self.verts,
-                self.table_cells
-                    .iter()
-                    .map(|&(x, c)| (x as u64, hw.get(eo.get(x as usize) as usize + c as usize))),
-            );
-        }
-        charge_endpoint_collection(
-            pram,
-            self.arcs.len() + self.table_cells.len(),
-            self.verts.len(),
-        );
-
-        // Ongoing roots: charged compaction over the endpoints (shared
-        // helper again — one charge model for every live index).
-        self.roots = compact_live_roots(pram, st, &self.verts);
+        // Endpoints: the arcs' first, then the live table edges', charged
+        // as one emission over both; then the roots among them.
+        self.set.collect_arc_endpoints(pram, st);
+        self.arc_verts = self.set.verts.len();
+        let (eo, hw) = (pram.view(eoff), pram.view(heap));
+        let cells = self.table_cells.iter();
+        let edges =
+            cells.map(|&(x, c)| (x as u64, hw.get(eo.get(x as usize) as usize + c as usize)));
+        self.set.collect_extra_endpoints(edges);
+        let sources = self.set.arcs.len() + self.table_cells.len();
+        self.set.charge_and_roots(pram, st, sources);
     }
 }
 
@@ -327,6 +330,18 @@ impl FasterState<'_> {
         pram.free(self.raised2);
         self.heap.free_all(pram);
     }
+
+    /// The root graph over the live index, on the current table heap.
+    pub(crate) fn edges(&self) -> RootEdges<'_> {
+        RootEdges {
+            arcs: &self.live.set.arcs,
+            cells: &self.live.table_cells,
+            eu: self.st.eu,
+            ev: self.st.ev,
+            eoff: self.eoff,
+            heap: self.heap.handle(),
+        }
+    }
 }
 
 /// Per-round outcome for the break test and metrics.
@@ -349,19 +364,82 @@ pub(crate) struct RoundOutcome {
 /// generation-stamped candidate cells allocated at the live size (see
 /// [`crate::theorem3::maxlink`]).
 fn run_maxlink(pram: &mut Pram, fs: &FasterState, params: &FasterParams, changed: &Flag) {
+    let live = &fs.live.set;
     let mut mx = MaxlinkCtx {
-        cand: pram.alloc_stamped((fs.live.verts.len() * (fs.lmax + 1)).max(1)),
-        vert_slot: fs.live.vert_slot(),
+        cand: pram.alloc_stamped((live.verts.len() * (fs.lmax + 1)).max(1)),
+        vert_slot: live.slot(),
         level: fs.level,
         lmax: fs.lmax,
-        live_arcs: &fs.live.arcs,
-        live_verts: &fs.live.verts,
-        table_cells: &fs.live.table_cells,
-        eoff: fs.eoff,
-        heap: fs.heap.handle(),
+        edges: fs.edges(),
+        live_verts: &live.verts,
     };
-    maxlink(pram, fs.st, &mut mx, changed, params.maxlink_iters);
+    maxlink(pram, fs.st.parent, &mut mx, changed, params.maxlink_iters);
     pram.free_stamped(mx.cand);
+}
+
+/// ALTER on the root graph: each live arc's endpoints, then each live
+/// table cell's value, are replaced by their parents (one processor per
+/// live arc, then per live cell).
+fn alter_root_edges(pram: &mut Pram, fs: &FasterState) {
+    let (parent, edges) = (fs.st.parent, fs.edges());
+    let (eoff, heap) = (edges.eoff, edges.heap);
+    alter_over(pram, edges.eu, edges.ev, parent, edges.arcs);
+    pram.step_over(edges.cells, move |_, &(x, c), ctx| {
+        if let Some((at, w)) = cell_edge(x, c, eoff, heap, |h, i| ctx.read(h, i)) {
+            let pw = ctx.read(parent, w as usize);
+            if pw != w {
+                ctx.write(heap, at, pw);
+            }
+        }
+    });
+}
+
+/// Steps 3 and 4's guard for the ordered root-graph edge `(a, b)`: the
+/// heap index `b` hashes to in `H3(a)`, when `a` builds a work table this
+/// round, `b` is a root and both have the same budget.
+#[inline(always)]
+fn h3_slot(
+    ctx: &mut Ctx,
+    (a, b): (u64, u64),
+    parent: Handle,
+    budget: Handle,
+    t3off: Handle,
+    hv: &PairwiseHash,
+) -> Option<usize> {
+    let o3 = ctx.read(t3off, a as usize);
+    if o3 == NULL || ctx.read(parent, b as usize) != b {
+        return None;
+    }
+    let ba = ctx.read(budget, a as usize);
+    if ctx.read(budget, b as usize) != ba {
+        return None;
+    }
+    Some(o3 as usize + hv.eval_range(b, sqb_of(ba)) as usize)
+}
+
+/// Step 5's item `(v, p, q)`, decoded: `v`'s `√b`, its `H3` offset, and
+/// `u`, cell `q` of `H3(w)` for the `w` in cell `p` of `H3(v)` — `None`
+/// when either cell is empty or `w` has no `H3`.
+#[inline(always)]
+fn square_item(
+    ctx: &mut Ctx,
+    (v, p, q): (u32, u32, u32),
+    budget: Handle,
+    t3off: Handle,
+    heap: Handle,
+) -> Option<(u64, usize, u64)> {
+    let sqb = sqb_of(ctx.read(budget, v as usize));
+    let o3 = ctx.read(t3off, v as usize) as usize;
+    let w = ctx.read(heap, o3 + p as usize);
+    if w == NULL {
+        return None;
+    }
+    let o3w = ctx.read(t3off, w as usize);
+    if o3w == NULL {
+        return None;
+    }
+    let u = ctx.read(heap, o3w as usize + q as usize);
+    (u != NULL).then_some((sqb, o3, u))
 }
 
 /// Execute one EXPAND-MAXLINK round.
@@ -379,7 +457,7 @@ pub(crate) fn expand_maxlink_round(
     let ii_flag = Flag::new(pram);
     let mut compaction_work = 0u64;
 
-    let (parent, eu, ev) = (fs.st.parent, fs.st.eu, fs.st.ev);
+    let parent = fs.st.parent;
     let (level, budget) = (fs.level, fs.budget);
     let (eoff, t3off, t5off) = (fs.eoff, fs.t3off, fs.t5off);
     let (dormant, raised2) = (fs.dormant, fs.raised2);
@@ -387,8 +465,7 @@ pub(crate) fn expand_maxlink_round(
 
     // ---- Step 1: MAXLINK; ALTER (live arcs and live tables).
     run_maxlink(pram, fs, params, &changed);
-    alter_over(pram, eu, ev, parent, &fs.live.arcs);
-    alter_tables(pram, &fs.live.table_cells, eoff, heap, parent);
+    alter_root_edges(pram, fs);
 
     // ---- Compact: the mid-round live-index refresh every later step
     // schedules over (the Lemma-D.2 role; see module docs). Its charged
@@ -402,7 +479,7 @@ pub(crate) fn expand_maxlink_round(
     if params.enable_sampling {
         let (exp, cap) = (params.sample_exp, params.sample_cap);
         let lmax = fs.lmax as u64;
-        pram.step_over(&fs.live.roots, move |_, &v, ctx| {
+        pram.step_over(&fs.live.set.roots, move |_, &v, ctx| {
             let v = v as usize;
             if ctx.read(parent, v) != v as u64 {
                 return;
@@ -442,7 +519,7 @@ pub(crate) fn expand_maxlink_round(
         let buds = pram.view(budget);
         let lvls = pram.view(level);
         let lmax = fs.lmax as u64;
-        for &v in &fs.live.roots {
+        for &v in &fs.live.set.roots {
             let b = buds.get(v as usize);
             if b >= 4 && lvls.get(v as usize) < lmax {
                 fs.scratch.builders.push(Builder {
@@ -475,26 +552,10 @@ pub(crate) fn expand_maxlink_round(
         let sqb = sqb_of(ctx.read(budget, b.v as usize));
         ctx.write(heap, o3 as usize + hv.eval_range(v, sqb) as usize, v);
     });
-    pram.step_over(&fs.live.arcs, move |_, &ai, ctx| {
-        let i = ai as usize;
-        let a = ctx.read(eu, i);
-        let b = ctx.read(ev, i);
-        if a == b {
-            return;
+    fs.edges().steps(pram, move |ctx, a, b| {
+        if let Some(at) = h3_slot(ctx, (a, b), parent, budget, t3off, &hv) {
+            ctx.write(heap, at, b);
         }
-        step3_insert(ctx, a, b, parent, budget, t3off, heap, &hv);
-    });
-    pram.step_over(&fs.live.table_cells, move |_, &(x, c), ctx| {
-        let off = ctx.read(eoff, x as usize);
-        if off == NULL {
-            return;
-        }
-        let w = ctx.read(heap, off as usize + c as usize);
-        if w == NULL || w == x as u64 {
-            return;
-        }
-        step3_insert(ctx, x as u64, w, parent, budget, t3off, heap, &hv);
-        step3_insert(ctx, w, x as u64, parent, budget, t3off, heap, &hv);
     });
 
     // ---- Host scan of the freshly-built H3 tables: occupied cells per
@@ -555,26 +616,12 @@ pub(crate) fn expand_maxlink_round(
             ctx.write(dormant, b.v as usize, 1);
         }
     });
-    pram.step_over(&fs.live.arcs, move |_, &ai, ctx| {
-        let i = ai as usize;
-        let a = ctx.read(eu, i);
-        let b = ctx.read(ev, i);
-        if a == b {
-            return;
+    fs.edges().steps(pram, move |ctx, a, b| {
+        if let Some(at) = h3_slot(ctx, (a, b), parent, budget, t3off, &hv) {
+            if ctx.read(heap, at) != b {
+                ctx.write(dormant, a as usize, 1);
+            }
         }
-        step4_verify(ctx, a, b, parent, budget, t3off, heap, &hv, dormant);
-    });
-    pram.step_over(&fs.live.table_cells, move |_, &(x, c), ctx| {
-        let off = ctx.read(eoff, x as usize);
-        if off == NULL {
-            return;
-        }
-        let w = ctx.read(heap, off as usize + c as usize);
-        if w == NULL || w == x as u64 {
-            return;
-        }
-        step4_verify(ctx, x as u64, w, parent, budget, t3off, heap, &hv, dormant);
-        step4_verify(ctx, w, x as u64, parent, budget, t3off, heap, &hv, dormant);
     });
     // Dormancy propagation through table membership (Step 4 sentence 2) —
     // one processor per *occupied* H3 cell.
@@ -588,47 +635,23 @@ pub(crate) fn expand_maxlink_round(
 
     // ---- Step 5: squaring H5(v) ← ∪_{w ∈ H3(v)} H3(w), over the
     // compacted occupied-pair items.
-    pram.step_over(&fs.scratch.s5_index, move |_, &(v, p, q), ctx| {
-        let sqb = sqb_of(ctx.read(budget, v as usize));
-        let o3 = ctx.read(t3off, v as usize);
-        let w = ctx.read(heap, o3 as usize + p as usize);
-        if w == NULL {
-            return;
+    pram.step_over(&fs.scratch.s5_index, move |_, &item, ctx| {
+        if let Some((sqb, o3, u)) = square_item(ctx, item, budget, t3off, heap) {
+            let slot = hv.eval_range(u, sqb) as usize;
+            // Break-condition (ii): was u already present in H3(v)?
+            if ctx.read(heap, o3 + slot) != u {
+                ii_flag.raise(ctx);
+            }
+            let o5 = ctx.read(t5off, item.0 as usize);
+            ctx.write(heap, o5 as usize + slot, u);
         }
-        let o3w = ctx.read(t3off, w as usize);
-        if o3w == NULL {
-            return;
-        }
-        let u = ctx.read(heap, o3w as usize + q as usize);
-        if u == NULL {
-            return;
-        }
-        let slot = hv.eval_range(u, sqb) as usize;
-        // Break-condition (ii): was u already present in H3(v)?
-        if ctx.read(heap, o3 as usize + slot) != u {
-            ii_flag.raise(ctx);
-        }
-        let o5 = ctx.read(t5off, v as usize);
-        ctx.write(heap, o5 as usize + slot, u);
     });
-    pram.step_over(&fs.scratch.s5_index, move |_, &(v, p, q), ctx| {
-        let sqb = sqb_of(ctx.read(budget, v as usize));
-        let o3 = ctx.read(t3off, v as usize);
-        let w = ctx.read(heap, o3 as usize + p as usize);
-        if w == NULL {
-            return;
-        }
-        let o3w = ctx.read(t3off, w as usize);
-        if o3w == NULL {
-            return;
-        }
-        let u = ctx.read(heap, o3w as usize + q as usize);
-        if u == NULL {
-            return;
-        }
-        let o5 = ctx.read(t5off, v as usize);
-        if ctx.read(heap, o5 as usize + hv.eval_range(u, sqb) as usize) != u {
-            ctx.write(dormant, v as usize, 1);
+    pram.step_over(&fs.scratch.s5_index, move |_, &item, ctx| {
+        if let Some((sqb, _, u)) = square_item(ctx, item, budget, t3off, heap) {
+            let o5 = ctx.read(t5off, item.0 as usize);
+            if ctx.read(heap, o5 as usize + hv.eval_range(u, sqb) as usize) != u {
+                ctx.write(dormant, item.0 as usize, 1);
+            }
         }
     });
 
@@ -651,14 +674,13 @@ pub(crate) fn expand_maxlink_round(
     {
         let hw = pram.view(heap);
         let slot = &fs.scratch.builder_slot;
-        fs.live
-            .table_cells
-            .retain(|&(x, _)| slot[x as usize] == NO_SLOT);
+        let cells = &mut fs.live.table_cells;
+        cells.retain(|&(x, _)| slot[x as usize] == NO_SLOT);
         for b in &fs.scratch.builders {
             for c in 0..b.sqb {
                 let w = hw.get(b.o5 as usize + c as usize);
                 if w != NULL && w != b.v as u64 {
-                    fs.live.table_cells.push((b.v, c));
+                    cells.push((b.v, c));
                 }
             }
         }
@@ -674,9 +696,8 @@ pub(crate) fn expand_maxlink_round(
     // target missing from the slot map is skipped, mirroring the clear
     // path's never-read cell).
     run_maxlink(pram, fs, params, &changed);
-    shortcut_flagged_over(pram, parent, &fs.live.verts, &changed);
-    alter_over(pram, eu, ev, parent, &fs.live.arcs);
-    alter_tables(pram, &fs.live.table_cells, eoff, heap, parent);
+    shortcut_flagged_over(pram, parent, &fs.live.set.verts, &changed);
+    alter_root_edges(pram, fs);
 
     // ---- Step 7: dormant roots that did not raise in Step 2 raise now.
     {
@@ -701,7 +722,7 @@ pub(crate) fn expand_maxlink_round(
     // Lemma D.2).
     {
         let budgets: &[u64] = &fs.budgets;
-        pram.step_over(&fs.live.roots, move |_, &v, ctx| {
+        pram.step_over(&fs.live.set.roots, move |_, &v, ctx| {
             let v = v as usize;
             if ctx.read(parent, v) == v as u64 {
                 let l = ctx.read(level, v) as usize;
@@ -711,7 +732,7 @@ pub(crate) fn expand_maxlink_round(
                 }
             }
         });
-        pram.charge(fs.live.roots.len(), 4);
+        pram.charge(fs.live.set.roots.len(), 4);
     }
 
     // ---- Outcome metrics, from the live index instead of full-n scans.
@@ -725,7 +746,7 @@ pub(crate) fn expand_maxlink_round(
     };
     {
         let lv = pram.view(level);
-        for &v in &fs.live.roots {
+        for &v in &fs.live.set.roots {
             fs.live.max_level_seen = fs.live.max_level_seen.max(lv.get(v as usize));
         }
     }
@@ -735,7 +756,7 @@ pub(crate) fn expand_maxlink_round(
     pram.step_over(&fs.scratch.builders, move |_, b, ctx| {
         ctx.write(dormant, b.v as usize, 0);
     });
-    pram.step_over(&fs.live.roots, move |_, &v, ctx| {
+    pram.step_over(&fs.live.set.roots, move |_, &v, ctx| {
         ctx.write(raised2, v as usize, 0);
     });
 
@@ -752,90 +773,10 @@ pub(crate) fn expand_maxlink_round(
         max_level: fs.live.max_level_seen,
         table_live: fs.heap.live_words() as u64,
         ongoing: fs.live.arc_verts,
-        live_arcs: fs.live.arcs.len(),
+        live_arcs: fs.live.set.arcs.len(),
         compaction_work,
     };
     changed.free(pram);
     ii_flag.free(pram);
     outcome
-}
-
-/// ALTER on live persistent table entries: replace each stored endpoint by
-/// its parent (one processor per live cell).
-fn alter_tables(pram: &mut Pram, cells: &[(u32, u32)], eoff: Handle, heap: Handle, parent: Handle) {
-    pram.step_over(cells, move |_, &(x, c), ctx| {
-        let off = ctx.read(eoff, x as usize);
-        if off == NULL {
-            return;
-        }
-        let w = ctx.read(heap, off as usize + c as usize);
-        if w == NULL {
-            return;
-        }
-        let pw = ctx.read(parent, w as usize);
-        if pw != w {
-            ctx.write(heap, off as usize + c as usize, pw);
-        }
-    });
-}
-
-/// Step 3 insert: hash root-neighbour `b` into `H3(a)` when both are roots
-/// of equal budget and `a` has a work table.
-#[allow(clippy::too_many_arguments)]
-#[inline]
-fn step3_insert(
-    ctx: &mut pram_sim::Ctx,
-    a: u64,
-    b: u64,
-    parent: Handle,
-    budget: Handle,
-    t3off: Handle,
-    heap: Handle,
-    hv: &PairwiseHash,
-) {
-    let o3 = ctx.read(t3off, a as usize);
-    if o3 == NULL {
-        return;
-    }
-    if ctx.read(parent, b as usize) != b {
-        return;
-    }
-    let ba = ctx.read(budget, a as usize);
-    if ctx.read(budget, b as usize) != ba {
-        return;
-    }
-    let sqb = sqb_of(ba);
-    ctx.write(heap, o3 as usize + hv.eval_range(b, sqb) as usize, b);
-}
-
-/// Step 4 verify: the write of [`step3_insert`] either stuck or its owner
-/// goes dormant.
-#[allow(clippy::too_many_arguments)]
-#[inline]
-fn step4_verify(
-    ctx: &mut pram_sim::Ctx,
-    a: u64,
-    b: u64,
-    parent: Handle,
-    budget: Handle,
-    t3off: Handle,
-    heap: Handle,
-    hv: &PairwiseHash,
-    dormant: Handle,
-) {
-    let o3 = ctx.read(t3off, a as usize);
-    if o3 == NULL {
-        return;
-    }
-    if ctx.read(parent, b as usize) != b {
-        return;
-    }
-    let ba = ctx.read(budget, a as usize);
-    if ctx.read(budget, b as usize) != ba {
-        return;
-    }
-    let sqb = sqb_of(ba);
-    if ctx.read(heap, o3 as usize + hv.eval_range(b, sqb) as usize) != b {
-        ctx.write(dormant, a as usize, 1);
-    }
 }

@@ -199,13 +199,6 @@ impl<'a> Ctx<'a> {
         let u = (x >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
         u < p
     }
-
-    /// Record `k` units of local computation for the O(1)-discipline audit
-    /// without touching memory (e.g. comparing two already-read words).
-    #[inline]
-    pub fn charge_local(&mut self, k: u32) {
-        self.ops_this_proc += k;
-    }
 }
 
 #[cfg(test)]

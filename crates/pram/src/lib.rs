@@ -35,8 +35,7 @@
 //!    loop past the model is visible in the numbers. Where the paper charges
 //!    O(1) time for a primitive that needs polylog processor slack (see
 //!    ARCHITECTURE.md, "The charge / live-work accounting model") the
-//!    caller uses [`Pram::step_charged`] and the charge is recorded
-//!    separately.
+//!    caller records that charge with [`Pram::charge`].
 //!
 //! Memory is managed by a size-class arena (`mem::Arena`) so the
 //! level/budget block machinery of the paper (allocate a block of size

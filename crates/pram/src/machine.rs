@@ -238,16 +238,10 @@ impl Pram {
         self.view(h).to_vec()
     }
 
-    /// Host bulk fill (setup only; not charged). For a charged parallel
-    /// fill use [`Pram::fill_step`].
-    pub fn host_fill(&mut self, h: Handle, v: u64) {
-        self.mem.fill_words(h.base as usize, h.len as usize, v);
-    }
-
     /// Host bulk fill of `len` cells starting at cell `start` (setup only;
-    /// not charged). The block-heap allocators use this instead of
-    /// per-cell [`Pram::set`] loops so clearing a table costs a memset,
-    /// not a call per word.
+    /// not charged; for a charged parallel fill use [`Pram::fill_step`]).
+    /// The block-heap allocators use this instead of per-cell [`Pram::set`]
+    /// loops so clearing a table costs a memset, not a call per word.
     pub fn host_fill_range(&mut self, h: Handle, start: usize, len: usize, v: u64) {
         assert!(start + len <= h.len(), "host_fill_range out of bounds");
         self.mem.fill_words(h.addr(start) as usize, len, v);
@@ -269,7 +263,7 @@ impl Pram {
 
     /// Host-side *stamped* bulk fill: logically reset every cell of `s` to
     /// its stale sentinel by advancing the generation — O(1) host work and
-    /// zero simulated time, where [`Pram::host_fill`]/[`Pram::host_fill_range`]
+    /// zero simulated time, where [`Pram::host_fill_range`]
     /// memset O(len) words. This is what lets per-phase flag arrays sized
     /// at `n` be "cleared" each phase without any O(n) pass, host or
     /// simulated (`logdiam-cc` uses it for EXPAND's per-phase arrays and
@@ -318,11 +312,19 @@ impl Pram {
     /// Each processor `p ∈ [0, nprocs)` runs `f(p, ctx)`; reads see the
     /// pre-step memory, writes are resolved per the machine policy and
     /// committed at the end. Charged as 1 unit of simulated time.
+    ///
+    /// An executed step is capped at 2^32 processors, the size of the
+    /// arena's address space: executing more closures than that is
+    /// infeasible anyway (write records carry no processor id, so no
+    /// record format needs the cap). Where the paper proves an O(1)- or
+    /// O(k)-time bound on processor slack the simulator does not spend
+    /// host time emulating, the caller records it with [`Pram::charge`].
     pub fn step<F>(&mut self, nprocs: usize, f: F)
     where
         F: Fn(u64, &mut Ctx) + Send + Sync,
     {
-        self.step_charged(nprocs, 1, f)
+        self.stats.record_step(nprocs as u64, 1);
+        self.execute(nprocs, &f, self.policy.resolution());
     }
 
     /// Execute one synchronous parallel step with one processor per element
@@ -358,26 +360,6 @@ impl Pram {
         F: Fn(u64, &T, &mut Ctx) + Send + Sync,
     {
         self.step(items.len(), move |p, ctx| f(p, &items[p as usize], ctx));
-    }
-
-    /// Like [`Pram::step`] but charged `charge` units of simulated time.
-    ///
-    /// Used where the paper proves an O(1)- or O(k)-time bound that relies
-    /// on processor slack the simulator does not spend host time emulating
-    /// (ARCHITECTURE.md, "The charge / live-work accounting model"). The
-    /// per-processor op audit still reports the real op count.
-    ///
-    /// An *executed* step is capped at 2^32 processors, the size of the
-    /// arena's address space: executing more closures than that is
-    /// infeasible anyway (write records carry no processor id, so no
-    /// record format needs the cap). Model larger processor counts with
-    /// [`Pram::charge`].
-    pub fn step_charged<F>(&mut self, nprocs: usize, charge: u64, f: F)
-    where
-        F: Fn(u64, &mut Ctx) + Send + Sync,
-    {
-        self.stats.record_step(nprocs as u64, charge);
-        self.execute(nprocs, &f, self.policy.resolution());
     }
 
     /// Execute one synchronous COMBINING CRCW step: concurrent writes to a
@@ -430,7 +412,7 @@ impl Pram {
     {
         assert!(
             nprocs <= u32::MAX as usize,
-            "executed steps are capped at 2^32 processors (see Pram::step_charged)"
+            "executed steps are capped at 2^32 processors (see Pram::step)"
         );
         let mem_ref = self.mem.cells();
         let shard_count = self.shard_count;
@@ -736,13 +718,14 @@ mod tests {
         pram.step(1000, |p, ctx| {
             ctx.write(xs, p as usize, p);
         });
-        pram.step_charged(10, 3, |p, ctx| {
+        pram.step(10, |p, ctx| {
             let _ = ctx.read(xs, p as usize);
         });
+        pram.charge(10, 3);
         let s = pram.stats();
-        assert_eq!(s.steps, 4);
-        assert_eq!(s.step_calls, 2);
-        assert_eq!(s.work, 1000 + 30);
+        assert_eq!(s.steps, 5);
+        assert_eq!(s.step_calls, 3);
+        assert_eq!(s.work, 1000 + 10 + 30);
         assert_eq!(s.max_procs, 1000);
         assert_eq!(s.writes, 1000);
         assert_eq!(s.reads, 10);

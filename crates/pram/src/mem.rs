@@ -149,24 +149,6 @@ impl Handle {
         self.len == 0
     }
 
-    /// A sub-block `[off, off+len)` of this block.
-    ///
-    /// Panics if the range does not fit. Used to carve a vertex's block into
-    /// its `√b` tables of size `√b` (paper §3.1 "Level and budget").
-    #[inline]
-    pub fn sub(&self, off: usize, len: usize) -> Handle {
-        assert!(
-            off + len <= self.len as usize,
-            "sub-block [{off}, {}) out of bounds for block of len {}",
-            off + len,
-            self.len
-        );
-        Handle {
-            base: self.base + off as u32,
-            len: len as u32,
-        }
-    }
-
     /// The absolute word address of cell `i` (bounds-checked).
     #[inline]
     pub(crate) fn addr(&self, i: usize) -> u32 {
@@ -639,23 +621,6 @@ mod tests {
         a.copy_words(base, base + 4, 4);
         let want = [7, 0xFFFF_FFFE, 0, NULL];
         assert!((0..8).all(|i| a.load(base + i) == want[i % 4]));
-    }
-
-    #[test]
-    fn sub_blocks_are_bounds_checked() {
-        let mut a = arena();
-        let h = a.alloc(16, 0);
-        let t = h.sub(4, 4);
-        assert_eq!(t.len(), 4);
-        assert_eq!(t.addr(0), h.base + 4);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of bounds")]
-    fn sub_block_overflow_panics() {
-        let mut a = arena();
-        let h = a.alloc(16, 0);
-        let _ = h.sub(10, 10);
     }
 
     #[test]

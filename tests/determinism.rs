@@ -11,7 +11,9 @@
 //! pinned environment, compared byte-for-byte on stdout.
 //!
 //! Graph shapes and seeds are proptest-generated (the vendored shim is
-//! deterministic, so failures reproduce exactly).
+//! deterministic, so failures reproduce exactly). Six fixed runs are also
+//! compared with committed probe lines, so a change that moves a seeded
+//! count fails here even when every thread count agrees.
 
 use proptest::prelude::*;
 use std::process::Command;
@@ -50,8 +52,9 @@ fn probe_env(
     String::from_utf8(out.stdout).expect("probe printed invalid UTF-8")
 }
 
-/// Assert one (algo, graph) case fingerprints identically at 1/2/8 threads.
-fn assert_thread_invariant(algo: &str, family: &str, n: usize, seed: u64) {
+/// Assert one (algo, graph) case fingerprints identically at 1/2/8 threads;
+/// returns the 1-thread line.
+fn assert_thread_invariant(algo: &str, family: &str, n: usize, seed: u64) -> String {
     let baseline = probe(THREAD_COUNTS[0], algo, family, n, seed);
     assert!(
         baseline.contains(' '),
@@ -65,6 +68,35 @@ fn assert_thread_invariant(algo: &str, family: &str, n: usize, seed: u64) {
              1 thread and {threads} threads"
         );
     }
+    baseline
+}
+
+/// `determinism_probe` lines of six fixed runs, as committed: the labels'
+/// fingerprint and every machine count. The thread-invariance tests prove
+/// a line is the same at 1, 2 and 8 threads, so one thread is enough here.
+/// A change that alters seeded behaviour on purpose regenerates these
+/// (`determinism_probe <algo> <family> <n> <seed>` at one thread) and says
+/// why in CHANGES.md.
+const GOLDEN: [(&str, &str, usize, u64, &str); 6] = [
+    ("theorem3", "powerlaw", 9_000, 5, "272e32824931f635 n=9000 reads=5465529 writes=1611176 work=3572852 steps=665 max_ops=14 peak_words=306178"),
+    ("theorem3", "gnm", 11_000, 5, "3deb7b7430020d46 n=11000 reads=6807901 writes=1981121 work=4352534 steps=717 max_ops=14 peak_words=403458"),
+    ("theorem3", "path", 40_000, 1, "9e2cc43ade24f7a5 n=40000 reads=7749579 writes=2011800 work=5738471 steps=785 max_ops=14 peak_words=950274"),
+    ("theorem1", "gnm", 5_000, 3, "5a6adfe08134b1ed n=5000 reads=6632180 writes=1121697 work=3464619 steps=312 max_ops=12 peak_words=133121"),
+    ("theorem2", "gnm", 5_000, 3, "59150e4b5cd303d1 n=5000 reads=9737716 writes=1409728 work=6226744 steps=737 max_ops=12 peak_words=283649"),
+    ("vanilla", "gnm", 5_000, 3, "12b3935d07d4d230 n=5000 reads=2600824 writes=579355 work=2642383 steps=333 max_ops=6 peak_words=108544"),
+];
+
+/// Assert a probe line equals its committed [`GOLDEN`] line.
+fn assert_golden(line: &str, algo: &str, family: &str, n: usize, seed: u64) {
+    let (.., want) = GOLDEN
+        .iter()
+        .find(|g| (g.0, g.1, g.2, g.3) == (algo, family, n, seed))
+        .expect("no committed line for this case");
+    assert_eq!(
+        line.trim_end(),
+        *want,
+        "{algo} on {family}(n={n}, seed={seed}) no longer prints its committed line"
+    );
 }
 
 /// The simulated entry points (each drives `Pram` on a seeded-ARBITRARY
@@ -101,11 +133,23 @@ fn family_strategy() -> impl Strategy<Value = &'static str> {
 /// per vertex, so its solver samples, filters and solves the survivors:
 /// at these sizes and seed both graphs take the sample and leave arcs
 /// for the survivor pass. The sample step's ARBITRARY winners and both
-/// passes must fingerprint identically at 1/2/8 threads.
+/// passes must fingerprint identically at 1/2/8 threads, and print their
+/// [`GOLDEN`] lines.
 #[test]
 fn sampled_theorem3_is_thread_invariant() {
     for (family, n) in [("powerlaw", 9_000), ("gnm", 11_000)] {
-        assert_thread_invariant("theorem3", family, n, 5);
+        let baseline = assert_thread_invariant("theorem3", family, n, 5);
+        assert_golden(&baseline, "theorem3", family, n, 5);
+    }
+}
+
+/// The [`GOLDEN`] cases the sampled test above does not run: an unsampled
+/// Theorem-3 path, Theorems 1 and 2, and Vanilla.
+#[test]
+fn golden_counts_are_unchanged() {
+    for &(algo, family, n, seed, _) in &GOLDEN[2..] {
+        let line = probe(THREAD_COUNTS[0], algo, family, n, seed);
+        assert_golden(&line, algo, family, n, seed);
     }
 }
 
