@@ -4,7 +4,7 @@
 //!
 //! This is the quantitative form of the paper's central argument (§1):
 //! the MPC algorithms lean on O(1)-round sorting/prefix sums, which cost
-//! `Ω(log n / log log n)` on a CRCW PRAM [BH89]; limited-collision hashing
+//! `Ω(log n / log log n)` on a CRCW PRAM \[BH89\]; limited-collision hashing
 //! replaces them. Measured: simulated steps of exact compaction via
 //! Blelloch scan vs retry rounds (×2 steps) of hash compaction, `n`
 //! doubling.

@@ -11,9 +11,11 @@
 //!   and the vote of §B.4 are implemented step-for-step, including the
 //!   live/dormant machinery and the §B.5 `ñ` update rule that removes the
 //!   COMBINING-PRAM assumption.
-//! * [`theorem2`] — **Spanning Forest** (§C, Theorem 2): the extended
-//!   expansion that snapshots per-round tables, TREE-LINK with `(α, β)`
-//!   distance labels, and forest-edge marking on original arcs.
+//! * [`theorem2`] — **Spanning Forest** (§C, Theorem 2): Theorem 1's
+//!   phase loop with Vanilla-SF as PREPARE and TREE-LINK + TREE-SHORTCUT
+//!   in place of LINK + SHORTCUT — the extended expansion that snapshots
+//!   per-round tables, TREE-LINK with `(α, β)` distance labels, and
+//!   forest-edge marking on original arcs.
 //! * [`theorem3`] — **Faster Connected Components** (§3/§D, Theorem 3):
 //!   `COMPACT; {EXPAND-MAXLINK}; Theorem-1 postprocess` —
 //!   `O(log d + log log_{m/n} n)` time, with levels, budgets, MAXLINK and

@@ -10,7 +10,9 @@
 //! list of non-loop arcs, of their endpoint vertices ("ongoing" vertices,
 //! Definition B.1 via Lemma B.2), and of the ongoing roots. Every charged
 //! step in those drivers iterates one of these lists through
-//! [`pram_sim::Pram::step_over`].
+//! [`pram_sim::Pram::step_over`]; a step over the arcs decodes each one
+//! (and skips loops) in the crate-private `step_arcs`, which Theorem 3's
+//! root-graph walk shares.
 //!
 //! Refreshing the set is itself charged: the arc and root lists go through
 //! [`pram_kit::compact_over`] (1 predicate step + the Lemma-D.2 placement
@@ -28,7 +30,7 @@
 
 use crate::state::CcState;
 use pram_kit::compact_over;
-use pram_sim::Pram;
+use pram_sim::{Ctx, Handle, Pram};
 
 /// "Not live" marker for the vertex → slot map.
 pub(crate) const NO_SLOT: u32 = u32::MAX;
@@ -53,6 +55,24 @@ pub(crate) fn arc_pairs<'a>(
     let (eu, ev) = (pram.view(st.eu), pram.view(st.ev));
     arcs.iter()
         .map(move |&i| (eu.get(i as usize), ev.get(i as usize)))
+}
+
+/// One charged step over the arcs `arcs` lists — every driver's arc
+/// decode: `f(ctx, i, a, b)` for each listed arc `i` whose endpoints
+/// `a = eu[i]` and `b = ev[i]` differ.
+#[inline(always)]
+pub(crate) fn step_arcs<F>(pram: &mut Pram, eu: Handle, ev: Handle, arcs: &[u32], f: F)
+where
+    F: Fn(&mut Ctx, usize, u64, u64) + Sync,
+{
+    let f = &f;
+    pram.step_over(arcs, move |_, &i, ctx| {
+        let i = i as usize;
+        let (a, b) = (ctx.read(eu, i), ctx.read(ev, i));
+        if a != b {
+            f(ctx, i, a, b);
+        }
+    });
 }
 
 /// Append the endpoints `pairs` yields in first-seen order, maintaining

@@ -30,28 +30,57 @@
 //! run): the per-phase "re-fill with NULL" is a generation bump — O(1)
 //! host work, zero simulated time, and no O(n) memset per phase.
 
-use crate::live::LiveSet;
+use crate::live::{step_arcs, LiveSet};
 use crate::state::CcState;
 use pram_kit::ops::Flag;
 use pram_kit::PairwiseHash;
-use pram_sim::{Handle, Pram, Stamped, NULL};
+use pram_sim::{Ctx, Handle, Pram, Stamped, NULL};
 
 /// First-dormant-round encoding: fully dormant (lost the block lottery).
-pub const FDR_FULLY: u64 = 0;
+const FDR_FULLY: u64 = 0;
+
+/// One charged step with a processor per cell of every owned table:
+/// `f(ctx, row, u, p)` for cell `p` of the table whose first cell is at
+/// `row`, owned by `u`. With [`step_pairs`] it is the one owned-table
+/// decode of EXPAND, VOTE, LINK and TREE-LINK.
+#[inline(always)]
+pub(crate) fn step_cells<F>(pram: &mut Pram, owned: &[(u64, u64)], k: usize, f: F)
+where
+    F: Fn(&mut Ctx, usize, u64, usize) + Sync,
+{
+    pram.step(owned.len() * k, |pp, ctx| {
+        let (blk, u) = owned[pp as usize / k];
+        f(ctx, blk as usize * k, u, pp as usize % k);
+    });
+}
+
+/// Like [`step_cells`], with a processor per ordered cell pair `(p, q)`
+/// of every owned table: `f(ctx, row, u, p, q)`.
+#[inline(always)]
+pub(crate) fn step_pairs<F>(pram: &mut Pram, owned: &[(u64, u64)], k: usize, f: F)
+where
+    F: Fn(&mut Ctx, usize, u64, usize, usize) + Sync,
+{
+    pram.step(owned.len() * k * k, |pp, ctx| {
+        let (blk, u) = owned[pp as usize / (k * k)];
+        let rem = pp as usize % (k * k);
+        f(ctx, blk as usize * k, u, rem / k, rem % k);
+    });
+}
 
 /// Driver-lifetime scratch backing EXPAND's per-vertex phase arrays
 /// (`fdr` and the step-3 liveness flags) as generation-stamped blocks:
 /// allocated once per run, after which each phase's "refill with
 /// NULL / 0" is a stamp-generation bump ([`Pram::host_stamped_fill`])
 /// instead of an O(n) memset.
-pub struct ExpandScratch {
+pub(crate) struct ExpandScratch {
     fdr: Stamped,
     live3: Stamped,
 }
 
 impl ExpandScratch {
     /// Allocate stamped blocks for `n` vertices.
-    pub fn new(pram: &mut Pram, n: usize) -> Self {
+    pub(crate) fn new(pram: &mut Pram, n: usize) -> Self {
         ExpandScratch {
             fdr: pram.alloc_stamped(n),
             live3: pram.alloc_stamped(n),
@@ -59,7 +88,7 @@ impl ExpandScratch {
     }
 
     /// Release the blocks.
-    pub fn free(self, pram: &mut Pram) {
+    pub(crate) fn free(self, pram: &mut Pram) {
         pram.free_stamped(self.fdr);
         pram.free_stamped(self.live3);
     }
@@ -67,7 +96,7 @@ impl ExpandScratch {
 
 /// Parameters of one EXPAND invocation.
 #[derive(Clone, Copy, Debug)]
-pub struct ExpandParams {
+pub(crate) struct ExpandParams {
     /// Hash-table size `K` (power of two) — the paper's `δ^{1/3}`.
     pub table_size: usize,
     /// Number of blocks for `h_B` (power of two) — the paper's `m/b^{12}`,
@@ -81,7 +110,7 @@ pub struct ExpandParams {
 }
 
 /// The state EXPAND leaves behind for VOTE / LINK / TREE-LINK.
-pub struct Expansion {
+pub(crate) struct Expansion {
     /// Table size `K`.
     pub k: usize,
     /// Number of blocks.
@@ -109,14 +138,8 @@ pub struct Expansion {
 }
 
 impl Expansion {
-    /// Address of cell `i` of `H` for block `blk` within `tables`.
-    #[inline]
-    pub fn cell(&self, blk: u64, i: u64) -> usize {
-        blk as usize * self.k + i as usize
-    }
-
     /// Release everything but `fdr`, which the caller's scratch owns.
-    pub fn free(self, pram: &mut Pram) {
+    pub(crate) fn free(self, pram: &mut Pram) {
         pram.free(self.tables);
         pram.free(self.owner);
         for s in self.snapshots {
@@ -128,7 +151,7 @@ impl Expansion {
 /// Run EXPAND on the current graph (the live arcs of `st`, scheduled over
 /// `live`); see module docs. The per-vertex phase arrays are the
 /// driver's `scratch` blocks, refilled here by a stamp bump.
-pub fn expand(
+pub(crate) fn expand(
     pram: &mut Pram,
     st: &CcState,
     params: &ExpandParams,
@@ -179,13 +202,7 @@ pub fn expand(
     });
     // ...and per-arc inserts; arcs with a non-live tail mark their head
     // dormant (round 0).
-    pram.step_over(&live.arcs, move |_, &ai, ctx| {
-        let i = ai as usize;
-        let a = ctx.read(eu, i);
-        let b = ctx.read(ev, i);
-        if a == b {
-            return;
-        }
+    step_arcs(pram, eu, ev, &live.arcs, move |ctx, _, a, b| {
         if ctx.read_stamped(live3, a as usize, 0) == 1 {
             let blk = hb.eval(a);
             ctx.write(tables, blk as usize * k + hv.eval(b) as usize, b);
@@ -204,15 +221,10 @@ pub fn expand(
             }
         }
     });
-    pram.step_over(&live.arcs, move |_, &ai, ctx| {
-        let i = ai as usize;
-        let a = ctx.read(eu, i);
-        let b = ctx.read(ev, i);
-        if a == b || ctx.read_stamped(live3, a as usize, 0) != 1 {
-            return;
-        }
-        let blk = hb.eval(a);
-        if ctx.read(tables, blk as usize * k + hv.eval(b) as usize) != b {
+    step_arcs(pram, eu, ev, &live.arcs, move |ctx, _, a, b| {
+        if ctx.read_stamped(live3, a as usize, 0) == 1
+            && ctx.read(tables, hb.eval(a) as usize * k + hv.eval(b) as usize) != b
+        {
             ctx.write_stamped(fdr, a as usize, 1);
         }
     });
@@ -257,12 +269,8 @@ pub fn expand(
         // The double-buffer copy is a real step.
         pram.charge(nblocks * k, 1);
         // (5a) propagate dormancy + rehash H(v) for v ∈ H(u) into H(u).
-        pram.step(owned.len() * k * k, |pp, ctx| {
-            let idx = (pp as usize) / (k * k);
-            let rem = (pp as usize) % (k * k);
-            let (p, q) = (rem / k, rem % k);
-            let (blk, u) = owned[idx];
-            let v = ctx.read(old, blk as usize * k + p);
+        step_pairs(pram, &owned, k, |ctx, row, u, p, q| {
+            let v = ctx.read(old, row + p);
             if v == NULL {
                 return;
             }
@@ -282,7 +290,7 @@ pub fn expand(
             if w == NULL {
                 return;
             }
-            let dst = blk as usize * k + hv.eval(w) as usize;
+            let dst = row + hv.eval(w) as usize;
             if ctx.read(tables, dst) == NULL {
                 progress.raise(ctx);
             }
@@ -290,12 +298,8 @@ pub fn expand(
         });
         // (5b) collision detection for exactly the hashes done in (5a):
         // the sources are re-derived from the same frozen buffer.
-        pram.step(owned.len() * k * k, |pp, ctx| {
-            let idx = (pp as usize) / (k * k);
-            let rem = (pp as usize) % (k * k);
-            let (p, q) = (rem / k, rem % k);
-            let (blk, u) = owned[idx];
-            let v = ctx.read(old, blk as usize * k + p);
+        step_pairs(pram, &owned, k, |ctx, row, u, p, q| {
+            let v = ctx.read(old, row + p);
             if v == NULL {
                 return;
             }
@@ -307,7 +311,7 @@ pub fn expand(
             if w == NULL {
                 return;
             }
-            if ctx.read(tables, blk as usize * k + hv.eval(w) as usize) != w
+            if ctx.read(tables, row + hv.eval(w) as usize) != w
                 && ctx.read_stamped(fdr, u as usize, NULL) == NULL
             {
                 ctx.write_stamped(fdr, u as usize, round_mark);

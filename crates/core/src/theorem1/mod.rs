@@ -8,12 +8,12 @@
 //! * `PREPARE` (§B.2): Vanilla phases until the ongoing-vertex density
 //!   `δ = m/n'` reaches a target, giving every later phase a large
 //!   neighbour-table budget.
-//! * `EXPAND` (§B.3, [`expand`]): each ongoing vertex that wins a private
-//!   block grows a hash table of everything within distance `2^i` by
-//!   repeated table squaring; collisions and blockless vertices go
+//! * `EXPAND` (§B.3, the `expand` module): each ongoing vertex that wins a
+//!   private block grows a hash table of everything within distance `2^i`
+//!   by repeated table squaring; collisions and blockless vertices go
 //!   *dormant* and dormancy propagates. `O(log d)` inner rounds.
-//! * `VOTE` (§B.4, [`vote`]): live vertices elect the component minimum;
-//!   dormant vertices flip a leader coin.
+//! * `VOTE` (§B.4, the `vote` module): live vertices elect the component
+//!   minimum; dormant vertices flip a leader coin.
 //! * `LINK`: non-leaders hook onto a leader found in their table.
 //!
 //! Progress: each phase cuts the number of ongoing vertices by a positive
@@ -23,6 +23,12 @@
 //! The density `δ` is tracked either by a COMBINING sum (§B,
 //! Assumption B.6) or by the §B.5 `ñ` update rule on a pure ARBITRARY
 //! machine ([`DensityMode`]); tests cross-check the two.
+//!
+//! **One phase loop for Theorems 1 and 2.** Theorem 2 is this loop with
+//! Vanilla-SF in PREPARE and TREE-LINK + TREE-SHORTCUT in place of LINK +
+//! SHORTCUT (§C), so both run the crate-private `run_phases`; the
+//! crate-private `Linking` trait carries what differs, with the two seed
+//! salts and EXPAND's snapshot flag.
 //!
 //! **Live-work scheduling.** The driver maintains a [`LiveSet`] (the
 //! Lemma-D.2 compaction for the phase-structured drivers, see
@@ -35,8 +41,7 @@
 mod expand;
 mod vote;
 
-pub use expand::{expand, ExpandParams, ExpandScratch, Expansion};
-pub use vote::{link_step, vote};
+pub(crate) use expand::{step_cells, step_pairs, Expansion};
 
 use crate::live::LiveSet;
 use crate::metrics::{RoundMetrics, RunReport, StopReason};
@@ -44,8 +49,10 @@ use crate::state::CcState;
 use crate::vanilla::{phase_cap, vanilla_phase};
 use crate::verify;
 use cc_graph::Graph;
+use expand::{expand, ExpandParams, ExpandScratch};
 use pram_kit::ops::{alter_over, shortcut_over};
-use pram_sim::{Pram, NULL};
+use pram_sim::{Handle, Pram, NULL};
+use vote::{link_step, vote};
 
 /// How the per-phase ongoing-vertex count `n'` is obtained.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -108,18 +115,18 @@ const LEADER_CAP: f64 = 0.5;
 const REDUCTION_SAFETY: f64 = 0.5;
 
 /// Table size for density `δ`.
-pub(crate) fn table_size(delta: f64) -> usize {
+fn table_size(delta: f64) -> usize {
     let k = delta.max(1.0).powf(TABLE_EXP).ceil() as usize;
     k.next_power_of_two().clamp(4, MAX_TABLE)
 }
 
 /// Dormant-leader probability for table size `k`.
-pub(crate) fn leader_prob(k: usize) -> f64 {
+fn leader_prob(k: usize) -> f64 {
     (LEADER_COEFF * (k as f64 / 2.0).powf(-LEADER_EXP)).clamp(0.05, LEADER_CAP)
 }
 
 /// `ñ` reduction factor for table size `k` ([`DensityMode::NTildeRule`]).
-pub(crate) fn reduction(k: usize) -> f64 {
+fn reduction(k: usize) -> f64 {
     (REDUCTION_SAFETY / leader_prob(k)).max(2.0)
 }
 
@@ -128,9 +135,62 @@ pub(crate) fn reduction(k: usize) -> f64 {
 /// count is its vertex-list length; one combining step over the ongoing
 /// vertices (each writes 1 into the sum cell) is charged — O(live), where
 /// the full-array version paid O(n + m) per phase.
-pub(crate) fn live_count_ongoing(pram: &mut Pram, live: &LiveSet) -> usize {
+fn live_count_ongoing(pram: &mut Pram, live: &LiveSet) -> usize {
     pram.charge(live.verts.len(), 1);
     live.verts.len()
+}
+
+/// What Theorems 1 and 2 do differently inside [`run_phases`]: the
+/// Vanilla phase PREPARE and the fallback run, how a main-loop phase
+/// links, and the seed salts and EXPAND snapshots that go with them.
+pub(crate) trait Linking {
+    /// XORed into every main-loop phase's seed.
+    const PHASE_SALT: u64;
+    /// XORed into every fallback phase's seed.
+    const FALLBACK_SALT: u64;
+    /// Whether EXPAND keeps its per-round table snapshots.
+    const SNAPSHOT: bool;
+
+    /// One Vanilla phase over the live set, PREPARE's or the fallback's
+    /// (the driver refreshes the set after it).
+    fn vanilla(&self, pram: &mut Pram, st: &CcState, live: &LiveSet, leader: Handle, seed: u64);
+
+    /// Hook the non-leaders VOTE left onto the trees the expansion found
+    /// and flatten the live trees; the driver's ALTER follows.
+    fn link(
+        &mut self,
+        pram: &mut Pram,
+        st: &CcState,
+        e: &Expansion,
+        live: &LiveSet,
+        leader: Handle,
+    );
+}
+
+/// Theorem 1's linking: Vanilla phases, then LINK onto a leader found in
+/// the table and one SHORTCUT.
+struct TableLink;
+
+impl Linking for TableLink {
+    const PHASE_SALT: u64 = 0;
+    const FALLBACK_SALT: u64 = 0xFA11_BACC;
+    const SNAPSHOT: bool = false;
+
+    fn vanilla(&self, pram: &mut Pram, st: &CcState, live: &LiveSet, leader: Handle, seed: u64) {
+        vanilla_phase(pram, st, live, leader, seed);
+    }
+
+    fn link(
+        &mut self,
+        pram: &mut Pram,
+        st: &CcState,
+        e: &Expansion,
+        live: &LiveSet,
+        leader: Handle,
+    ) {
+        link_step(pram, st, e, leader);
+        shortcut_over(pram, st.parent, &live.verts);
+    }
 }
 
 /// Run Theorem 1's Connected Components algorithm on `g`.
@@ -157,9 +217,33 @@ pub fn connected_components_on_state(
     params: &Theorem1Params,
     m_edges: usize,
 ) -> RunReport {
+    let leader = pram.alloc(st.n);
+    let report = run_phases(pram, st, &mut TableLink, leader, seed, params, m_edges);
+    pram.free(leader);
+    // The stats again, with `leader` freed.
+    RunReport {
+        stats: pram.stats(),
+        ..report
+    }
+}
+
+/// The phase loop of Theorems 1 and 2 on an existing machine state:
+/// PREPARE, then `{EXPAND; VOTE; link; ALTER}` phases until no live arc
+/// is left, then Vanilla phases if the phase cap was hit. `leader` is the
+/// caller's `n`-cell VOTE array and `m_edges` the edge count used for the
+/// density parameter. The report's labels are empty: the caller reads
+/// them from `st`.
+pub(crate) fn run_phases<L: Linking>(
+    pram: &mut Pram,
+    st: &CcState,
+    linking: &mut L,
+    leader: Handle,
+    seed: u64,
+    params: &Theorem1Params,
+    m_edges: usize,
+) -> RunReport {
     let n = st.n;
     let m_eff = m_edges.max(1) as f64;
-    let leader = pram.alloc(n);
     let mut per_round = Vec::new();
     // The one O(m) pass; every later refresh scans live lists only.
     let mut live = LiveSet::full(pram, st);
@@ -167,141 +251,125 @@ pub fn connected_components_on_state(
     // ---------------------------------------------------------- PREPARE
     // Vanilla phases until δ = m/ñ reaches delta0 (§B.2); on sparse inputs
     // this runs O(log log n) phases.
+    let cap = phase_cap(n);
     let mut ntilde = n as f64;
     let mut prepare_rounds = 0;
-    let prepare_cap = phase_cap(n);
-    while m_eff / ntilde < params.delta0 && prepare_rounds < prepare_cap && !live.is_solved() {
+    while m_eff / ntilde < params.delta0 && prepare_rounds < cap && !live.is_solved() {
         prepare_rounds += 1;
-        vanilla_phase(pram, st, &live, leader, seed.wrapping_add(prepare_rounds));
+        linking.vanilla(pram, st, &live, leader, seed.wrapping_add(prepare_rounds));
         live.refresh(pram, st);
-        match params.density {
-            DensityMode::Combining => {
-                ntilde = live_count_ongoing(pram, &live).max(1) as f64;
-            }
-            DensityMode::NTildeRule => {
-                // Corollary B.4 decay model, conservatively slower (7/8 is
-                // the guaranteed expectation; we use 0.95 as a whp-safe
-                // envelope).
-                ntilde *= 0.95;
-            }
-        }
-    }
-    if live.is_solved() {
-        // Solved already (tiny graphs).
-        pram.free(leader);
-        let stats = pram.stats();
-        return RunReport {
-            labels: Vec::new(),
-            rounds: 0,
-            prepare_rounds,
-            stop: StopReason::Converged,
-            stats,
-            per_round,
+        ntilde = match params.density {
+            DensityMode::Combining => live_count_ongoing(pram, &live).max(1) as f64,
+            // Corollary B.4 decay model, conservatively slower (7/8 is the
+            // guaranteed expectation; we use 0.95 as a whp-safe envelope).
+            DensityMode::NTildeRule => ntilde * 0.95,
         };
     }
 
     // ---------------------------------------------------------- main loop
-    // Driver-lifetime stamped scratch for EXPAND's per-vertex arrays: one
-    // allocation, every phase refills by a generation bump.
-    let mut scratch = ExpandScratch::new(pram, n);
-    let max_phases = phase_cap(n);
-    let mut stop = StopReason::RoundCap;
+    // Skipped when PREPARE already solved the graph (tiny graphs), so no
+    // EXPAND scratch is allocated.
+    let mut stop = StopReason::Converged;
     let mut phase = 0;
-    // Monotonicity audit (§2.1): Theorem 1's links only merge trees, so
-    // the induced partition may only coarsen phase over phase. Checked in
-    // this crate's tests and under the `strict` feature.
-    let mut prev_labels: Option<Vec<u32>> = None;
-    while phase < max_phases {
-        phase += 1;
-        let phase_seed = seed ^ (phase.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        let step_work0 = pram.stats().work;
-        let delta = (m_eff / ntilde).max(1.0);
-        let k = table_size(delta);
-        // Blocks: the paper's m/b¹² = ñ·K, K-fold oversubscribed so almost
-        // every ongoing vertex wins one; floor of 2ñ when K is clamped.
-        // Live arcs (not the original arc count) size the block pool, so
-        // table allocation and the squaring copies shrink with the
-        // subproblem.
-        let nblocks = ((2.0 * ntilde) as usize)
-            .max(live.arcs.len() / 2 / (k * k))
-            .max(8)
-            .next_power_of_two();
-        let exp_params = ExpandParams {
-            table_size: k,
-            nblocks,
-            snapshot: false,
-            round_cap: (n.max(2) as f64).log2().ceil() as u64 + 6,
-        };
-        let expansion = expand(pram, st, &exp_params, phase_seed, &live, &mut scratch);
-        let p_lead = leader_prob(k);
-        vote(pram, st, &expansion, &live, leader, p_lead, phase_seed);
-        link_step(pram, st, &expansion, leader);
-        shortcut_over(pram, st.parent, &live.verts);
-        alter_over(pram, st.eu, st.ev, st.parent, &live.arcs);
+    if !live.is_solved() {
+        // Driver-lifetime stamped scratch for EXPAND's per-vertex arrays:
+        // one allocation, every phase refills by a generation bump.
+        let mut scratch = ExpandScratch::new(pram, n);
+        let round_cap = (n.max(2) as f64).log2().ceil() as u64 + 6;
+        stop = StopReason::RoundCap;
+        // Monotonicity audit (§2.1): both theorems' links only merge
+        // trees, so the induced partition may only coarsen phase over
+        // phase. Checked in this crate's tests and under the `strict`
+        // feature.
+        let mut prev_labels: Option<Vec<u32>> = None;
+        while phase < cap {
+            phase += 1;
+            let phase_seed = seed ^ phase.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ L::PHASE_SALT;
+            let step_work0 = pram.stats().work;
+            let k = table_size((m_eff / ntilde).max(1.0));
+            // Blocks: the paper's m/b¹² = ñ·K, K-fold oversubscribed so
+            // almost every ongoing vertex wins one; floor of 2ñ when K is
+            // clamped. Live arcs (not the original arc count) size the
+            // block pool, so table allocation and the squaring copies
+            // shrink with the subproblem.
+            let nblocks = ((2.0 * ntilde) as usize)
+                .max(live.arcs.len() / 2 / (k * k))
+                .max(8)
+                .next_power_of_two();
+            let exp_params = ExpandParams {
+                table_size: k,
+                nblocks,
+                snapshot: L::SNAPSHOT,
+                round_cap,
+            };
+            let expansion = expand(pram, st, &exp_params, phase_seed, &live, &mut scratch);
+            vote(pram, &expansion, &live, leader, leader_prob(k), phase_seed);
+            linking.link(pram, st, &expansion, &live, leader);
+            alter_over(pram, st.eu, st.ev, st.parent, &live.arcs);
 
-        // Dormancy is recorded only for (pre-phase) live vertices — count
-        // over the live list instead of a full-n scan.
-        let dormant = live
-            .verts
-            .iter()
-            .filter(|&&v| pram.get_stamped(expansion.fdr, v as usize, NULL) != NULL)
-            .count() as u64;
-        let expand_rounds = expansion.rounds;
-        let table_words = (expansion.nblocks * expansion.k) as u64;
-        expansion.free(pram);
-        let step_work = pram.stats().work - step_work0;
+            // Dormancy is recorded only for (pre-phase) live vertices —
+            // count over the live list instead of a full-n scan.
+            let dormant = live
+                .verts
+                .iter()
+                .filter(|&&v| pram.get_stamped(expansion.fdr, v as usize, NULL) != NULL)
+                .count() as u64;
+            // The tables, or their per-round snapshots when kept.
+            let snapshots = expansion.snapshots.len().max(1);
+            let table_words = (expansion.nblocks * expansion.k * snapshots) as u64;
+            let expand_rounds = expansion.rounds;
+            expansion.free(pram);
+            let step_work = pram.stats().work - step_work0;
 
-        let compaction0 = pram.stats().work;
-        live.refresh(pram, st);
-        per_round.push(RoundMetrics {
-            round: phase,
-            roots: live.roots.len(),
-            ongoing: live.verts.len(),
-            dormant,
-            expand_rounds,
-            table_words,
-            work: step_work,
-            compaction_work: pram.stats().work - compaction0,
-            live_arcs: live.arcs.len(),
-            ..Default::default()
-        });
-
-        if cfg!(any(test, feature = "strict")) {
-            let next = st.labels_rooted(pram);
-            if let Some(prev) = prev_labels.as_ref() {
-                assert!(
-                    verify::partition_coarsens(prev, &next),
-                    "Theorem 1 violated monotonicity in phase {phase}"
-                );
-            }
-            prev_labels = Some(next);
-        }
-
-        if live.is_solved() {
-            stop = StopReason::Converged;
-            break;
-        }
-        match params.density {
-            DensityMode::Combining => {
-                ntilde = live_count_ongoing(pram, &live).max(1) as f64;
-            }
-            DensityMode::NTildeRule => {
-                ntilde = (ntilde / reduction(k)).max(1.0);
-            }
-        }
-    }
-
-    // Correctness fallback: if the phase cap was hit (possible only under
-    // adversarial parameters — E6 counts it), finish with Vanilla, which is
-    // always correct.
-    if stop == StopReason::RoundCap {
-        let cap = phase_cap(n);
-        let mut extra = 0;
-        while !live.is_solved() && extra < cap {
-            extra += 1;
-            vanilla_phase(pram, st, &live, leader, seed ^ 0xFA11_BACC ^ extra);
+            let compaction0 = pram.stats().work;
             live.refresh(pram, st);
+            per_round.push(RoundMetrics {
+                round: phase,
+                roots: live.roots.len(),
+                ongoing: live.verts.len(),
+                dormant,
+                expand_rounds,
+                table_words,
+                work: step_work,
+                compaction_work: pram.stats().work - compaction0,
+                live_arcs: live.arcs.len(),
+                ..Default::default()
+            });
+
+            if cfg!(any(test, feature = "strict")) {
+                let next = st.labels_rooted(pram);
+                if let Some(prev) = prev_labels.as_ref() {
+                    assert!(
+                        verify::partition_coarsens(prev, &next),
+                        "the phase loop violated monotonicity in phase {phase}"
+                    );
+                }
+                prev_labels = Some(next);
+            }
+
+            if live.is_solved() {
+                stop = StopReason::Converged;
+                break;
+            }
+            ntilde = match params.density {
+                DensityMode::Combining => live_count_ongoing(pram, &live).max(1) as f64,
+                DensityMode::NTildeRule => (ntilde / reduction(k)).max(1.0),
+            };
         }
+
+        // Correctness fallback: if the phase cap was hit (possible only
+        // under adversarial parameters — E6 counts it), finish with
+        // Vanilla phases, which are always correct.
+        if stop == StopReason::RoundCap {
+            let mut extra = 0;
+            while !live.is_solved() && extra < cap {
+                extra += 1;
+                let fallback_seed = seed ^ L::FALLBACK_SALT ^ extra;
+                linking.vanilla(pram, st, &live, leader, fallback_seed);
+                live.refresh(pram, st);
+            }
+        }
+        scratch.free(pram);
     }
 
     // Whole-array acyclicity audit: an O(n) host walk, so it runs only in
@@ -310,18 +378,15 @@ pub fn connected_components_on_state(
     if cfg!(any(test, feature = "strict")) {
         assert!(
             verify::forest_heights(&pram.read_vec(st.parent)).is_ok(),
-            "Theorem 1 produced a cyclic labeled digraph"
+            "the phase loop produced a cyclic labeled digraph"
         );
     }
-    scratch.free(pram);
-    pram.free(leader);
-    let stats = pram.stats();
     RunReport {
         labels: Vec::new(),
         rounds: phase,
         prepare_rounds,
         stop,
-        stats,
+        stats: pram.stats(),
         per_round,
     }
 }
@@ -446,5 +511,43 @@ mod tests {
         let g = cc_graph::GraphBuilder::new(7).build();
         let report = run(&g, 1, &Theorem1Params::default());
         check_labels(&g, &report.labels).unwrap();
+    }
+
+    #[test]
+    fn fallback_finishes_a_run_that_hits_the_phase_cap() {
+        // With real links no test or experiment reaches the fallback. A
+        // `Linking` that never links makes every main-loop phase a no-op,
+        // so the loop hits `phase_cap(n)` and the Vanilla fallback must
+        // finish the run. delta0 = 0 skips PREPARE.
+        struct NeverLinks;
+        impl Linking for NeverLinks {
+            const PHASE_SALT: u64 = 0;
+            const FALLBACK_SALT: u64 = 0xFA11_BACC;
+            const SNAPSHOT: bool = false;
+            fn vanilla(
+                &self,
+                pram: &mut Pram,
+                st: &CcState,
+                live: &LiveSet,
+                leader: Handle,
+                seed: u64,
+            ) {
+                vanilla_phase(pram, st, live, leader, seed);
+            }
+            fn link(&mut self, _: &mut Pram, _: &CcState, _: &Expansion, _: &LiveSet, _: Handle) {}
+        }
+        let g = gen::union_all(&[gen::gnm(300, 900, 4), gen::path(40)]);
+        let params = Theorem1Params {
+            delta0: 0.0,
+            ..Default::default()
+        };
+        let mut pram = Pram::new(WritePolicy::ArbitrarySeeded(4));
+        let st = CcState::init(&mut pram, &g);
+        let leader = pram.alloc(st.n);
+        let report = run_phases(&mut pram, &st, &mut NeverLinks, leader, 4, &params, g.m());
+        assert_eq!(report.stop, StopReason::RoundCap);
+        assert_eq!(report.prepare_rounds, 0);
+        assert_eq!(report.rounds, phase_cap(g.n()));
+        check_labels(&g, &st.labels_rooted(&pram)).unwrap();
     }
 }

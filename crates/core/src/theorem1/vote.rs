@@ -10,7 +10,7 @@
 
 use crate::live::LiveSet;
 use crate::state::CcState;
-use crate::theorem1::expand::Expansion;
+use crate::theorem1::expand::{step_cells, Expansion};
 use pram_sim::{Handle, Pram, NULL};
 
 /// Run VOTE: fill `leader` (1 = leader) for all ongoing vertices.
@@ -19,9 +19,8 @@ use pram_sim::{Handle, Pram, NULL};
 /// initialized and coin-flipped (stale cells of vertices that left the
 /// live set are never read — LINK and TREE-LINK only consult leaders of
 /// live-arc endpoints and table members, which are ongoing).
-pub fn vote(
+pub(crate) fn vote(
     pram: &mut Pram,
-    _st: &CcState,
     e: &Expansion,
     live: &LiveSet,
     leader: Handle,
@@ -41,16 +40,12 @@ pub fn vote(
         }
     });
     // Case 1 — live: u is a leader iff it is the minimum of H(u).
-    let (tables, k) = (e.tables, e.k);
-    let owned = &e.owned;
-    pram.step(owned.len() * k, |pp, ctx| {
-        let idx = (pp as usize) / k;
-        let p = (pp as usize) % k;
-        let (blk, u) = owned[idx];
+    let tables = e.tables;
+    step_cells(pram, &e.owned, e.k, |ctx, row, u, p| {
         if ctx.read_stamped(fdr, u as usize, NULL) != NULL {
             return;
         }
-        let v = ctx.read(tables, blk as usize * k + p);
+        let v = ctx.read(tables, row + p);
         if v != NULL && v < u {
             ctx.write(leader, u as usize, 0);
         }
@@ -60,17 +55,13 @@ pub fn vote(
 /// The LINK: every non-leader hooks onto a leader found in its table
 /// (ARBITRARY pick among leaders). Leaders never move, so the labeled
 /// digraph stays a forest of flat trees.
-pub fn link_step(pram: &mut Pram, st: &CcState, e: &Expansion, leader: Handle) {
-    let (tables, k, parent) = (e.tables, e.k, st.parent);
-    let owned = &e.owned;
-    pram.step(owned.len() * k, |pp, ctx| {
-        let idx = (pp as usize) / k;
-        let p = (pp as usize) % k;
-        let (blk, v) = owned[idx];
+pub(crate) fn link_step(pram: &mut Pram, st: &CcState, e: &Expansion, leader: Handle) {
+    let (tables, parent) = (e.tables, st.parent);
+    step_cells(pram, &e.owned, e.k, |ctx, row, v, p| {
         if ctx.read(leader, v as usize) != 0 {
             return;
         }
-        let w = ctx.read(tables, blk as usize * k + p);
+        let w = ctx.read(tables, row + p);
         if w != NULL && w != v && ctx.read(leader, w as usize) == 1 {
             ctx.write(parent, v as usize, w);
         }
@@ -117,7 +108,7 @@ mod tests {
         let g = gen::union_all(&[gen::cycle(7), gen::path(5)]);
         let (mut pram, st, e, live) = fully_live_setup(&g, 64);
         let leader = pram.alloc(st.n);
-        vote(&mut pram, &st, &e, &live, leader, 0.3, 9);
+        vote(&mut pram, &e, &live, leader, 0.3, 9);
         let l = pram.read_vec(leader);
         assert_eq!(l[0], 1, "component minimum 0 must be leader");
         assert_eq!(l[7], 1, "component minimum 7 must be leader");
@@ -131,7 +122,7 @@ mod tests {
         let g = gen::cycle(9);
         let (mut pram, st, e, live) = fully_live_setup(&g, 64);
         let leader = pram.alloc(st.n);
-        vote(&mut pram, &st, &e, &live, leader, 0.3, 3);
+        vote(&mut pram, &e, &live, leader, 0.3, 3);
         link_step(&mut pram, &st, &e, leader);
         let parents = pram.read_vec(st.parent);
         // All non-minimum vertices point at 0.
@@ -153,7 +144,7 @@ mod tests {
         let dormant = fdr.iter().filter(|&&x| x != NULL).count();
         assert!(dormant > 3000, "expected mostly dormant, got {dormant}");
         let leader = pram.alloc(st.n);
-        vote(&mut pram, &st, &e, &live, leader, 0.25, 7);
+        vote(&mut pram, &e, &live, leader, 0.25, 7);
         let l = pram.read_vec(leader);
         let leaders = (0..4000).filter(|&v| fdr[v] != NULL && l[v] == 1).count();
         let rate = leaders as f64 / dormant as f64;
@@ -165,7 +156,7 @@ mod tests {
         let g = gen::gnm(500, 1500, 3);
         let (mut pram, st, e, live) = setup(&g, 8, 31);
         let leader = pram.alloc(st.n);
-        vote(&mut pram, &st, &e, &live, leader, 0.3, 5);
+        vote(&mut pram, &e, &live, leader, 0.3, 5);
         link_step(&mut pram, &st, &e, leader);
         let parents = pram.read_vec(st.parent);
         let l = pram.read_vec(leader);

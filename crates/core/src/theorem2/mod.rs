@@ -21,28 +21,24 @@
 //! Outputs are validated by [`crate::verify::check_spanning_forest`]:
 //! acyclic, one tree per component, every edge an input edge.
 //!
-//! **Live-work scheduling.** Like Theorem 1, the driver maintains a
-//! [`LiveSet`] and schedules every charged step (Vanilla-SF, EXPAND, VOTE,
-//! TREE-LINK, TREE-SHORTCUT, ALTER, the COMBINING ongoing count) over its
-//! lists, so a phase costs O(live); the per-phase refresh is charged under
-//! [`RoundMetrics::compaction_work`]. TREE-SHORTCUT flattens the live
-//! frontier only — vertices that left the live set keep stale parents
-//! until the host-side root chase of the final labeling, which cannot
-//! change which original edges joined the forest.
+//! **One driver.** FOREST-PREPARE, the main loop and the fallback are
+//! Theorem 1's phase loop ([`crate::theorem1`]), with its per-phase
+//! record, audits and live-work scheduling; this module supplies only
+//! Vanilla-SF, TREE-LINK with the Lemma C.8 height measurement and
+//! TREE-SHORTCUT, the allocations and the forest extraction.
+//! TREE-SHORTCUT flattens the live frontier only — vertices that left the
+//! live set keep stale parents until the host-side root chase of the
+//! final labeling, which cannot change which original edges joined the
+//! forest.
 
 mod treelink;
 
-use crate::live::LiveSet;
-use crate::metrics::{RoundMetrics, RunReport, StopReason};
+use crate::live::{step_arcs, LiveSet};
+use crate::metrics::RunReport;
 use crate::state::CcState;
-use crate::theorem1::{
-    expand, leader_prob, live_count_ongoing, reduction, table_size, vote, DensityMode,
-    ExpandParams, ExpandScratch, Theorem1Params,
-};
-use crate::vanilla::phase_cap;
-use crate::verify;
+use crate::theorem1::{run_phases, Expansion, Linking, Theorem1Params};
 use cc_graph::Graph;
-use pram_kit::ops::{alter_over, shortcut_until_flat_over};
+use pram_kit::ops::{alter_over, shortcut_over, shortcut_until_flat_over};
 use pram_sim::{Handle, Pram, NULL};
 use treelink::{tree_link, TreeLink};
 
@@ -59,140 +55,72 @@ pub struct ForestReport {
     /// TREE-LINK (Lemma C.8: ≤ d). Measured from the live vertices — the
     /// chains the phase just built — since frozen vertices' stale chains
     /// are bookkeeping the lemma does not bound (see the measurement site
-    /// in [`spanning_forest`]).
+    /// in `ForestLink::link`).
     pub max_height_observed: u32,
 }
 
-/// One Vanilla-SF phase (§C.1): RANDOM-VOTE; MARK-EDGE; LINK; SHORTCUT;
-/// ALTER, with forest marking on original arcs — all scheduled over the
-/// live set. `vearc` cells are cleared per phase for live vertices only;
-/// stale cells of departed vertices are never read (the LINK step iterates
-/// the live list).
-fn vanilla_sf_phase(
-    pram: &mut Pram,
-    st: &CcState,
-    live: &LiveSet,
-    leader: Handle,
-    vearc: Handle,
+/// Theorem 2's linking: Vanilla-SF phases, then TREE-LINK along input
+/// arcs, the Lemma C.8 height measurement and TREE-SHORTCUT. Every link
+/// marks its arc's original edge in `forest`.
+struct ForestLink {
+    /// Per-arc forest flag (1 = the arc's edge joined the forest).
     forest: Handle,
-    seed: u64,
-) {
-    let (parent, eu, ev) = (st.parent, st.eu, st.ev);
-    pram.step_over(&live.verts, move |_, &u, ctx| {
-        let l = ctx.coin(seed ^ 0x52_56_53, 0.5);
-        ctx.write(leader, u as usize, l as u64);
-        ctx.write(vearc, u as usize, NULL);
-    });
-    // MARK-EDGE: remember which arc causes the link.
-    pram.step_over(&live.arcs, move |_, &ai, ctx| {
-        let i = ai as usize;
-        let v = ctx.read(eu, i);
-        let w = ctx.read(ev, i);
-        if v == w {
-            return;
-        }
-        if ctx.read(leader, v as usize) == 0 && ctx.read(leader, w as usize) == 1 {
-            ctx.write(vearc, v as usize, ai as u64);
-        }
-    });
-    // LINK along the remembered arc; mark its original edge.
-    pram.step_over(&live.verts, move |_, &u, ctx| {
-        let i = ctx.read(vearc, u as usize);
-        if i == NULL {
-            return;
-        }
-        let w = ctx.read(ev, i as usize);
-        ctx.write(parent, u as usize, w);
-        ctx.write(forest, i as usize, 1);
-    });
-    pram_kit::ops::shortcut_over(pram, parent, &live.verts);
-    alter_over(pram, eu, ev, parent, &live.arcs);
+    /// Vanilla-SF's chosen arc per vertex.
+    vearc: Handle,
+    /// Largest live chain height seen after a TREE-LINK.
+    max_height: u32,
 }
 
-/// Run Theorem 2's Spanning Forest algorithm on `g`.
-pub fn spanning_forest(
-    pram: &mut Pram,
-    g: &Graph,
-    seed: u64,
-    params: &Theorem1Params,
-) -> ForestReport {
-    let st = CcState::init(pram, g);
-    let n = st.n;
-    let m_eff = g.m().max(1) as f64;
-    let forest = pram.alloc_filled(st.arcs, 0);
-    let leader = pram.alloc(n);
-    let vearc = pram.alloc_filled(n, NULL);
-    let mut per_round = Vec::new();
-    let mut max_height_observed = 0u32;
-    // The one O(m) pass; every later refresh scans live lists only.
-    let mut live = LiveSet::full(pram, &st);
+impl Linking for ForestLink {
+    const PHASE_SALT: u64 = 0x5F;
+    const FALLBACK_SALT: u64 = 0x00FA_115F;
+    const SNAPSHOT: bool = true; // TREE-LINK replays the rounds
 
-    // -------------------------------------------------- FOREST-PREPARE
-    let mut ntilde = n as f64;
-    let mut prepare_rounds = 0;
-    let prepare_cap = phase_cap(n);
-    let mut solved = live.is_solved();
-    while !solved && m_eff / ntilde < params.delta0 && prepare_rounds < prepare_cap {
-        prepare_rounds += 1;
-        vanilla_sf_phase(
-            pram,
-            &st,
-            &live,
-            leader,
-            vearc,
-            forest,
-            seed.wrapping_add(prepare_rounds),
-        );
-        live.refresh(pram, &st);
-        if live.is_solved() {
-            solved = true;
-            break;
-        }
-        ntilde = match params.density {
-            DensityMode::Combining => live_count_ongoing(pram, &live).max(1) as f64,
-            DensityMode::NTildeRule => ntilde * 0.95,
-        };
+    /// One Vanilla-SF phase (§C.1): RANDOM-VOTE; MARK-EDGE; LINK;
+    /// SHORTCUT; ALTER, with forest marking on original arcs — all
+    /// scheduled over the live set. `vearc` cells are cleared per phase
+    /// for live vertices only; stale cells of departed vertices are never
+    /// read (the LINK step iterates the live list). It is also the
+    /// fallback after the phase cap: always correct, and it still marks
+    /// the forest.
+    fn vanilla(&self, pram: &mut Pram, st: &CcState, live: &LiveSet, leader: Handle, seed: u64) {
+        let (parent, eu, ev) = (st.parent, st.eu, st.ev);
+        let (vearc, forest) = (self.vearc, self.forest);
+        pram.step_over(&live.verts, move |_, &u, ctx| {
+            let l = ctx.coin(seed ^ 0x52_56_53, 0.5);
+            ctx.write(leader, u as usize, l as u64);
+            ctx.write(vearc, u as usize, NULL);
+        });
+        // MARK-EDGE: remember which arc causes the link.
+        step_arcs(pram, eu, ev, &live.arcs, move |ctx, i, v, w| {
+            if ctx.read(leader, v as usize) == 0 && ctx.read(leader, w as usize) == 1 {
+                ctx.write(vearc, v as usize, i as u64);
+            }
+        });
+        // LINK along the remembered arc; mark its original edge.
+        pram.step_over(&live.verts, move |_, &u, ctx| {
+            let i = ctx.read(vearc, u as usize);
+            if i == NULL {
+                return;
+            }
+            let w = ctx.read(ev, i as usize);
+            ctx.write(parent, u as usize, w);
+            ctx.write(forest, i as usize, 1);
+        });
+        shortcut_over(pram, parent, &live.verts);
+        alter_over(pram, eu, ev, parent, &live.arcs);
     }
 
-    // ------------------------------------------------------- main loop
-    // Driver-lifetime stamped scratch for EXPAND's per-vertex arrays (see
-    // Theorem 1): one allocation, per-phase refill by generation bump.
-    let mut scratch = ExpandScratch::new(pram, n);
-    let max_phases = phase_cap(n);
-    let mut stop = if solved {
-        StopReason::Converged
-    } else {
-        StopReason::RoundCap
-    };
-    let mut phase = 0;
-    while !solved && phase < max_phases {
-        phase += 1;
-        let phase_seed = seed ^ phase.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 0x5F;
-        let step_work0 = pram.stats().work;
-        let delta = (m_eff / ntilde).max(1.0);
-        let k = table_size(delta);
-        let nblocks = ((2.0 * ntilde) as usize)
-            .max(live.arcs.len() / 2 / (k * k))
-            .max(8)
-            .next_power_of_two();
-        let exp_params = ExpandParams {
-            table_size: k,
-            nblocks,
-            snapshot: true, // TREE-LINK replays the rounds
-            round_cap: (n.max(2) as f64).log2().ceil() as u64 + 6,
-        };
-        let expansion = expand(pram, &st, &exp_params, phase_seed, &live, &mut scratch);
-        vote(
-            pram,
-            &st,
-            &expansion,
-            &live,
-            leader,
-            leader_prob(k),
-            phase_seed,
-        );
-        let tl = TreeLink::new(pram, n, nblocks * k);
-        tree_link(pram, &st, &expansion, &tl, &live, leader, forest);
+    fn link(
+        &mut self,
+        pram: &mut Pram,
+        st: &CcState,
+        e: &Expansion,
+        live: &LiveSet,
+        leader: Handle,
+    ) {
+        let tl = TreeLink::new(pram, st.n, e.nblocks * e.k);
+        tree_link(pram, st, e, &tl, live, leader, self.forest);
         // Lemma C.8 measurement: heights after TREE-LINK, before
         // flattening, must stay ≤ d. Measured over the *live* chains: the
         // per-phase TREE-SHORTCUT no longer flattens vertices that left
@@ -204,99 +132,47 @@ pub fn spanning_forest(
         // from a bad link would sit on those chains and are caught here.
         // Charged as the PRAM would run it (see live_chain_height).
         let h = live_chain_height(pram, st.parent, &live.verts);
-        max_height_observed = max_height_observed.max(h);
+        self.max_height = self.max_height.max(h);
         shortcut_until_flat_over(pram, st.parent, &live.verts); // TREE-SHORTCUT
-        alter_over(pram, st.eu, st.ev, st.parent, &live.arcs);
-
-        let expand_rounds = expansion.rounds;
-        let table_words = (expansion.nblocks * expansion.k * expansion.snapshots.len()) as u64;
         tl.free(pram);
-        expansion.free(pram);
-        let step_work = pram.stats().work - step_work0;
-
-        let compaction0 = pram.stats().work;
-        live.refresh(pram, &st);
-        per_round.push(RoundMetrics {
-            round: phase,
-            roots: live.roots.len(),
-            ongoing: live.verts.len(),
-            expand_rounds,
-            table_words,
-            work: step_work,
-            compaction_work: pram.stats().work - compaction0,
-            live_arcs: live.arcs.len(),
-            ..Default::default()
-        });
-
-        if live.is_solved() {
-            stop = StopReason::Converged;
-            solved = true;
-            break;
-        }
-        ntilde = match params.density {
-            DensityMode::Combining => live_count_ongoing(pram, &live).max(1) as f64,
-            DensityMode::NTildeRule => (ntilde / reduction(k)).max(1.0),
-        };
     }
+}
 
-    // Fallback: finish with Vanilla-SF (always correct, still marks the
-    // forest properly).
-    if !solved {
-        let cap = phase_cap(n);
-        let mut extra = 0;
-        while !live.is_solved() && extra < cap {
-            extra += 1;
-            vanilla_sf_phase(
-                pram,
-                &st,
-                &live,
-                leader,
-                vearc,
-                forest,
-                seed ^ 0x00FA_115F ^ extra,
-            );
-            live.refresh(pram, &st);
-        }
-    }
+/// Run Theorem 2's Spanning Forest algorithm on `g`: Theorem 1's phase
+/// loop with Vanilla-SF and TREE-LINK, then the forest read off the
+/// marked arcs.
+pub fn spanning_forest(
+    pram: &mut Pram,
+    g: &Graph,
+    seed: u64,
+    params: &Theorem1Params,
+) -> ForestReport {
+    let st = CcState::init(pram, g);
+    let forest = pram.alloc_filled(st.arcs, 0);
+    let leader = pram.alloc(st.n);
+    let vearc = pram.alloc_filled(st.n, NULL);
+    let mut linking = ForestLink {
+        forest,
+        vearc,
+        max_height: 0,
+    };
+    let run = run_phases(pram, &st, &mut linking, leader, seed, params, g.m());
 
-    // ------------------------------------------------------- extraction
     // Arcs were laid out as (2e, 2e+1) per input edge e by CcState::init.
     let flags = pram.read_vec(forest);
-    let mut forest_edges: Vec<usize> = Vec::new();
-    for e in 0..g.m() {
-        if flags[2 * e] != 0 || flags[2 * e + 1] != 0 {
-            forest_edges.push(e);
-        }
-    }
-    // Whole-array acyclicity audit: an O(n) host walk, so it runs only in
-    // tests and under the `strict` feature — the per-phase cycle guard is
-    // the charged live-chain walk above.
-    if cfg!(any(test, feature = "strict")) {
-        assert!(
-            verify::forest_heights(&pram.read_vec(st.parent)).is_ok(),
-            "Theorem 2 produced a cyclic labeled digraph"
-        );
-    }
-    scratch.free(pram);
+    let forest_edges = (0..g.m())
+        .filter(|&e| flags[2 * e] != 0 || flags[2 * e + 1] != 0)
+        .collect();
     let labels = st.labels_rooted(pram);
-    let stats = pram.stats();
     pram.free(forest);
     pram.free(leader);
     pram.free(vearc);
     st.free(pram);
-
     ForestReport {
         forest_edges,
         labels,
-        run: RunReport {
-            labels: Vec::new(),
-            rounds: phase,
-            prepare_rounds,
-            stop,
-            stats,
-            per_round,
-        },
-        max_height_observed,
+        run,
+        max_height_observed: linking.max_height,
     }
 }
 
@@ -332,6 +208,7 @@ fn live_chain_height(pram: &mut Pram, parent: Handle, verts: &[u32]) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::theorem1::DensityMode;
     use crate::verify::check_spanning_forest;
     use cc_graph::gen;
     use cc_graph::seq::max_component_diameter_exact;
@@ -446,6 +323,23 @@ mod tests {
         let report = run(&g, 1);
         assert!(report.forest_edges.is_empty());
         check_spanning_forest(&g, &report.forest_edges).unwrap();
+    }
+
+    #[test]
+    fn phases_report_dormant_vertices() {
+        // `RoundMetrics::dormant` counts the vertices EXPAND marked dormant
+        // in a phase. delta0 = 0 starts the main loop on the whole graph,
+        // whose small tables collide, so some phase must report some.
+        let g = gen::gnm(400, 2000, 3);
+        let params = Theorem1Params {
+            delta0: 0.0,
+            ..Default::default()
+        };
+        let mut pram = Pram::new(WritePolicy::ArbitrarySeeded(3));
+        let report = spanning_forest(&mut pram, &g, 3, &params);
+        check_spanning_forest(&g, &report.forest_edges).unwrap();
+        let dormant: u64 = report.run.per_round.iter().map(|r| r.dormant).sum();
+        assert!(dormant > 0, "no phase reported a dormant vertex");
     }
 
     #[test]

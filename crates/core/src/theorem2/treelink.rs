@@ -18,9 +18,9 @@
 //! *original* edge joins the forest. β strictly decreases along links, so
 //! no cycle can ever form, and tree heights stay ≤ d (Lemma C.8).
 
-use crate::live::LiveSet;
+use crate::live::{step_arcs, LiveSet};
 use crate::state::CcState;
-use crate::theorem1::Expansion;
+use crate::theorem1::{step_cells, step_pairs, Expansion};
 use pram_sim::{Handle, Pram, NULL};
 
 /// Per-phase TREE-LINK scratch (caller allocates once per phase).
@@ -109,26 +109,19 @@ pub(crate) fn tree_link(
             ctx.write(gate, u as usize, g as u64);
             ctx.write(fail, u as usize, 0);
         });
-        pram.step(owned.len() * k, |pp, ctx| {
-            let idx = (pp as usize) / k;
-            let p = (pp as usize) % k;
-            let (blk, u) = owned[idx];
-            let v = ctx.read(qtab, blk as usize * k + p);
+        step_cells(pram, owned, k, |ctx, row, u, p| {
+            let v = ctx.read(qtab, row + p);
             if v != NULL && ctx.read_stamped(fdr, v as usize, NULL) < j + 2 {
                 ctx.write(gate, u as usize, 0);
             }
         });
         pram.fill_step(qprime, NULL);
         // (b) Q'(u) ← ∪_{v ∈ Q(u)} H_j(v).
-        pram.step(owned.len() * k * k, |pp, ctx| {
-            let idx = (pp as usize) / (k * k);
-            let rem = (pp as usize) % (k * k);
-            let (p, q) = (rem / k, rem % k);
-            let (blk, u) = owned[idx];
+        step_pairs(pram, owned, k, |ctx, row, u, p, q| {
             if ctx.read(gate, u as usize) != 1 {
                 return;
             }
-            let v = ctx.read(qtab, blk as usize * k + p);
+            let v = ctx.read(qtab, row + p);
             if v == NULL {
                 return;
             }
@@ -137,18 +130,14 @@ pub(crate) fn tree_link(
             if w == NULL {
                 return;
             }
-            ctx.write(qprime, blk as usize * k + hv.eval(w) as usize, w);
+            ctx.write(qprime, row + hv.eval(w) as usize, w);
         });
         // (c) collision check...
-        pram.step(owned.len() * k * k, |pp, ctx| {
-            let idx = (pp as usize) / (k * k);
-            let rem = (pp as usize) % (k * k);
-            let (p, q) = (rem / k, rem % k);
-            let (blk, u) = owned[idx];
+        step_pairs(pram, owned, k, |ctx, row, u, p, q| {
             if ctx.read(gate, u as usize) != 1 {
                 return;
             }
-            let v = ctx.read(qtab, blk as usize * k + p);
+            let v = ctx.read(qtab, row + p);
             if v == NULL {
                 return;
             }
@@ -157,33 +146,27 @@ pub(crate) fn tree_link(
             if w == NULL {
                 return;
             }
-            if ctx.read(qprime, blk as usize * k + hv.eval(w) as usize) != w {
+            if ctx.read(qprime, row + hv.eval(w) as usize) != w {
                 ctx.write(fail, u as usize, 1);
             }
         });
         // ...and leader check.
-        pram.step(owned.len() * k, |pp, ctx| {
-            let idx = (pp as usize) / k;
-            let i = (pp as usize) % k;
-            let (blk, u) = owned[idx];
+        step_cells(pram, owned, k, |ctx, row, u, i| {
             if ctx.read(gate, u as usize) != 1 {
                 return;
             }
-            let w = ctx.read(qprime, blk as usize * k + i);
+            let w = ctx.read(qprime, row + i);
             if w != NULL && ctx.read(leader, w as usize) == 1 {
                 ctx.write(fail, u as usize, 1);
             }
         });
         // Commit: Q := Q', α += 2^j.
-        pram.step(owned.len() * k, |pp, ctx| {
-            let idx = (pp as usize) / k;
-            let i = (pp as usize) % k;
-            let (blk, u) = owned[idx];
+        step_cells(pram, owned, k, |ctx, row, u, i| {
             if ctx.read(gate, u as usize) != 1 || ctx.read(fail, u as usize) != 0 {
                 return;
             }
-            let w = ctx.read(qprime, blk as usize * k + i);
-            ctx.write(qtab, blk as usize * k + i, w);
+            let w = ctx.read(qprime, row + i);
+            ctx.write(qtab, row + i, w);
             if i == 0 {
                 let a = ctx.read(alpha, u as usize);
                 ctx.write(alpha, u as usize, a + (1 << j));
@@ -193,11 +176,8 @@ pub(crate) fn tree_link(
 
     // Step 3: leader-neighbour marking over current live arcs (unlisted
     // arcs are loops, which marked nothing before either).
-    pram.step_over(&live.arcs, move |_, &ai, ctx| {
-        let i = ai as usize;
-        let v = ctx.read(eu, i);
-        let w = ctx.read(ev, i);
-        if v != w && ctx.read(leader, v as usize) == 1 {
+    step_arcs(pram, eu, ev, &live.arcs, move |ctx, _, v, w| {
+        if ctx.read(leader, v as usize) == 1 {
             ctx.write(lnbr, w as usize, 1);
         }
     });
@@ -208,10 +188,7 @@ pub(crate) fn tree_link(
             ctx.write(beta, u as usize, 0);
         }
     });
-    pram.step(owned.len() * k, |pp, ctx| {
-        let idx = (pp as usize) / k;
-        let i = (pp as usize) % k;
-        let (blk, u) = owned[idx];
+    step_cells(pram, owned, k, |ctx, row, u, i| {
         if ctx.read(leader, u as usize) == 1 {
             return;
         }
@@ -219,24 +196,18 @@ pub(crate) fn tree_link(
         if a == NULL {
             return;
         }
-        let w = ctx.read(qtab, blk as usize * k + i);
+        let w = ctx.read(qtab, row + i);
         if w != NULL && ctx.read(lnbr, w as usize) == 1 {
             ctx.write(beta, u as usize, a + 1);
         }
     });
 
     // Step 5: choose an arc with β(v) = β(w) + 1 per vertex.
-    pram.step_over(&live.arcs, move |_, &ai, ctx| {
-        let i = ai as usize;
-        let v = ctx.read(eu, i);
-        let w = ctx.read(ev, i);
-        if v == w {
-            return;
-        }
+    step_arcs(pram, eu, ev, &live.arcs, move |ctx, i, v, w| {
         let bv = ctx.read(beta, v as usize);
         let bw = ctx.read(beta, w as usize);
         if bv != NULL && bw != NULL && bv == bw + 1 {
-            ctx.write(vearc, v as usize, ai as u64);
+            ctx.write(vearc, v as usize, i as u64);
         }
     });
 

@@ -54,7 +54,7 @@
 //! `ii_violated` (Step 5 found a pair at distance 2 not already in the
 //! table).
 
-use crate::live::{compact_live_arcs, LiveSet};
+use crate::live::{compact_live_arcs, step_arcs, LiveSet};
 use crate::state::CcState;
 use crate::theorem3::maxlink::{maxlink, MaxlinkCtx};
 use crate::theorem3::tables::TableHeap;
@@ -120,12 +120,9 @@ impl RootEdges<'_> {
     where
         F: Fn(&mut Ctx, u64, u64) + Sync,
     {
-        let (eu, ev, eoff, heap, f) = (self.eu, self.ev, self.eoff, self.heap, &f);
-        pram.step_over(self.arcs, move |_, &i, ctx| {
-            let (a, b) = (ctx.read(eu, i as usize), ctx.read(ev, i as usize));
-            if a != b {
-                f(ctx, a, b);
-            }
+        let (eoff, heap, f) = (self.eoff, self.heap, &f);
+        step_arcs(pram, self.eu, self.ev, self.arcs, move |ctx, _, a, b| {
+            f(ctx, a, b)
         });
         pram.step_over(self.cells, move |_, &(x, c), ctx| {
             if let Some((_, w)) = cell_edge(x, c, eoff, heap, |h, i| ctx.read(h, i)) {

@@ -20,7 +20,7 @@
 //! keep stale (non-flat) parents; the final labeling chases roots host-side
 //! (`labels_rooted`), which is controller bookkeeping, exactly as before.
 
-use crate::live::LiveSet;
+use crate::live::{step_arcs, LiveSet};
 use crate::metrics::{RoundMetrics, RunReport, StopReason};
 use crate::state::CcState;
 use crate::verify;
@@ -42,13 +42,7 @@ pub fn vanilla_phase(pram: &mut Pram, st: &CcState, live: &LiveSet, leader: Hand
 
     // LINK: for each live arc (v, w): if v.l = 0 and w.l = 1, update v.p
     // to w. (Endpoints are roots at phase start — Lemma B.2.)
-    pram.step_over(&live.arcs, move |_, &ai, ctx| {
-        let i = ai as usize;
-        let v = ctx.read(eu, i);
-        let w = ctx.read(ev, i);
-        if v == w {
-            return;
-        }
+    step_arcs(pram, eu, ev, &live.arcs, move |ctx, _, v, w| {
         if ctx.read(leader, v as usize) == 0 && ctx.read(leader, w as usize) == 1 {
             ctx.write(parent, v as usize, w);
         }

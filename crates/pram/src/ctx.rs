@@ -78,9 +78,10 @@ impl<'a> Ctx<'a> {
         )
     }
 
-    /// Like [`Ctx::new`] but reusing `shards` buffers recycled from an
-    /// earlier step (must be empty, `shard_count` of them; their
-    /// capacity is the point — steady-state steps allocate nothing).
+    /// Like the tests' fresh-buffer `Ctx::new`, but reusing `shards`
+    /// buffers recycled from an earlier step (must be empty,
+    /// `shard_count` of them; their capacity is the point — steady-state
+    /// steps allocate nothing).
     pub(crate) fn new_in(
         mem: &'a [u32],
         shard_count: u32,

@@ -71,19 +71,21 @@ fn assert_thread_invariant(algo: &str, family: &str, n: usize, seed: u64) -> Str
     baseline
 }
 
-/// `determinism_probe` lines of six fixed runs, as committed: the labels'
+/// `determinism_probe` lines of eight fixed runs, as committed: the labels'
 /// fingerprint and every machine count. The thread-invariance tests prove
 /// a line is the same at 1, 2 and 8 threads, so one thread is enough here.
 /// A change that alters seeded behaviour on purpose regenerates these
 /// (`determinism_probe <algo> <family> <n> <seed>` at one thread) and says
 /// why in CHANGES.md.
-const GOLDEN: [(&str, &str, usize, u64, &str); 6] = [
+const GOLDEN: [(&str, &str, usize, u64, &str); 8] = [
     ("theorem3", "powerlaw", 9_000, 5, "272e32824931f635 n=9000 reads=5465529 writes=1611176 work=3572852 steps=665 max_ops=14 peak_words=306178"),
     ("theorem3", "gnm", 11_000, 5, "3deb7b7430020d46 n=11000 reads=6807901 writes=1981121 work=4352534 steps=717 max_ops=14 peak_words=403458"),
     ("theorem3", "path", 40_000, 1, "9e2cc43ade24f7a5 n=40000 reads=7749579 writes=2011800 work=5738471 steps=785 max_ops=14 peak_words=950274"),
     ("theorem1", "gnm", 5_000, 3, "5a6adfe08134b1ed n=5000 reads=6632180 writes=1121697 work=3464619 steps=312 max_ops=12 peak_words=133121"),
     ("theorem2", "gnm", 5_000, 3, "59150e4b5cd303d1 n=5000 reads=9737716 writes=1409728 work=6226744 steps=737 max_ops=12 peak_words=283649"),
     ("vanilla", "gnm", 5_000, 3, "12b3935d07d4d230 n=5000 reads=2600824 writes=579355 work=2642383 steps=333 max_ops=6 peak_words=108544"),
+    ("theorem1", "path", 12, 2, "cb09187840f610a5 n=12 reads=585 writes=158 work=878 steps=110 max_ops=6 peak_words=104"),
+    ("theorem2", "path", 12, 2, "be4f3da26953b285 n=12 reads=746 writes=232 work=1075 steps=136 max_ops=6 peak_words=144"),
 ];
 
 /// Assert a probe line equals its committed [`GOLDEN`] line.
@@ -144,7 +146,8 @@ fn sampled_theorem3_is_thread_invariant() {
 }
 
 /// The [`GOLDEN`] cases the sampled test above does not run: an unsampled
-/// Theorem-3 path, Theorems 1 and 2, and Vanilla.
+/// Theorem-3 path, Theorems 1 and 2, Vanilla, and Theorems 1 and 2 on a
+/// path PREPARE finishes (the phase loop's early exit).
 #[test]
 fn golden_counts_are_unchanged() {
     for &(algo, family, n, seed, _) in &GOLDEN[2..] {
