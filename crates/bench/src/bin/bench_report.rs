@@ -34,7 +34,7 @@
 //! Usage:
 //!
 //! ```text
-//! bench_report [--smoke | --xl] [--out PATH] [--svc-out PATH] [--sim-max-n N]
+//! bench_report [--smoke | --xl] [--out PATH] [--svc-out PATH]
 //! ```
 //!
 //! `--xl` switches to the 1e8 tier (see `BENCH_PR10.json`): path and
@@ -42,12 +42,13 @@
 //! (`LOGDIAM_RUN_SPILL` — the parent pins a spill dir for its children,
 //! honoring a pre-set value), the Theorem-3 simulation path-only and
 //! single-rep. Rows carry `cell_width`, `spilled_runs`, `spill_bytes`
-//! (process-wide spill counter deltas around the build) and
-//! `arena_bytes` (the machine's backing allocation after the run); the
-//! streaming-build memory contract (peak RSS ≤ 2× final CSR) is
-//! asserted with spilling active, and the practical `logdiam-par` rows
-//! are gated off above 1e7 where the graphs alone dominate the
-//! measurement budget.
+//! (process-wide spill counter deltas around the build; whenever a spill
+//! directory is set, in any tier, the child asserts that every build
+//! spilled at least one run and some bytes) and `arena_bytes` (the
+//! machine's backing allocation after the run); the streaming-build
+//! memory contract (peak RSS ≤ 2× final CSR) is asserted with spilling
+//! active, and the practical `logdiam-par` rows are gated off above 1e7
+//! where the graphs alone dominate the measurement budget.
 //!
 //! `--smoke` shrinks the matrix to seconds (CI keeps the emitter alive)
 //! and additionally runs the **wall-clock guards**: diameter-heavy
@@ -66,19 +67,18 @@
 //! emitted, so CI only checks that a written report parses. `--out`
 //! overrides the output path, which defaults to `BENCH_PR8.json` for the
 //! full matrix, `BENCH_PR10.json` for `--xl` and `BENCH_SMOKE.json` for
-//! `--smoke`, so a smoke run never overwrites a committed baseline;
-//! `--sim-max-n` raises (or lowers) the largest n the full Theorem-3
-//! simulation runs at.
+//! `--smoke`, so a smoke run never overwrites a committed baseline.
 
-use cc_graph::runs::spill_counters;
+use cc_graph::runs::{spill_counters, spill_dir_from_env, RUN_SPILL_ENV};
 use cc_graph::seq::{components, same_partition};
 use cc_graph::{gen, EdgeRunStore, Graph, Rng};
-use logdiam_bench::check_obs_dump;
+use logdiam_bench::experiments::common::time_ms;
 use logdiam_bench::svc::{family_graph, run_smoke};
+use logdiam_bench::{check_obs_dump, write_report};
 use logdiam_cc::theorem1::{connected_components, Theorem1Params};
 use logdiam_cc::theorem2::spanning_forest;
 use logdiam_cc::theorem3::{faster_cc, FasterParams};
-use logdiam_obs::Registry;
+use logdiam_obs::{JsonObject, Registry};
 use logdiam_par::{
     contract::contract_cc, labelprop::labelprop_cc, sv::sv_cc, unionfind::unionfind_cc,
 };
@@ -88,15 +88,6 @@ use std::process::Command;
 use std::sync::Arc;
 
 const SEED: u64 = 0xBEEF_CAFE;
-
-/// Default largest n the full Theorem-3 *simulation* runs at. With the
-/// rounds, the controller, and the EXPAND phase state all live-sized
-/// (charged LiveIndex rebuild, stamped MAXLINK, stamped fdr/liveness),
-/// and the streaming chunked builder keeping construction memory at
-/// runs + CSR instead of 2× edge list, 1e7 path/grid runs fit and finish.
-/// Overridable with `--sim-max-n`; anything larger is skipped with a log
-/// line naming the limit and the flag, never silently.
-const DEFAULT_SIM_MAX_N: usize = 10_000_000;
 
 /// The `--xl` tier size. A path/1e8 Theorem-3 run peaks at ≈ 33 simulated
 /// words per vertex (measured with `t3_probe`), i.e. ≈ 3.3e9 words
@@ -161,7 +152,7 @@ fn pram_step_workload(n: usize) {
 
 fn usage() -> ! {
     eprintln!(
-        "usage: bench_report [--smoke | --xl] [--out PATH] [--svc-out PATH] [--sim-max-n N]\n\
+        "usage: bench_report [--smoke | --xl] [--out PATH] [--svc-out PATH]\n\
          --out defaults to {} (full), {} (--xl) or {} (--smoke)",
         default_out_path(false, false),
         default_out_path(false, true),
@@ -187,7 +178,6 @@ fn main() {
     let mut xl = false;
     let mut out_path: Option<String> = None;
     let mut svc_out_path = "BENCH_SVC_SMOKE.json".to_string();
-    let mut sim_max_n = DEFAULT_SIM_MAX_N;
     let mut child = false;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
@@ -197,12 +187,6 @@ fn main() {
             "--child" => child = true,
             "--out" => out_path = Some(args.next().unwrap_or_else(|| usage())),
             "--svc-out" => svc_out_path = args.next().unwrap_or_else(|| usage()),
-            "--sim-max-n" => {
-                sim_max_n = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
             _ => usage(),
         }
     }
@@ -211,9 +195,9 @@ fn main() {
     }
     let out_path = out_path.unwrap_or_else(|| default_out_path(smoke, xl).into());
     if child {
-        run_child(smoke, xl, sim_max_n);
+        run_child(smoke, xl);
     } else {
-        run_parent(smoke, xl, &out_path, &svc_out_path, sim_max_n);
+        run_parent(smoke, xl, &out_path, &svc_out_path);
     }
 }
 
@@ -255,95 +239,34 @@ fn workload_names(smoke: bool, xl: bool) -> Vec<(String, &'static str, usize)> {
     out
 }
 
-/// Simulation telemetry attached to `theorem3_sim` rows.
-struct SimCost {
-    rounds: u64,
-    work: u64,
-    work_per_m_round: f64,
-}
-
-/// One measurement row, serialized as a JSON object. A median is only a
-/// median with ≥ 3 reps; single-rep rows are labeled `ms` instead of
-/// `median_ms` so the JSON never overstates its statistics.
-#[derive(Default)]
-struct Row {
-    workload: String,
-    n: usize,
-    m: usize,
-    algorithm: &'static str,
+/// A row's leading keys. A median is only a median with ≥ 3 reps, so
+/// the wall clock goes under `median_ms` only then and under `ms`
+/// otherwise: the JSON never overstates its statistics.
+fn row(
+    workload: &str,
+    g: &Graph,
+    algorithm: &str,
     threads: u64,
     reps: usize,
     ms: f64,
-    sim: Option<SimCost>,
-    /// Phase peak RSS (`VmHWM`, kB) — `graph_build` and `theorem3_sim`.
-    peak_rss_kb: Option<u64>,
-    /// Final CSR heap footprint — `graph_build` rows.
-    csr_bytes: Option<usize>,
-    /// Correctness flag — `builder_equivalence` rows (asserted before
-    /// emission, so a written row is always `true`).
-    verified: Option<bool>,
-    /// Final `logdiam_obs` registry dump (the `docs/obs-schema.md` JSON
-    /// object), embedded verbatim — `theorem3_sim_obs` guard rows.
-    obs: Option<String>,
-    /// Machine cell width in bits (always 32: narrow cells) — simulated
-    /// rows.
-    cell_width: Option<u32>,
-    /// Edge runs sealed to spill files during the build, and bytes
-    /// written to them (deltas of the process-wide spill counters across
-    /// the build) — `graph_build` rows. Zero when spilling is off.
-    spilled_runs: Option<u64>,
-    spill_bytes: Option<u64>,
-    /// The machine's arena backing allocation (cells + stamps) after the
-    /// run — simulated rows; divide by `n` for the bytes-per-vertex budget
-    /// line.
-    arena_bytes: Option<u64>,
+) -> JsonObject {
+    JsonObject::new()
+        .str("workload", workload)
+        .u64("n", g.n() as u64)
+        .u64("m", g.m() as u64)
+        .str("algorithm", algorithm)
+        .u64("threads", threads)
+        .u64("reps", reps as u64)
+        .f64(if reps >= 3 { "median_ms" } else { "ms" }, ms, 3)
 }
 
-impl Row {
-    fn to_json(&self) -> String {
-        let field = if self.reps >= 3 { "median_ms" } else { "ms" };
-        let sim = match &self.sim {
-            Some(s) => format!(
-                ",\"rounds\":{},\"work\":{},\"work_per_m_round\":{:.3}",
-                s.rounds, s.work, s.work_per_m_round
-            ),
-            None => String::new(),
-        };
-        let peak = self
-            .peak_rss_kb
-            .map(|k| format!(",\"peak_rss_kb\":{k}"))
-            .unwrap_or_default();
-        let csr = self
-            .csr_bytes
-            .map(|b| format!(",\"csr_bytes\":{b}"))
-            .unwrap_or_default();
-        let verified = self
-            .verified
-            .map(|v| format!(",\"verified\":{v}"))
-            .unwrap_or_default();
-        let obs = self
-            .obs
-            .as_ref()
-            .map(|o| format!(",\"obs\":{o}"))
-            .unwrap_or_default();
-        let cell = self
-            .cell_width
-            .map(|w| format!(",\"cell_width\":{w}"))
-            .unwrap_or_default();
-        let spill = match (self.spilled_runs, self.spill_bytes) {
-            (Some(r), Some(b)) => format!(",\"spilled_runs\":{r},\"spill_bytes\":{b}"),
-            _ => String::new(),
-        };
-        let arena = self
-            .arena_bytes
-            .map(|b| format!(",\"arena_bytes\":{b}"))
-            .unwrap_or_default();
-        format!(
-            "{{\"workload\":\"{}\",\"n\":{},\"m\":{},\"algorithm\":\"{}\",\"threads\":{},\"reps\":{},\"{}\":{:.3}{}{}{}{}{}{}{}{}}}",
-            self.workload, self.n, self.m, self.algorithm, self.threads, self.reps, field, self.ms,
-            sim, peak, csr, verified, obs, cell, spill, arena
-        )
-    }
+/// `row` plus the charged cost of a `theorem3_sim` run on `m` edges: its
+/// `rounds`, `work`, and `work_per_m_round` = work / (m · rounds).
+fn with_cost(row: JsonObject, m: usize, (rounds, work): (u64, u64)) -> JsonObject {
+    let per_m_round = work as f64 / (m.max(1) as f64 * rounds.max(1) as f64);
+    row.u64("rounds", rounds)
+        .u64("work", work)
+        .f64("work_per_m_round", per_m_round, 3)
 }
 
 /// Reset the kernel's peak-RSS watermark (`VmHWM`) so the next
@@ -379,7 +302,7 @@ fn peak_rss_kb() -> u64 {
 /// [`Graph`]s must compare equal (`Graph: Eq`, so edges, offsets, and
 /// adjacency all match bit-for-bit). Asserted before the row is written,
 /// so an emitted row always carries `"verified": true`.
-fn builder_equivalence_row(threads: u64) -> Row {
+fn builder_equivalence_row(threads: u64) -> JsonObject {
     const N: usize = 50_000;
     const PUSHES: usize = 400_000;
     let mut rng = Rng::new(SEED ^ 0xB01D);
@@ -416,35 +339,11 @@ fn builder_equivalence_row(threads: u64) -> Row {
          sort+dedup build at {threads} thread(s)"
     );
     eprintln!("bench_report: builder_equivalence verified at {threads} thread(s)");
-    Row {
-        workload: format!("dirty_stream/{N}"),
-        n: streamed.n(),
-        m: streamed.m(),
-        algorithm: "builder_equivalence",
-        threads,
-        reps: 1,
-        ms,
-        verified: Some(true),
-        ..Row::default()
-    }
+    let workload = format!("dirty_stream/{N}");
+    row(&workload, &streamed, "builder_equivalence", threads, 1, ms).bool("verified", true)
 }
 
-/// Wall-clock median of `reps` runs, in milliseconds.
-fn time_ms<T>(reps: usize, mut f: impl FnMut() -> T) -> f64 {
-    let mut times: Vec<f64> = (0..reps)
-        .map(|_| {
-            let t0 = std::time::Instant::now();
-            let out = f();
-            let dt = t0.elapsed().as_secs_f64() * 1e3;
-            drop(out);
-            dt
-        })
-        .collect();
-    times.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    times[times.len() / 2]
-}
-
-/// One verified `faster_cc` run returning its charged-cost telemetry.
+/// One verified `faster_cc` run; returns its `(rounds, work)`.
 ///
 /// The machine comes from the caller and is reused across reps:
 /// [`Pram::reset_for_run`] rewinds the step counter and live image while
@@ -453,26 +352,20 @@ fn time_ms<T>(reps: usize, mut f: impl FnMut() -> T) -> f64 {
 /// cross-run reuse path the 1e8 tier depends on, measured here. The
 /// driver's host-side buffers are sized by each run's renamed subproblem
 /// and allocated afresh.
-fn faster_run(pram: &mut Pram, g: &Graph, check: &impl Fn(&[u32])) -> SimCost {
+fn faster_run(pram: &mut Pram, g: &Graph, check: &impl Fn(&[u32])) -> (u64, u64) {
     pram.reset_for_run();
     let report = faster_cc(pram, g, SEED, &FasterParams::default());
     check(&report.run.labels);
-    let work = report.run.stats.work;
-    let rounds = report.run.rounds.max(1);
-    SimCost {
-        rounds: report.run.rounds,
-        work,
-        work_per_m_round: work as f64 / (g.m().max(1) as f64 * rounds as f64),
-    }
+    (report.run.rounds, report.run.stats.work)
 }
 
 /// Child mode: run the matrix at this process's (env-pinned) thread count
 /// and print one JSON object per line.
-fn run_child(smoke: bool, xl: bool, sim_max_n: usize) {
+fn run_child(smoke: bool, xl: bool) {
     let threads = rayon::current_num_threads() as u64;
     let reps = if xl { 1 } else { 3 };
     let stdout = std::io::stdout();
-    let emit = |row: Row| writeln!(stdout.lock(), "{}", row.to_json()).unwrap();
+    let emit = |row: JsonObject| writeln!(stdout.lock(), "{}", row.finish()).unwrap();
     emit(builder_equivalence_row(threads));
     for (name, family, size) in workload_names(smoke, xl) {
         // Build phase: reset the RSS watermark so `VmHWM` covers just the
@@ -481,11 +374,22 @@ fn run_child(smoke: bool, xl: bool, sim_max_n: usize) {
         // The spill-counter delta around the build records how much of it
         // ran out-of-core (the `--xl` parent pins `LOGDIAM_RUN_SPILL`).
         reset_peak_rss();
-        let (spill_runs0, spill_bytes0) = spill_counters();
+        let (runs0, bytes0) = spill_counters();
         let t0 = std::time::Instant::now();
         let g = family_graph(family, size, SEED);
         let build_ms = t0.elapsed().as_secs_f64() * 1e3;
-        let (spill_runs1, spill_bytes1) = spill_counters();
+        let (runs1, bytes1) = spill_counters();
+        let (spilled_runs, spill_bytes) = (runs1 - runs0, bytes1 - bytes0);
+        // With a spill directory set every sealed run goes to a file, and
+        // the build seals its last buffer too, so a build that spilled
+        // nothing never took the out-of-core path.
+        if spill_dir_from_env().is_some() {
+            assert!(
+                spilled_runs >= 1 && spill_bytes > 0,
+                "{name}: build spilled {spilled_runs} runs ({spill_bytes} bytes) \
+                 with {RUN_SPILL_ENV} set"
+            );
+        }
         let build_peak = peak_rss_kb();
         let csr_bytes = g.heap_bytes();
         // Only meaningful when the CSR dominates the process baseline
@@ -506,61 +410,38 @@ fn run_child(smoke: bool, xl: bool, sim_max_n: usize) {
                 "bench_report: {name} produced wrong labels"
             )
         };
-        let row = |algorithm: &'static str, reps: usize, ms: f64, sim: Option<SimCost>| {
+        let done = |algorithm: &str, reps: usize, ms: f64| {
             eprintln!("bench_report: [{name}] {algorithm}: done");
-            Row {
-                workload: name.clone(),
-                n: g.n(),
-                m: g.m(),
-                algorithm,
-                threads,
-                reps,
-                ms,
-                sim,
-                ..Row::default()
-            }
+            row(&name, &g, algorithm, threads, reps, ms)
         };
-        emit(Row {
-            peak_rss_kb: Some(build_peak),
-            csr_bytes: Some(csr_bytes),
-            spilled_runs: Some(spill_runs1 - spill_runs0),
-            spill_bytes: Some(spill_bytes1 - spill_bytes0),
-            ..row("graph_build", 1, build_ms, None)
-        });
+        emit(
+            done("graph_build", 1, build_ms)
+                .u64("peak_rss_kb", build_peak)
+                .u64("csr_bytes", csr_bytes as u64)
+                .u64("spilled_runs", spilled_runs)
+                .u64("spill_bytes", spill_bytes),
+        );
         // The xl tier simulates path only (the d ≈ n shape the paper's
         // bound is about): the whole point of the compact image is that
         // 1e8 vertices of simulated memory fit the 2^32-word address
         // space, and 8 bytes of backing per word make that affordable.
-        let run_sim = if xl {
-            family == "path"
-        } else {
-            g.n() <= sim_max_n
-        };
-        if run_sim {
+        if !xl || family == "path" {
             // A simulated rep is deterministic in its seed but minutes long
             // at 1e6+; repeat only where the live-work scheduler makes reps
-            // cheap, and label the single-rep case honestly (see Row).
+            // cheap, and label the single-rep case honestly (see `row`).
             let sim_reps = if g.n() <= SIM_MEDIAN_MAX_N { reps } else { 1 };
             let mut pram = Pram::new(WritePolicy::ArbitrarySeeded(SEED));
-            let mut cost = None;
+            let mut cost = (0, 0);
             reset_peak_rss();
-            let ms = time_ms(sim_reps, || {
-                // Identical seed per rep → identical charged cost; keep the
-                // last rep's telemetry.
-                cost = Some(faster_run(&mut pram, &g, &check));
-            });
+            // Identical seed per rep → identical charged cost; keep the
+            // last rep's.
+            let ms = time_ms(sim_reps, || cost = faster_run(&mut pram, &g, &check));
             let sim_peak = peak_rss_kb();
-            emit(Row {
-                peak_rss_kb: Some(sim_peak),
-                cell_width: Some(32),
-                arena_bytes: Some(pram.arena_backing_bytes() as u64),
-                ..row("theorem3_sim", sim_reps, ms, cost)
-            });
-        } else if !xl {
-            eprintln!(
-                "bench_report: skipping theorem3_sim on {name} \
-                 (n {size} > configured sim-max-n limit {sim_max_n}; \
-                 raise with --sim-max-n N to simulate larger inputs)"
+            emit(
+                with_cost(done("theorem3_sim", sim_reps, ms), g.m(), cost)
+                    .u64("peak_rss_kb", sim_peak)
+                    .u64("cell_width", 32)
+                    .u64("arena_bytes", pram.arena_backing_bytes() as u64),
             );
         }
         if g.n() > PAR_MAX_N {
@@ -570,30 +451,26 @@ fn run_child(smoke: bool, xl: bool, sim_max_n: usize) {
             );
             continue;
         }
-        emit(row(
+        emit(done(
             "pram_step",
             reps,
             time_ms(reps, || pram_step_workload(g.n())),
-            None,
         ));
-        emit(row(
+        emit(done(
             "labelprop",
             reps,
             time_ms(reps, || check(&labelprop_cc(&g))),
-            None,
         ));
-        emit(row(
+        emit(done(
             "unionfind",
             reps,
             time_ms(reps, || check(&unionfind_cc(&g))),
-            None,
         ));
-        emit(row("sv", reps, time_ms(reps, || check(&sv_cc(&g))), None));
-        emit(row(
+        emit(done("sv", reps, time_ms(reps, || check(&sv_cc(&g)))));
+        emit(done(
             "contract",
             reps,
             time_ms(reps, || check(&contract_cc(&g))),
-            None,
         ));
     }
     if smoke {
@@ -607,29 +484,18 @@ fn run_child(smoke: bool, xl: bool, sim_max_n: usize) {
                 "bench_report: guard workload produced wrong labels"
             )
         };
-        let guard_row = |algorithm: &'static str, ms: f64, sim: Option<SimCost>| Row {
-            workload: format!("path/{GUARD_N}"),
-            n: g.n(),
-            m: g.m(),
-            algorithm,
-            threads,
-            reps,
-            ms,
-            sim,
-            ..Row::default()
-        };
+        let workload = format!("path/{GUARD_N}");
+        let guard_row = |algorithm: &str, ms: f64| row(&workload, &g, algorithm, threads, reps, ms);
 
         let mut guard_pram = Pram::new(WritePolicy::ArbitrarySeeded(SEED));
-        let mut cost = None;
-        let ms = time_ms(reps, || {
-            cost = Some(faster_run(&mut guard_pram, &g, &check));
-        });
+        let mut cost = (0, 0);
+        let ms = time_ms(reps, || cost = faster_run(&mut guard_pram, &g, &check));
         assert!(
             ms < GUARD_CAP_MS,
             "wall-clock guard tripped: theorem3_sim on path/{GUARD_N} took {ms:.0} ms \
              (cap {GUARD_CAP_MS:.0} ms) — per-round cost is no longer tracking live work"
         );
-        emit(guard_row("theorem3_sim", ms, cost));
+        emit(with_cost(guard_row("theorem3_sim", ms), g.m(), cost));
 
         // Observability-overhead guard: the same workload, re-measured
         // with full registry recording — spans enabled, per-round events
@@ -672,10 +538,7 @@ fn run_child(smoke: bool, xl: bool, sim_max_n: usize) {
             dump.histograms["sim_round_work"].count > 0,
             "theorem3_sim_obs: registry recorded no per-round work"
         );
-        emit(Row {
-            obs: Some(dump.to_json()),
-            ..guard_row("theorem3_sim_obs", on_ms, None)
-        });
+        emit(guard_row("theorem3_sim_obs", on_ms).raw("obs", &dump.to_json()));
 
         let ms = time_ms(reps, || {
             let mut pram = Pram::new(WritePolicy::ArbitrarySeeded(SEED));
@@ -687,7 +550,7 @@ fn run_child(smoke: bool, xl: bool, sim_max_n: usize) {
             "wall-clock guard tripped: theorem1_sim on path/{GUARD_N} took {ms:.0} ms \
              (cap {GUARD_T1_CAP_MS:.0} ms) — per-phase cost is no longer tracking live work"
         );
-        emit(guard_row("theorem1_sim", ms, None));
+        emit(guard_row("theorem1_sim", ms));
 
         let ms = time_ms(reps, || {
             let mut pram = Pram::new(WritePolicy::ArbitrarySeeded(SEED));
@@ -699,13 +562,13 @@ fn run_child(smoke: bool, xl: bool, sim_max_n: usize) {
             "wall-clock guard tripped: theorem2_sim on path/{GUARD_N} took {ms:.0} ms \
              (cap {GUARD_T2_CAP_MS:.0} ms) — per-phase cost is no longer tracking live work"
         );
-        emit(guard_row("theorem2_sim", ms, None));
+        emit(guard_row("theorem2_sim", ms));
     }
 }
 
 /// Parent mode: one child process per thread count, merged into the JSON
 /// report.
-fn run_parent(smoke: bool, xl: bool, out_path: &str, svc_out_path: &str, sim_max_n: usize) {
+fn run_parent(smoke: bool, xl: bool, out_path: &str, svc_out_path: &str) {
     let cores = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
@@ -716,7 +579,7 @@ fn run_parent(smoke: bool, xl: bool, out_path: &str, svc_out_path: &str, sim_max
     // The xl tier builds out-of-core: pin a spill directory for the
     // children unless the caller already chose one via the environment.
     let spill_dir = xl.then(|| {
-        std::env::var(cc_graph::runs::RUN_SPILL_ENV)
+        std::env::var(RUN_SPILL_ENV)
             .unwrap_or_else(|_| std::env::temp_dir().to_string_lossy().into_owned())
     });
     let exe = std::env::current_exe().expect("cannot locate own binary");
@@ -724,9 +587,7 @@ fn run_parent(smoke: bool, xl: bool, out_path: &str, svc_out_path: &str, sim_max
     for &t in &thread_counts {
         eprintln!("bench_report: measuring at {t} thread(s)...");
         let mut cmd = Command::new(&exe);
-        cmd.arg("--child")
-            .args(["--sim-max-n", &sim_max_n.to_string()])
-            .env("RAYON_NUM_THREADS", t.to_string());
+        cmd.arg("--child").env("RAYON_NUM_THREADS", t.to_string());
         if smoke {
             cmd.arg("--smoke");
         }
@@ -734,7 +595,7 @@ fn run_parent(smoke: bool, xl: bool, out_path: &str, svc_out_path: &str, sim_max
             cmd.arg("--xl");
         }
         if let Some(dir) = &spill_dir {
-            cmd.env(cc_graph::runs::RUN_SPILL_ENV, dir);
+            cmd.env(RUN_SPILL_ENV, dir);
         }
         // Child stderr (per-workload progress + skip logs) streams through
         // live; only stdout (the JSON rows) is captured.
@@ -750,11 +611,13 @@ fn run_parent(smoke: bool, xl: bool, out_path: &str, svc_out_path: &str, sim_max
                 .map(str::to_string),
         );
     }
-    let json = format!(
-        "{{\n  \"report\": \"logdiam perf baseline\",\n  \"emitter\": \"bench_report\",\n  \"smoke\": {smoke},\n  \"xl\": {xl},\n  \"host_cores\": {cores},\n  \"sim_max_n\": {sim_max_n},\n  \"thread_counts\": {thread_counts:?},\n  \"measurements\": [\n    {}\n  ]\n}}\n",
-        rows.join(",\n    ")
-    );
-    std::fs::write(out_path, &json).expect("cannot write report");
+    let envelope = |head: JsonObject| {
+        head.bool("xl", xl)
+            .u64("host_cores", cores as u64)
+            .raw("thread_counts", &format!("{thread_counts:?}"))
+    };
+    let report = "logdiam perf baseline";
+    write_report(out_path, report, "bench_report", smoke, envelope, &rows);
     eprintln!(
         "bench_report: wrote {} measurements to {out_path}",
         rows.len()
@@ -768,40 +631,21 @@ fn run_parent(smoke: bool, xl: bool, out_path: &str, svc_out_path: &str, sim_max
 mod tests {
     use super::*;
 
-    fn sim_row(reps: usize) -> Row {
-        Row {
-            workload: "path/8".into(),
-            n: 8,
-            m: 7,
-            algorithm: "theorem3_sim",
-            threads: 1,
-            reps,
-            ms: 1.5,
-            sim: Some(SimCost {
-                rounds: 3,
-                work: 42,
-                work_per_m_round: 2.0,
-            }),
-            peak_rss_kb: Some(100),
-            ..Row::default()
-        }
-    }
-
     #[test]
-    fn row_json_claims_a_median_only_with_three_reps() {
+    fn rows_claim_a_median_only_with_three_reps() {
+        let g = gen::path(8);
         for reps in 1..=4 {
-            let json = sim_row(reps).to_json();
+            let json = row("path/8", &g, "theorem3_sim", 1, reps, 1.5).finish();
             assert_eq!(json.contains("\"median_ms\":1.500"), reps >= 3, "{json}");
             assert_eq!(json.contains("\"ms\":1.500"), reps < 3, "{json}");
-            for field in [
-                "\"rounds\":3",
-                "\"work\":42",
-                "\"work_per_m_round\":2.000",
-                "\"peak_rss_kb\":100",
-            ] {
-                assert!(json.contains(field), "{field} missing from {json}");
-            }
         }
+        let sim = with_cost(row("path/8", &g, "theorem3_sim", 1, 3, 1.5), g.m(), (3, 42))
+            .u64("peak_rss_kb", 100)
+            .finish();
+        assert_eq!(
+            sim,
+            r#"{"workload":"path/8","n":8,"m":7,"algorithm":"theorem3_sim","threads":1,"reps":3,"median_ms":1.500,"rounds":3,"work":42,"work_per_m_round":2.000,"peak_rss_kb":100}"#
+        );
         // The smoke matrix stays where theorem3_sim takes 3 reps, so every
         // smoke theorem3_sim row carries a real median.
         assert!(sizes(true).iter().all(|&n| n <= SIM_MEDIAN_MAX_N));

@@ -35,7 +35,7 @@
 //! under each fsync policy, each row under a 5 s cap) and writes
 //! `BENCH_SVC_SMOKE.json` by default.
 
-use logdiam_bench::svc::{run_checked, run_smoke, write_report, TraceConfig, FSYNC_SWEEP};
+use logdiam_bench::svc::{run_checked, run_smoke, write_trace_report, TraceConfig, FSYNC_SWEEP};
 use logdiam_svc::FsyncPolicy;
 use std::path::PathBuf;
 
@@ -126,7 +126,7 @@ fn main() {
             rows.push(run_checked("svc_driver", &cfg, &root, None));
         }
     }
-    write_report(&out_path, "svc_driver", false, &rows);
+    write_trace_report(&out_path, "svc_driver", false, &rows);
     eprintln!(
         "svc_driver: wrote {} measurements to {out_path}",
         rows.len()

@@ -6,7 +6,9 @@
 //! `crates/bench/src/experiments/mod.rs`. [`svc`] is the connectivity
 //! service's trace runner, shared by `svc_driver` and
 //! `bench_report --smoke`; `bench_report` itself holds the perf baseline.
-//! Every emitter asserts its own rows before writing them.
+//! Every emitter asserts its own rows before writing them, builds each
+//! row with `logdiam-obs`'s one JSON writer, and writes its report
+//! through [`write_report`].
 //!
 //! Sizes are chosen so `experiments all` finishes in minutes on a laptop;
 //! `--full` enlarges the sweeps.
@@ -18,7 +20,7 @@ pub mod experiments;
 pub mod svc;
 pub mod table;
 
-use logdiam_obs::MetricsSnapshot;
+use logdiam_obs::{JsonObject, MetricsSnapshot};
 
 /// Global experiment configuration.
 #[derive(Clone, Copy, Debug)]
@@ -53,4 +55,25 @@ pub fn check_obs_dump(dump: &MetricsSnapshot, what: &str) {
             h.sum
         );
     }
+}
+
+/// Write one report document to `path` (`docs/bench-schema.md`): the
+/// envelope's `report`, `emitter` and `smoke`, the keys `rest` appends
+/// (`host_cores` and the emitter's own), then `measurements`, one row
+/// per line.
+pub fn write_report(
+    path: &str,
+    report: &str,
+    emitter: &str,
+    smoke: bool,
+    rest: impl FnOnce(JsonObject) -> JsonObject,
+    rows: &[String],
+) {
+    let head = JsonObject::pretty()
+        .str("report", report)
+        .str("emitter", emitter)
+        .bool("smoke", smoke);
+    let rows = format!("[\n    {}\n  ]", rows.join(",\n    "));
+    let doc = rest(head).raw("measurements", &rows).finish() + "\n";
+    std::fs::write(path, doc).unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
 }

@@ -25,7 +25,7 @@
 
 use cc_graph::seq::{components, same_partition};
 use cc_graph::{gen, Graph, GraphBuilder, Rng};
-use logdiam_obs::MetricsSnapshot;
+use logdiam_obs::{JsonObject, MetricsSnapshot};
 use logdiam_svc::{ConnectivityService, EpochTicket, FsyncPolicy, SvcParams};
 use std::collections::VecDeque;
 use std::path::{Path, PathBuf};
@@ -272,11 +272,11 @@ impl Latency {
         }
     }
 
-    fn json(&self, name: &str) -> String {
-        format!(
-            "\"{name}_p50_us\":{:.3},\"{name}_p90_us\":{:.3},\"{name}_p99_us\":{:.3}",
-            self.p50, self.p90, self.p99
-        )
+    /// `row` plus `{name}_p50_us`, `{name}_p90_us` and `{name}_p99_us`.
+    fn json(&self, row: JsonObject, name: &str) -> JsonObject {
+        row.f64(&format!("{name}_p50_us"), self.p50, 3)
+            .f64(&format!("{name}_p90_us"), self.p90, 3)
+            .f64(&format!("{name}_p99_us"), self.p99, 3)
     }
 }
 
@@ -439,57 +439,50 @@ impl TraceRow {
         let cfg = &self.cfg;
         let secs = self.elapsed_ms / 1e3;
         let writes = cfg.batches * cfg.batch;
-        let recovery = self.recovery.as_ref().map_or(String::new(), |r| {
-            format!(
-                ",\"wal_bytes\":{},\"snapshots\":{},\"reopen_ms\":{:.3},\"recovered_epoch\":{}",
-                r.wal_bytes, r.snapshots, r.reopen_ms, r.recovered_epoch
-            )
-        });
-        format!(
-            "{{\"workload\":\"{}/{}\",\"fsync\":\"{}\",\"n\":{},\"m_initial\":{},\"m_final\":{},\
-             \"writers\":{},\"readers\":{},\"window\":{},\
-             \"rebuild_threshold\":{},\"command_queue\":{},\"snapshot_every\":{},\"seed\":{},\
-             \"batch\":{},\"zipf_s\":{:.3},\"writes\":{},\"batches\":{},\"reads\":{},\"threads\":{},\
-             \"elapsed_ms\":{:.3},\"writes_per_s\":{:.1},\"queries_per_s\":{:.1},{},{},{},\
-             \"rebuilds\":{},\"components\":{},\"enqueue_ok\":{},\
-             \"pipeline_p50_sum_us\":{:.3},\"commit_span_p50_us\":{:.3},\
-             \"pipeline_coverage\":{:.3},\"pipeline_sum_ok\":{},\"verified\":{}{},\"obs\":{}}}",
-            cfg.family,
-            cfg.n,
-            fsync_name(cfg.fsync),
-            self.n,
-            self.m_initial,
-            self.m_final,
-            cfg.writers,
-            cfg.readers,
-            cfg.window,
-            cfg.rebuild_threshold,
-            cfg.command_queue,
-            cfg.snapshot_every,
-            cfg.seed,
-            cfg.batch,
-            cfg.zipf_s,
-            writes,
-            cfg.batches,
-            self.reads,
-            self.threads,
-            self.elapsed_ms,
-            writes as f64 / secs,
-            self.reads as f64 / secs,
-            self.enqueue.json("enqueue"),
-            self.commit.json("commit"),
-            self.query.json("query"),
-            self.rebuilds,
-            self.components,
-            self.enqueue_ok(),
-            self.pipeline_p50_sum_us,
-            self.commit_span_p50_us,
-            self.pipeline_coverage,
-            self.pipeline_sum_ok(),
-            self.verified,
-            recovery,
-            self.obs.to_json(),
-        )
+        let row = JsonObject::new()
+            .str("workload", &format!("{}/{}", cfg.family, cfg.n))
+            .str("fsync", &fsync_name(cfg.fsync))
+            .u64("n", self.n as u64)
+            .u64("m_initial", self.m_initial as u64)
+            .u64("m_final", self.m_final as u64)
+            .u64("writers", cfg.writers as u64)
+            .u64("readers", cfg.readers as u64)
+            .u64("window", cfg.window as u64)
+            .u64("rebuild_threshold", cfg.rebuild_threshold as u64)
+            .u64("command_queue", cfg.command_queue as u64)
+            .u64("snapshot_every", cfg.snapshot_every)
+            .u64("seed", cfg.seed)
+            .u64("batch", cfg.batch as u64)
+            .f64("zipf_s", cfg.zipf_s, 3)
+            .u64("writes", writes as u64)
+            .u64("batches", cfg.batches as u64)
+            .u64("reads", self.reads)
+            .u64("threads", self.threads as u64)
+            .f64("elapsed_ms", self.elapsed_ms, 3)
+            .f64("writes_per_s", writes as f64 / secs, 1)
+            .f64("queries_per_s", self.reads as f64 / secs, 1);
+        let row = self.enqueue.json(row, "enqueue");
+        let row = self.commit.json(row, "commit");
+        let row = self
+            .query
+            .json(row, "query")
+            .u64("rebuilds", self.rebuilds)
+            .u64("components", self.components as u64)
+            .bool("enqueue_ok", self.enqueue_ok())
+            .f64("pipeline_p50_sum_us", self.pipeline_p50_sum_us, 3)
+            .f64("commit_span_p50_us", self.commit_span_p50_us, 3)
+            .f64("pipeline_coverage", self.pipeline_coverage, 3)
+            .bool("pipeline_sum_ok", self.pipeline_sum_ok())
+            .bool("verified", self.verified);
+        let row = match &self.recovery {
+            Some(r) => row
+                .u64("wal_bytes", r.wal_bytes)
+                .u64("snapshots", r.snapshots as u64)
+                .f64("reopen_ms", r.reopen_ms, 3)
+                .u64("recovered_epoch", r.recovered_epoch),
+            None => row,
+        };
+        row.raw("obs", &self.obs.to_json()).finish()
     }
 
     fn summary(&self) -> String {
@@ -735,15 +728,13 @@ pub fn run_trace(cfg: &TraceConfig, root: &Path) -> TraceRow {
     }
 }
 
-/// Write `rows` as one report document (`docs/bench-schema.md`).
-pub fn write_report(path: &str, emitter: &str, smoke: bool, rows: &[TraceRow]) {
+/// Write `rows` as one service trace report (`docs/bench-schema.md`).
+pub fn write_trace_report(path: &str, emitter: &str, smoke: bool, rows: &[TraceRow]) {
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let rows: Vec<String> = rows.iter().map(TraceRow::to_json).collect();
-    let doc = format!(
-        "{{\n  \"report\": \"logdiam connectivity service trace\",\n  \"emitter\": \"{emitter}\",\n  \"smoke\": {smoke},\n  \"host_cores\": {cores},\n  \"measurements\": [\n    {}\n  ]\n}}\n",
-        rows.join(",\n    ")
-    );
-    std::fs::write(path, doc).unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
+    let host = |head: JsonObject| head.u64("host_cores", cores as u64);
+    let report = "logdiam connectivity service trace";
+    crate::write_report(path, report, emitter, smoke, host, &rows);
 }
 
 /// A scratch directory under the system temp dir, unique per process and
@@ -774,7 +765,7 @@ pub fn run_smoke(emitter: &str, out_path: &str) -> Vec<TraceRow> {
         .map(|cfg| run_checked("svc smoke", cfg, &root, Some(SMOKE_CAP_MS)))
         .collect();
     let _ = std::fs::remove_dir_all(&root);
-    write_report(out_path, emitter, true, &rows);
+    write_trace_report(out_path, emitter, true, &rows);
     eprintln!("svc smoke: {} rows checked, wrote {out_path}", rows.len());
     rows
 }

@@ -1,5 +1,6 @@
 //! Structured telemetry events and the bounded, striped event ring.
 
+use crate::json::{fixed, JsonObject};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -73,37 +74,21 @@ impl From<String> for Value {
     }
 }
 
-impl Value {
-    fn to_json(&self) -> String {
-        match self {
-            Value::U64(v) => v.to_string(),
-            Value::I64(v) => v.to_string(),
-            Value::F64(v) => {
-                if v.is_finite() {
-                    format!("{v:.3}")
-                } else {
-                    "null".to_string()
-                }
-            }
-            Value::Str(s) => format!("\"{}\"", escape(s)),
-        }
-    }
-}
+/// Digits after the point of every `F64` field, in the JSON line and in
+/// the human rendering.
+const FLOAT_DECIMALS: usize = 3;
 
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+/// A field as [`Event::render_human`] prints it: a number as the JSON
+/// line writes it, a string unquoted.
+impl std::fmt::Display for Value {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Value::U64(v) => write!(f, "{v}"),
+            Value::I64(v) => write!(f, "{v}"),
+            Value::F64(v) => f.write_str(&fixed(*v, FLOAT_DECIMALS)),
+            Value::Str(s) => f.write_str(s),
         }
     }
-    out
 }
 
 /// What kind of record an [`Event`] is.
@@ -162,25 +147,26 @@ impl Event {
     /// (plus `dur_ns`/`depth` for spans), then the fields flattened into
     /// the same object. Field keys must avoid the reserved names.
     pub fn to_json_line(&self) -> String {
-        let mut out = format!(
-            "{{\"event\":\"{}\",\"seq\":{},\"ts_us\":{}",
-            escape(self.name),
-            self.seq,
-            self.ts_us
-        );
-        match self.kind {
-            EventKind::Point => out.push_str(",\"kind\":\"point\""),
-            EventKind::Span { dur_ns, depth } => {
-                out.push_str(&format!(
-                    ",\"kind\":\"span\",\"dur_ns\":{dur_ns},\"depth\":{depth}"
-                ));
-            }
-        }
-        for (k, v) in &self.fields {
-            out.push_str(&format!(",\"{}\":{}", escape(k), v.to_json()));
-        }
-        out.push('}');
-        out
+        let line = JsonObject::new()
+            .str("event", self.name)
+            .u64("seq", self.seq)
+            .u64("ts_us", self.ts_us);
+        let line = match self.kind {
+            EventKind::Point => line.str("kind", "point"),
+            EventKind::Span { dur_ns, depth } => line
+                .str("kind", "span")
+                .u64("dur_ns", dur_ns)
+                .u64("depth", depth.into()),
+        };
+        self.fields
+            .iter()
+            .fold(line, |line, (k, v)| match v {
+                Value::U64(v) => line.u64(k, *v),
+                Value::I64(v) => line.i64(k, *v),
+                Value::F64(v) => line.f64(k, *v, FLOAT_DECIMALS),
+                Value::Str(s) => line.str(k, s),
+            })
+            .finish()
     }
 
     /// Human rendering of the same record (`name key=value …`), used by
@@ -191,10 +177,7 @@ impl Event {
             out.push_str(&format!(" dur_ns={dur_ns} depth={depth}"));
         }
         for (k, v) in &self.fields {
-            match v {
-                Value::Str(s) => out.push_str(&format!(" {k}={s}")),
-                other => out.push_str(&format!(" {k}={}", other.to_json())),
-            }
+            out.push_str(&format!(" {k}={v}"));
         }
         out
     }
@@ -263,8 +246,10 @@ impl EventSink {
 mod tests {
     use super::*;
 
+    /// The exact line for every `Value` kind: readers of the JSON lines
+    /// (`docs/obs-schema.md`) see no byte move when the writer changes.
     #[test]
-    fn json_line_flattens_fields_and_escapes() {
+    fn point_event_line_is_byte_exact() {
         let e = Event {
             seq: 3,
             ts_us: 99,
@@ -272,33 +257,41 @@ mod tests {
             kind: EventKind::Point,
             fields: vec![
                 ("work", Value::U64(10)),
+                ("delta", Value::I64(-4)),
                 ("ratio", Value::F64(0.5)),
-                ("note", Value::Str("a\"b".into())),
+                ("nan", Value::F64(f64::NAN)),
+                ("inf", Value::F64(f64::INFINITY)),
+                ("note", Value::Str("a\"b\\c\nd\u{1}".into())),
             ],
         };
         assert_eq!(
             e.to_json_line(),
-            "{\"event\":\"round\",\"seq\":3,\"ts_us\":99,\"kind\":\"point\",\
-             \"work\":10,\"ratio\":0.500,\"note\":\"a\\\"b\"}"
+            r#"{"event":"round","seq":3,"ts_us":99,"kind":"point","work":10,"delta":-4,"ratio":0.500,"nan":null,"inf":null,"note":"a\"b\\c\nd\u0001"}"#
         );
-        assert!(e.render_human().contains("work=10"));
+        assert_eq!(
+            e.render_human(),
+            "       round work=10 delta=-4 ratio=0.500 nan=null inf=null note=a\"b\\c\nd\u{1}"
+        );
         assert_eq!(e.field("work"), Some(&Value::U64(10)));
         assert_eq!(e.field("missing"), None);
     }
 
     #[test]
-    fn span_kind_serializes_duration_and_depth() {
+    fn span_event_line_is_byte_exact() {
         let e = Event {
+            seq: 7,
+            ts_us: 1234,
             kind: EventKind::Span {
                 dur_ns: 1200,
                 depth: 2,
             },
-            ..Event::new("commit")
+            ..Event::new("commit").with("epoch", 5u64)
         };
-        let line = e.to_json_line();
-        assert!(line.contains("\"kind\":\"span\""));
-        assert!(line.contains("\"dur_ns\":1200"));
-        assert!(line.contains("\"depth\":2"));
+        assert_eq!(
+            e.to_json_line(),
+            r#"{"event":"commit","seq":7,"ts_us":1234,"kind":"span","dur_ns":1200,"depth":2,"epoch":5}"#
+        );
+        assert_eq!(e.render_human(), "      commit dur_ns=1200 depth=2 epoch=5");
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Log-bucketed histograms: lock-free recording, mergeable snapshots.
+//! Log-bucketed histograms: lock-free recording, plain-data snapshots.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -114,8 +114,7 @@ impl Histogram {
     }
 }
 
-/// Plain-data copy of a [`Histogram`]: mergeable, exportable,
-/// self-validating.
+/// Plain-data copy of a [`Histogram`]: exportable, self-validating.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct HistogramSnapshot {
     /// Recorded values.
@@ -192,19 +191,6 @@ impl HistogramSnapshot {
     /// 99th-percentile estimate.
     pub fn p99(&self) -> f64 {
         self.quantile(0.99)
-    }
-
-    /// Fold `other` into `self`: counts, sums, and buckets add; max is
-    /// the max. Associative and commutative, so per-process snapshots
-    /// merge in any order to the same totals. `sum` wraps on overflow,
-    /// exactly like the relaxed `fetch_add`s in [`Histogram::observe`].
-    pub fn merge(&mut self, other: &HistogramSnapshot) {
-        self.count += other.count;
-        self.sum = self.sum.wrapping_add(other.sum);
-        self.max = self.max.max(other.max);
-        for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
-            *a += b;
-        }
     }
 
     /// Internal-consistency check: the bucket vector is full-length, the
@@ -290,20 +276,5 @@ mod tests {
         assert!(s.p50() <= 1000.0 && s.p50() >= 512.0);
         assert_eq!(s.quantile(1.0), 1000.0);
         assert_eq!(s.mean(), 1000.0);
-    }
-
-    #[test]
-    fn merge_adds_and_stays_valid() {
-        let a = Histogram::default();
-        let b = Histogram::default();
-        a.observe(5);
-        a.observe(70);
-        b.observe(6);
-        let mut m = a.snapshot();
-        m.merge(&b.snapshot());
-        m.validate().unwrap();
-        assert_eq!(m.count, 3);
-        assert_eq!(m.sum, 81);
-        assert_eq!(m.max, 70);
     }
 }

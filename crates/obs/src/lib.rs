@@ -20,12 +20,12 @@
 //! * **Structured events** ([`Event`]): named, timestamped records with
 //!   typed fields, drained in order and exported as JSON lines.
 //!
-//! Snapshots ([`MetricsSnapshot`]) are plain data: mergeable across
-//! registries (e.g. per-child bench processes), self-validating
-//! (histogram count == Σ buckets), and exportable as Prometheus text
-//! exposition or a single JSON object. The external contracts — metric
-//! names, the event JSON-lines schema — are documented in
-//! `docs/obs-schema.md`.
+//! Snapshots ([`MetricsSnapshot`]) are plain data: self-validating
+//! (histogram count == Σ buckets) and dumped as a single JSON object.
+//! Every JSON the workspace writes — event lines, metric dumps, bench
+//! report rows and envelopes — goes through one writer, [`JsonObject`].
+//! The external contracts — metric names, the event JSON-lines schema —
+//! are documented in `docs/obs-schema.md`.
 //!
 //! Nothing in this crate is on the determinism fingerprint surface:
 //! metrics and events record host timing and are never read back by any
@@ -50,8 +50,6 @@
 //! assert_eq!(snap.histograms["commit"].count, 1); // the span landed
 //! let json = snap.to_json();
 //! assert!(json.contains("\"requests_total\":1"));
-//! let prom = snap.to_prometheus();
-//! assert!(prom.contains("# TYPE requests_total counter"));
 //! let lines = reg.drain_events();
 //! assert_eq!(lines.len(), 2); // the span event + the explicit event
 //! ```
@@ -61,11 +59,13 @@
 
 mod event;
 mod hist;
+mod json;
 mod snapshot;
 mod span;
 
 pub use event::{Event, EventKind, Value};
 pub use hist::{bucket_index, Histogram, HistogramSnapshot, BUCKETS};
+pub use json::JsonObject;
 pub use snapshot::MetricsSnapshot;
 pub use span::Span;
 
@@ -268,7 +268,7 @@ impl Registry {
     }
 
     /// A point-in-time copy of every metric. The snapshot is plain data:
-    /// mergeable, exportable, and safe to hold while recording continues.
+    /// exportable, and safe to hold while recording continues.
     /// Concurrent recording may be torn *across* metrics (the snapshot is
     /// not a global atomic cut) but each histogram's count always equals
     /// the sum of its buckets — counts and buckets are written

@@ -1,16 +1,14 @@
-//! Mergeable point-in-time metric snapshots and the two exporters
-//! (Prometheus text exposition, single JSON object).
+//! Point-in-time metric snapshots and their JSON dump.
 
 use crate::hist::HistogramSnapshot;
+use crate::JsonObject;
 use std::collections::BTreeMap;
 
 /// A plain-data copy of a [`crate::Registry`]'s metrics: counters,
 /// gauges, and histogram snapshots, keyed by name.
 ///
-/// Snapshots from different registries (e.g. per-child bench processes)
-/// [`merge`](MetricsSnapshot::merge) associatively; the result
-/// [`validate`](MetricsSnapshot::validate)s like any other snapshot.
-/// The JSON layout is the `obs` dump contract in `docs/obs-schema.md`.
+/// A snapshot [`validate`](MetricsSnapshot::validate)s its histograms;
+/// its JSON layout is the `obs` dump contract in `docs/obs-schema.md`.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct MetricsSnapshot {
     /// Monotonic counter totals.
@@ -22,22 +20,6 @@ pub struct MetricsSnapshot {
 }
 
 impl MetricsSnapshot {
-    /// Fold `other` into `self`: counters and histogram buckets add,
-    /// gauges take `other`'s value when present (last write wins).
-    /// Associative, so any merge tree over per-process snapshots yields
-    /// the same counters and histograms.
-    pub fn merge(&mut self, other: &MetricsSnapshot) {
-        for (k, v) in &other.counters {
-            *self.counters.entry(k.clone()).or_insert(0) += v;
-        }
-        for (k, v) in &other.gauges {
-            self.gauges.insert(k.clone(), *v);
-        }
-        for (k, v) in &other.histograms {
-            self.histograms.entry(k.clone()).or_default().merge(v);
-        }
-    }
-
     /// Validate every histogram ([`HistogramSnapshot::validate`]).
     /// Counters and gauges need no check (unsigned / free-ranging).
     pub fn validate(&self) -> Result<(), String> {
@@ -53,77 +35,32 @@ impl MetricsSnapshot {
     /// written in full (fixed [`crate::BUCKETS`] length) so `count ==
     /// Σ buckets` is externally checkable.
     pub fn to_json(&self) -> String {
-        let counters: Vec<String> = self
+        let counters = self
             .counters
             .iter()
-            .map(|(k, v)| format!("\"{k}\":{v}"))
-            .collect();
-        let gauges: Vec<String> = self
+            .fold(JsonObject::new(), |o, (k, &v)| o.u64(k, v));
+        let gauges = self
             .gauges
             .iter()
-            .map(|(k, v)| format!("\"{k}\":{v}"))
-            .collect();
-        let hists: Vec<String> = self
-            .histograms
-            .iter()
-            .map(|(k, h)| {
-                let buckets: Vec<String> = h.buckets.iter().map(u64::to_string).collect();
-                format!(
-                    "\"{k}\":{{\"count\":{},\"sum\":{},\"max\":{},\"mean\":{:.3},\
-                     \"p50\":{:.3},\"p90\":{:.3},\"p99\":{:.3},\"buckets\":[{}]}}",
-                    h.count,
-                    h.sum,
-                    h.max,
-                    h.mean(),
-                    h.p50(),
-                    h.p90(),
-                    h.p99(),
-                    buckets.join(",")
-                )
-            })
-            .collect();
-        format!(
-            "{{\"counters\":{{{}}},\"gauges\":{{{}}},\"histograms\":{{{}}}}}",
-            counters.join(","),
-            gauges.join(","),
-            hists.join(",")
-        )
-    }
-
-    /// Export as Prometheus text exposition (untyped labels-free
-    /// families): counters as `counter`, gauges as `gauge`, histograms
-    /// as cumulative `_bucket{le="..."}` series with `_sum`/`_count`,
-    /// bucket edges at the powers of two.
-    pub fn to_prometheus(&self) -> String {
-        let mut out = String::new();
-        for (k, v) in &self.counters {
-            out.push_str(&format!("# TYPE {k} counter\n{k} {v}\n"));
-        }
-        for (k, v) in &self.gauges {
-            out.push_str(&format!("# TYPE {k} gauge\n{k} {v}\n"));
-        }
-        for (k, h) in &self.histograms {
-            out.push_str(&format!("# TYPE {k} histogram\n"));
-            let mut cum = 0u64;
-            for (b, &c) in h.buckets.iter().enumerate() {
-                if c == 0 {
-                    continue;
-                }
-                cum += c;
-                // Upper (inclusive) edge of bucket b: 0, then 2^b − 1.
-                let le = if b == 0 {
-                    0
-                } else if b == 64 {
-                    u64::MAX
-                } else {
-                    (1u64 << b) - 1
-                };
-                out.push_str(&format!("{k}_bucket{{le=\"{le}\"}} {cum}\n"));
-            }
-            out.push_str(&format!("{k}_bucket{{le=\"+Inf\"}} {}\n", h.count));
-            out.push_str(&format!("{k}_sum {}\n{k}_count {}\n", h.sum, h.count));
-        }
-        out
+            .fold(JsonObject::new(), |o, (k, &v)| o.i64(k, v));
+        let histograms = self.histograms.iter().fold(JsonObject::new(), |o, (k, h)| {
+            let buckets: Vec<String> = h.buckets.iter().map(u64::to_string).collect();
+            let h = JsonObject::new()
+                .u64("count", h.count)
+                .u64("sum", h.sum)
+                .u64("max", h.max)
+                .f64("mean", h.mean(), 3)
+                .f64("p50", h.p50(), 3)
+                .f64("p90", h.p90(), 3)
+                .f64("p99", h.p99(), 3)
+                .raw("buckets", &format!("[{}]", buckets.join(",")));
+            o.raw(k, &h.finish())
+        });
+        JsonObject::new()
+            .raw("counters", &counters.finish())
+            .raw("gauges", &gauges.finish())
+            .raw("histograms", &histograms.finish())
+            .finish()
     }
 }
 
@@ -141,44 +78,20 @@ mod tests {
         reg.snapshot()
     }
 
+    /// The exact dump: readers of the `obs` objects embedded in bench
+    /// reports (`docs/obs-schema.md`) see no byte move when the writer
+    /// changes.
     #[test]
-    fn json_export_has_all_sections() {
+    fn json_dump_is_byte_exact() {
         let s = sample();
-        let json = s.to_json();
-        assert!(json.contains("\"a_total\":3"));
-        assert!(json.contains("\"depth\":-2"));
-        assert!(json.contains("\"count\":2"));
-        assert!(json.contains("\"buckets\":["));
         s.validate().unwrap();
-    }
-
-    #[test]
-    fn prometheus_export_is_cumulative() {
-        let s = sample();
-        let prom = s.to_prometheus();
-        assert!(prom.contains("# TYPE a_total counter\na_total 3"));
-        assert!(prom.contains("# TYPE depth gauge\ndepth -2"));
-        assert!(prom.contains("# TYPE lat_ns histogram"));
-        assert!(prom.contains("lat_ns_bucket{le=\"+Inf\"} 2"));
-        assert!(prom.contains("lat_ns_sum 300"));
-        assert!(prom.contains("lat_ns_count 2"));
-    }
-
-    #[test]
-    fn merge_is_associative_on_simple_snapshots() {
-        let a = sample();
-        let b = sample();
-        let c = sample();
-        let mut ab_c = a.clone();
-        ab_c.merge(&b);
-        ab_c.merge(&c);
-        let mut bc = b.clone();
-        bc.merge(&c);
-        let mut a_bc = a.clone();
-        a_bc.merge(&bc);
-        assert_eq!(ab_c, a_bc);
-        ab_c.validate().unwrap();
-        assert_eq!(ab_c.counters["a_total"], 9);
-        assert_eq!(ab_c.histograms["lat_ns"].count, 6);
+        assert_eq!(
+            s.to_json(),
+            r#"{"counters":{"a_total":3},"gauges":{"depth":-2},"histograms":{"lat_ns":{"count":2,"sum":300,"max":200,"mean":150.000,"p50":127.000,"p90":200.000,"p99":200.000,"buckets":[0,0,0,0,0,0,0,1,1,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0]}}}"#
+        );
+        assert_eq!(
+            MetricsSnapshot::default().to_json(),
+            r#"{"counters":{},"gauges":{},"histograms":{}}"#
+        );
     }
 }

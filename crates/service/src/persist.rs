@@ -82,9 +82,10 @@ pub enum FsyncPolicy {
     /// Sync after every appended record: a fulfilled ticket means the
     /// batch survives power loss. The default.
     Always,
-    /// Sync every `0`-th… no — sync once per this many appended records
-    /// (and before every snapshot): bounded loss window, most of the
-    /// throughput of `Off`.
+    /// Sync once `N` appended records are pending since the last sync
+    /// (the append that makes them `N` syncs them all), and before every
+    /// durable snapshot: a power loss loses at most `N − 1` acknowledged
+    /// batches, for most of the throughput of `Off`.
     Batch(u32),
     /// Never sync: the OS flushes when it pleases. Survives process
     /// crashes, not power loss. The right choice for tests and for

@@ -38,11 +38,16 @@ fn graph_for(family: &str, n: usize, seed: u64) -> Graph {
         "grid" => gen::grid(n.max(4) / 4, 4),
         "gnm" => gen::gnm(n, 3 * n, seed),
         "powerlaw" => gen::preferential_attachment(n, 3, seed),
-        "mixture" => gen::union_all(&[
-            gen::gnm(n / 2, n, seed),
-            gen::path(n / 4),
-            gen::star(n.max(4) / 4),
-        ]),
+        "mixture" => {
+            // n edges on n / 2 vertices, capped at the complete graph's
+            // count so that small n still builds.
+            let half = n / 2;
+            gen::union_all(&[
+                gen::gnm(half, n.min(half * half.saturating_sub(1) / 2), seed),
+                gen::path(n / 4),
+                gen::star(n.max(4) / 4),
+            ])
+        }
         other => panic!("unknown family {other}"),
     }
 }

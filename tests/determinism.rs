@@ -156,6 +156,14 @@ fn golden_counts_are_unchanged() {
     }
 }
 
+/// `mixture` at n = 8 asks its `n / 2`-vertex random part for more edges
+/// than 4 vertices hold; the probe caps the count at the complete graph's,
+/// so the family builds at small n too.
+#[test]
+fn small_mixture_is_thread_invariant() {
+    assert_thread_invariant("theorem3", "mixture", 8, 1);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 3, ..ProptestConfig::default() })]
 
